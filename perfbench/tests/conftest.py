@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+# The benchmark's modules import each other as top-level names, as they do
+# when run.py and worker.py run as scripts.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
