@@ -7,13 +7,14 @@ infeasible design (structured JSON reason on stdout).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import contraction, experiments, horizon, inspection, objectives, width
-from .errors import Infeasible, InvalidArgument
+from .errors import Infeasible, InvalidArgument, from_json
 from .markov import Kernel
 
 
@@ -131,18 +132,19 @@ def _schedule_payload(
 
 def _cmd_schedule_uniform(args) -> int:
     schedule = inspection.uniform_schedule(args.H, args.m)
-    payload = {"times": list(schedule.times), "max_gap": inspection.maximal_gap(schedule)}
-    if args.eta is not None and args.delta2 is not None and args.epsilon is not None:
-        payload = _schedule_payload(schedule, args.eta, args.delta2, args.epsilon, args.n)
-    _print_json(payload)
+    _print_json(_schedule_payload(schedule, args.eta, args.delta2, args.epsilon, args.n))
     return 0
 
 
+@dataclasses.dataclass(frozen=True)
+class _EtasFile:
+    """The ``schedule greedy`` input {"etas": [...]}, one contraction rate per step."""
+
+    etas: tuple[float, ...]
+
+
 def _cmd_schedule_greedy(args) -> int:
-    data = _load_json(args.etas_file)
-    if "etas" not in data:
-        raise InvalidArgument('etas file must contain {"etas": [...]}')
-    etas = [float(e) for e in data["etas"]]
+    etas = from_json(_EtasFile, _load_json(args.etas_file), "etas file").etas
     gamma = inspection.feasibility_threshold(args.n, args.delta2, args.epsilon)
     schedule = inspection.greedy_schedule(etas, gamma, args.eta_g)
     payload = _schedule_payload(schedule, etas, args.delta2, args.epsilon, args.n)
@@ -154,31 +156,8 @@ def _cmd_schedule_greedy(args) -> int:
 
 
 def _cmd_schedule_plan(args) -> int:
-    config = _load_json(args.config)
-    known = {"eta", "etas", "H", "n", "delta2", "epsilon", "budget", "inspection_fidelity"}
-    unknown = set(config) - known
-    if unknown:
-        raise InvalidArgument(f"unknown plan config fields: {sorted(unknown)}")
-    for key in ("H", "n", "delta2", "epsilon"):
-        if key not in config:
-            raise InvalidArgument(f"plan config must set {key}")
-    budget = None
-    if "budget" in config and config["budget"] is not None:
-        budget = inspection.BudgetParams(
-            c_out=float(config["budget"]["c_out"]),
-            c_insp=float(config["budget"].get("c_insp", 0.0)),
-        )
-    plan = inspection.design_procedure(
-        horizon=int(config["H"]),
-        n=int(config["n"]),
-        delta2=float(config["delta2"]),
-        epsilon=float(config["epsilon"]),
-        eta=config.get("eta"),
-        etas=config.get("etas"),
-        budget=budget,
-        inspection_fidelity=config.get("inspection_fidelity"),
-    )
-    _print_json(plan.to_json_dict())
+    config = inspection.PlanConfig.from_json_dict(_load_json(args.config))
+    _print_json(config.design().to_json_dict())
     return 0
 
 
@@ -193,10 +172,9 @@ def _meta_path(out: str | Path) -> Path:
 
 
 def _cmd_experiment_run(args) -> int:
-    data = _load_json(args.config)
+    cfg = experiments.ExperimentConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
-        data = {**data, "master_seed": args.seed}
-    cfg = experiments.ExperimentConfig.from_json_dict(data)
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     table = experiments.run_experiment(cfg)
     emit_csv(table, args.out)
     meta = _meta_path(args.out)

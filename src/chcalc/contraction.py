@@ -8,13 +8,13 @@ lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .divergence import chi2
-from .errors import AbsoluteContinuityViolated, InvalidArgument
+from .errors import AbsoluteContinuityViolated, InvalidArgument, check_eta, check_min, check_range
 from .markov import Kernel, ProbVec, point_mass, propagate
 
 # Point-mass reference distributions violate absolute continuity; the
@@ -46,8 +46,7 @@ def diversity_bound(kernel: Kernel) -> float:
 
 def two_state_exact(p: float) -> float:
     """Exact coefficient (1 - 2p)^2 of the symmetric two-state kernel."""
-    if not (0 <= p <= 0.5):
-        raise InvalidArgument("p must lie in [0, 1/2]")
+    check_range(p, "p", 0, 0.5, "[]")
     return (1.0 - 2.0 * p) ** 2
 
 
@@ -80,8 +79,7 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     seed; trial t always uses the rng derived from (seed, t), so the result
     does not depend on evaluation order.
     """
-    if trials < 1:
-        raise InvalidArgument("trials must be at least 1")
+    check_min(trials, "trials", 1)
     n = kernel.size
     best = 0.0
     for i in range(n):
@@ -147,17 +145,7 @@ class ContractionReport:
         return min(self.dobrushin_bound, self.diversity_bound) - self.empirical_lower
 
     def to_json_dict(self) -> dict:
-        return {
-            "dobrushin_alpha": self.dobrushin_alpha,
-            "dobrushin_bound": self.dobrushin_bound,
-            "diversity_bound": self.diversity_bound,
-            "empirical_lower": self.empirical_lower,
-            "exact": self.exact,
-            "gap": self.gap,
-            "trials": self.trials,
-            "seed": self.seed,
-            "smoothing": self.smoothing,
-        }
+        return {**asdict(self), "gap": self.gap}
 
 
 def contraction_report(kernel: Kernel, trials: int = 2000, seed: int = 0) -> ContractionReport:
@@ -179,8 +167,6 @@ def attenuation(etas: Sequence[float], t: int, u: int) -> float:
         raise InvalidArgument(f"need 0 <= t <= u <= len(etas), got ({t}, {u}, {len(etas)})")
     result = 1.0
     for j in range(t, u):
-        eta = etas[j]
-        if not (0 < eta <= 1):
-            raise InvalidArgument(f"etas[{j}] must lie in (0, 1], got {eta!r}")
-        result *= eta
+        check_eta(etas[j], f"etas[{j}]", "(]")
+        result *= etas[j]
     return result

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsoluteContinuityViolated, InvalidArgument
+from .errors import AbsoluteContinuityViolated, InvalidArgument, check_min, check_range
 from .markov import ChainSpec, ProbVec, propagate
 
 # Entries below this are treated as zero for support purposes; propagation
@@ -53,10 +53,8 @@ def tensorize_chi2(chi2_single: float, n: int) -> float:
     Evaluated as expm1(n * log1p(chi2)) so it stays accurate for chi2 down
     to 1e-12 and n up to 1e9; overflow returns +inf.
     """
-    if chi2_single < 0:
-        raise InvalidArgument("chi2 must be nonnegative")
-    if n < 1:
-        raise InvalidArgument("n must be at least 1")
+    check_min(chi2_single, "chi2", 0)
+    check_min(n, "n", 1)
     exponent = n * math.log1p(chi2_single)
     if exponent > 700.0:
         return math.inf
@@ -65,8 +63,7 @@ def tensorize_chi2(chi2_single: float, n: int) -> float:
 
 def tv_upper_from_chi2(chi2_value: float) -> float:
     """Upper bound on TV from chi-squared: min(1, sqrt(chi2 / 2))."""
-    if chi2_value < 0:
-        raise InvalidArgument("chi2 must be nonnegative")
+    check_min(chi2_value, "chi2", 0)
     return min(1.0, math.sqrt(chi2_value / 2.0))
 
 
@@ -101,8 +98,7 @@ class DecayCurve:
 
     def chi2_after(self, k: int) -> float:
         """Divergence after k propagation steps from start_step."""
-        if not 0 <= k < len(self.values):
-            raise InvalidArgument(f"k={k} outside [0, {len(self.values)})")
+        check_range(k, "k", 0, len(self.values), "[)")
         return self.values[k][1]
 
     def csv_rows(self, eta: float | None = None) -> list[dict]:
@@ -131,8 +127,7 @@ def decay_curve(spec: ChainSpec, p_t: ProbVec, q_t: ProbVec, t: int) -> DecayCur
     Both distributions are pushed through the chain's kernels by matrix
     multiplication; nothing is sampled.
     """
-    if not 0 <= t <= spec.horizon:
-        raise InvalidArgument(f"t={t} outside [0, {spec.horizon}]")
+    check_range(t, "t", 0, spec.horizon, "[]")
     if p_t.size != spec.states or q_t.size != spec.states:
         raise InvalidArgument("distribution dimensions must match the chain")
     values = [(t, chi2(p_t, q_t))]

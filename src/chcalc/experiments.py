@@ -17,13 +17,22 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import divergence, inspection, markov, objectives, width
-from .errors import Infeasible, InvalidArgument
+from .errors import (
+    Infeasible,
+    InvalidArgument,
+    check_epsilon,
+    check_eta,
+    check_etas,
+    check_min,
+    check_range,
+    from_json,
+)
 from .horizon import critical_horizon, critical_horizon_simplified, HorizonParams
 
 KIND_IDS = {"decay": 0, "width": 1, "inspection": 2, "horizon": 3, "mismatch": 4, "oracle": 5}
@@ -34,12 +43,17 @@ ORACLE_MAX_HORIZON = 14
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: kind, master seed, replicate count, and kind-specific params."""
+    """One experiment: kind, master seed, replicate count, and kind-specific params.
+
+    ``params`` may be given as a JSON object; it is resolved into the kind's
+    params dataclass (``DecayExperiment`` for ``decay``, and so on), which
+    holds the defaults.
+    """
 
     kind: str
-    master_seed: int
-    replicates: int
-    params: dict
+    master_seed: int = 0
+    replicates: int = 1
+    params: Any = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in KIND_IDS:
@@ -48,29 +62,18 @@ class ExperimentConfig:
             )
         if not (0 <= self.master_seed < 2**64):
             raise InvalidArgument("master_seed must be a 64-bit nonnegative integer")
-        if self.replicates < 1:
-            raise InvalidArgument("replicates must be at least 1")
-        _VALIDATORS[self.kind](self.params)
+        check_min(self.replicates, "replicates", 1)
+        params_cls, _ = _KINDS[self.kind]
+        if not isinstance(self.params, params_cls):
+            object.__setattr__(self, "params", from_json(params_cls, self.params, f"{self.kind} params"))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - {"kind", "master_seed", "replicates", "params"}
-        if unknown:
-            raise InvalidArgument(f"unknown config fields: {sorted(unknown)}")
-        return cls(
-            kind=data.get("kind", ""),
-            master_seed=int(data.get("master_seed", 0)),
-            replicates=int(data.get("replicates", 1)),
-            params=dict(data.get("params", {})),
-        )
+        return from_json(cls, data, "config")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "master_seed": self.master_seed,
-            "replicates": self.replicates,
-            "params": dict(self.params),
-        }
+        """The config with every param resolved, defaults included."""
+        return asdict(self)
 
 
 @dataclass
@@ -139,119 +142,103 @@ def _map_units(fn: Callable, units: Sequence) -> list:
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# per-kind params: one frozen dataclass per kind, read by its runner run_<kind>;
+# each default and precondition is written here once
 
 
-def _require(params: dict, allowed: set) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise InvalidArgument(f"unknown experiment params: {sorted(unknown)}")
+@dataclass(frozen=True)
+class DecayExperiment:
+    etas: tuple[float, ...] = (0.7, 0.8, 0.9, 0.95)
+    states: int = 10
+    H: int = 40
+
+    def __post_init__(self):
+        check_etas(self.etas, "(]")
+        check_min(self.states, "states", 2)
+        check_min(self.H, "H", 1)
 
 
-def _get(params: dict, key: str, default):
-    return params.get(key, default)
+@dataclass(frozen=True)
+class WidthExperiment:
+    rho: float = 0.15
+    value: float = 0.5
+    widths: tuple[int, ...] = (1, 4, 16, 64, 256)
+    groups: int = 100_000
+
+    def __post_init__(self):
+        check_min(len(self.widths), "number of widths", 1)
+        for w in self.widths:
+            width.WidthParams(W=w, rho=self.rho, value=self.value)
+        check_min(self.groups, "groups", 2)
 
 
-def _validate_decay(params: dict) -> None:
-    _require(params, {"etas", "states", "H"})
-    etas = _get(params, "etas", [0.7, 0.8, 0.9, 0.95])
-    if not etas or any(not (0 < e <= 1) for e in etas):
-        raise InvalidArgument("decay etas must lie in (0, 1]")
-    if _get(params, "states", 10) < 2:
-        raise InvalidArgument("states must be at least 2")
-    if _get(params, "H", 40) < 1:
-        raise InvalidArgument("H must be a positive integer")
+@dataclass(frozen=True)
+class InspectionExperiment:
+    H: int = 20
+    states: int = 10
+    eta: float = 0.9
+    epsilon: float = 0.1
+    schedules: tuple[tuple[int, ...], ...] = ((5, 10, 15), (2, 4, 6), (14, 16, 18), (2, 13, 14))
+    n_per_test: int = 30
+    trials: int = 20_000
+
+    def __post_init__(self):
+        check_min(self.H, "H", 1)
+        check_min(self.states, "states", 2)
+        check_eta(self.eta)
+        check_epsilon(self.epsilon)
+        self.schedule_objects()  # each schedule must fit inside the horizon
+        check_min(self.n_per_test, "n_per_test", 1)
+        check_min(self.trials, "trials", 1)
+
+    def schedule_objects(self) -> list[inspection.Schedule]:
+        return [inspection.Schedule(horizon=self.H, times=times) for times in self.schedules]
 
 
-def _validate_width(params: dict) -> None:
-    _require(params, {"rho", "value", "widths", "groups"})
-    rho = _get(params, "rho", 0.15)
-    if not (0 <= rho < 1):
-        raise InvalidArgument("rho must lie in [0, 1)")
-    value = _get(params, "value", 0.5)
-    if not (0 <= value <= 1):
-        raise InvalidArgument("value must lie in [0, 1]")
-    widths = _get(params, "widths", [1, 4, 16, 64, 256])
-    if not widths or any(w < 1 for w in widths):
-        raise InvalidArgument("widths must be positive integers")
-    if _get(params, "groups", 100_000) < 2:
-        raise InvalidArgument("groups must be at least 2")
+@dataclass(frozen=True)
+class HorizonExperiment:
+    H: int = 40
+    states: int = 10
+    etas: tuple[float, ...] = (0.7, 0.8)
+    n: int = 1000
+    epsilon: float = 0.1
+    obs_per_trial: int = 2
+    trials: int = 10_000
+
+    def __post_init__(self):
+        check_min(self.H, "H", 1)
+        check_min(self.states, "states", 2)
+        check_etas(self.etas)
+        check_min(self.n, "n", 1)
+        check_epsilon(self.epsilon)
+        check_min(self.obs_per_trial, "obs_per_trial", 1)
+        check_min(self.trials, "trials", 1)
 
 
-def _validate_inspection(params: dict) -> None:
-    _require(params, {"H", "states", "eta", "epsilon", "schedules", "n_per_test", "trials"})
-    h = _get(params, "H", 20)
-    if h < 1:
-        raise InvalidArgument("H must be a positive integer")
-    if _get(params, "states", 10) < 2:
-        raise InvalidArgument("states must be at least 2")
-    eta = _get(params, "eta", 0.9)
-    if not (0 < eta < 1):
-        raise InvalidArgument("eta must lie in (0,1)")
-    epsilon = _get(params, "epsilon", 0.1)
-    if not (0 < epsilon < 0.5):
-        raise InvalidArgument("epsilon must lie in (0, 1/2)")
-    for times in _get(params, "schedules", [[5, 10, 15], [2, 4, 6], [14, 16, 18], [2, 13, 14]]):
-        inspection.Schedule(horizon=h, times=tuple(times))
-    if _get(params, "n_per_test", 30) < 1:
-        raise InvalidArgument("n_per_test must be at least 1")
-    if _get(params, "trials", 20_000) < 1:
-        raise InvalidArgument("trials must be at least 1")
+@dataclass(frozen=True)
+class MismatchExperiment:
+    p: float = 0.99
+    H: int = 100
+    threshold: float = 0.8
+    chains: int = 100_000
+
+    def __post_init__(self):
+        check_range(self.p, "p", 0, 1, "[]")
+        check_min(self.H, "H", 1)
+        check_range(self.threshold, "threshold", 0, 1, "(]")
+        check_min(self.chains, "chains", 1)
 
 
-def _validate_horizon(params: dict) -> None:
-    _require(params, {"H", "states", "etas", "n", "epsilon", "obs_per_trial", "trials"})
-    if _get(params, "H", 40) < 1:
-        raise InvalidArgument("H must be a positive integer")
-    if _get(params, "states", 10) < 2:
-        raise InvalidArgument("states must be at least 2")
-    etas = _get(params, "etas", [0.7, 0.8])
-    if not etas or any(not (0 < e < 1) for e in etas):
-        raise InvalidArgument("horizon etas must lie in (0,1)")
-    if _get(params, "n", 1000) < 1:
-        raise InvalidArgument("n must be a positive integer")
-    epsilon = _get(params, "epsilon", 0.1)
-    if not (0 < epsilon < 0.5):
-        raise InvalidArgument("epsilon must lie in (0, 1/2)")
-    if _get(params, "obs_per_trial", 2) < 1:
-        raise InvalidArgument("obs_per_trial must be at least 1")
-    if _get(params, "trials", 10_000) < 1:
-        raise InvalidArgument("trials must be at least 1")
+@dataclass(frozen=True)
+class OracleExperiment:
+    max_H: int = 12
+    max_m: int = 4
+    greedy_cases: int = 50
 
-
-def _validate_mismatch(params: dict) -> None:
-    _require(params, {"p", "H", "threshold", "chains"})
-    p = _get(params, "p", 0.99)
-    if not (0 <= p <= 1):
-        raise InvalidArgument("p must lie in [0, 1]")
-    if _get(params, "H", 100) < 1:
-        raise InvalidArgument("H must be a positive integer")
-    threshold = _get(params, "threshold", 0.8)
-    if not (0 < threshold <= 1):
-        raise InvalidArgument("threshold must lie in (0, 1]")
-    if _get(params, "chains", 100_000) < 1:
-        raise InvalidArgument("chains must be at least 1")
-
-
-def _validate_oracle(params: dict) -> None:
-    _require(params, {"max_H", "max_m", "greedy_cases"})
-    max_h = _get(params, "max_H", 12)
-    if not (2 <= max_h <= ORACLE_MAX_HORIZON):
-        raise InvalidArgument(f"max_H must lie in [2, {ORACLE_MAX_HORIZON}]")
-    if _get(params, "max_m", 4) < 0:
-        raise InvalidArgument("max_m must be nonnegative")
-    if _get(params, "greedy_cases", 50) < 0:
-        raise InvalidArgument("greedy_cases must be nonnegative")
-
-
-_VALIDATORS = {
-    "decay": _validate_decay,
-    "width": _validate_width,
-    "inspection": _validate_inspection,
-    "horizon": _validate_horizon,
-    "mismatch": _validate_mismatch,
-    "oracle": _validate_oracle,
-}
+    def __post_init__(self):
+        check_range(self.max_H, "max_H", 2, ORACLE_MAX_HORIZON, "[]")
+        check_min(self.max_m, "max_m", 0)
+        check_min(self.greedy_cases, "greedy_cases", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +326,7 @@ def run_decay(cfg: ExperimentConfig) -> ResultTable:
     so that value equals the single curve started at step 0 read after d
     steps. The log-linear fit per eta lands in metadata["fits"].
     """
-    params = cfg.params
-    etas = _get(params, "etas", [0.7, 0.8, 0.9, 0.95])
-    states = _get(params, "states", 10)
-    h = _get(params, "H", 40)
+    etas, states, h = cfg.params.etas, cfg.params.states, cfg.params.H
 
     def one_eta(eta: float):
         kernel = markov.mixture_kernel(eta, states)
@@ -390,11 +374,7 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
     variance to the variance of the group means, i.e. how many independent
     rollouts the group average is worth.
     """
-    params = cfg.params
-    rho = _get(params, "rho", 0.15)
-    value = _get(params, "value", 0.5)
-    widths = list(_get(params, "widths", [1, 4, 16, 64, 256]))
-    groups = _get(params, "groups", 100_000)
+    rho, value, groups = cfg.params.rho, cfg.params.value, cfg.params.groups
 
     def one_unit(args):
         replicate, unit, w = args
@@ -421,7 +401,7 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
     units = [
         (replicate, unit, w)
         for replicate in range(cfg.replicates)
-        for unit, w in enumerate(widths)
+        for unit, w in enumerate(cfg.params.widths)
     ]
     rows = _map_units(one_unit, units)
     return ResultTable(
@@ -451,8 +431,7 @@ def exact_two_point_accuracy(q0: float, q1: float, n_obs: int) -> float:
     the hypothesis (q0 vs q1) is drawn uniformly."""
     if not (0 <= q1 <= q0 <= 1):
         raise InvalidArgument("need 0 <= q1 <= q0 <= 1")
-    if n_obs < 1:
-        raise InvalidArgument("n_obs must be at least 1")
+    check_min(n_obs, "n_obs", 1)
     k_star = _midpoint_threshold(q0, q1, n_obs)
     correct0 = sum(
         math.comb(n_obs, k) * q0**k * (1 - q0) ** (n_obs - k) for k in range(k_star, n_obs + 1)
@@ -491,19 +470,10 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     increases its measured error. The reported theory column is the Le Cam
     total error of a single checkpoint bit.
     """
-    params = cfg.params
-    h = _get(params, "H", 20)
-    states = _get(params, "states", 10)
-    eta = _get(params, "eta", 0.9)
-    epsilon = _get(params, "epsilon", 0.1)
-    schedules = [
-        inspection.Schedule(horizon=h, times=tuple(times))
-        for times in _get(
-            params, "schedules", [[5, 10, 15], [2, 4, 6], [14, 16, 18], [2, 13, 14]]
-        )
-    ]
-    n_per_test = _get(params, "n_per_test", 30)
-    trials = _get(params, "trials", 20_000)
+    p = cfg.params
+    h, states, eta, epsilon = p.H, p.states, p.eta, p.epsilon
+    n_per_test, trials = p.n_per_test, p.trials
+    schedules = p.schedule_objects()
 
     # Identity weight eta keeps fraction eta of the mean signal per step;
     # the chi-squared contraction coefficient of this kernel is eta**2.
@@ -583,14 +553,9 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
     the two exact outcome probabilities. Critical-horizon markers for the
     configured sample budget n come from the horizon module.
     """
-    params = cfg.params
-    h = _get(params, "H", 40)
-    states = _get(params, "states", 10)
-    etas = list(_get(params, "etas", [0.7, 0.8]))
-    n = _get(params, "n", 1000)
-    epsilon = _get(params, "epsilon", 0.1)
-    obs = _get(params, "obs_per_trial", 2)
-    trials = _get(params, "trials", 10_000)
+    p = cfg.params
+    h, states, etas, n, epsilon = p.H, p.states, p.etas, p.n, p.epsilon
+    obs, trials = p.obs_per_trial, p.trials
 
     delta2 = divergence.chi2(markov.point_mass(0, states), markov.uniform_dist(states))
     q1 = 1.0 / states
@@ -655,11 +620,7 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
 def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
     """Sampled frequency of chains that clear the step-quality bar yet
     contain a wrong step, against the exact binomial value."""
-    params = cfg.params
-    p = _get(params, "p", 0.99)
-    h = _get(params, "H", 100)
-    threshold = _get(params, "threshold", 0.8)
-    chains = _get(params, "chains", 100_000)
+    p, h, threshold, chains = cfg.params.p, cfg.params.H, cfg.params.threshold, cfg.params.chains
     exact = objectives.mostly_correct_but_wrong_prob(p, h, threshold)
 
     def one_replicate(replicate: int):
@@ -695,8 +656,7 @@ def oracle_min_gap(horizon: int, m: int) -> int:
     """Exhaustive minimum of the maximal gap over all m-inspection schedules."""
     if horizon > ORACLE_MAX_HORIZON:
         raise InvalidArgument(f"horizon must be at most {ORACLE_MAX_HORIZON} for enumeration")
-    if not 0 <= m <= horizon - 1:
-        raise InvalidArgument("need 0 <= m <= horizon - 1")
+    check_range(m, "m", 0, horizon - 1, "[]")
     best = horizon
     for times in itertools.combinations(range(1, horizon), m):
         gap = inspection.maximal_gap(inspection.Schedule(horizon=horizon, times=times))
@@ -739,10 +699,7 @@ def oracle_min_inspections(
 def run_oracle(cfg: ExperimentConfig) -> ResultTable:
     """Cross-check the closed-form gap minimum and the greedy scheduler
     against exhaustive enumeration on small horizons."""
-    params = cfg.params
-    max_h = _get(params, "max_H", 12)
-    max_m = _get(params, "max_m", 4)
-    greedy_cases = _get(params, "greedy_cases", 50)
+    max_h, max_m, greedy_cases = cfg.params.max_H, cfg.params.max_m, cfg.params.greedy_cases
 
     rows = []
     for h in range(2, max_h + 1):
@@ -771,13 +728,14 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
     )
 
 
-_RUNNERS = {
-    "decay": run_decay,
-    "width": run_width,
-    "inspection": run_inspection,
-    "horizon": run_horizon,
-    "mismatch": run_mismatch,
-    "oracle": run_oracle,
+# kind -> (params dataclass, runner)
+_KINDS = {
+    "decay": (DecayExperiment, run_decay),
+    "width": (WidthExperiment, run_width),
+    "inspection": (InspectionExperiment, run_inspection),
+    "horizon": (HorizonExperiment, run_horizon),
+    "mismatch": (MismatchExperiment, run_mismatch),
+    "oracle": (OracleExperiment, run_oracle),
 }
 
 
@@ -785,7 +743,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Dispatch on cfg.kind; attaches config echo, seed, and wall time to
     the table metadata."""
     start = time.perf_counter()
-    table = _RUNNERS[cfg.kind](cfg)
+    _, runner = _KINDS[cfg.kind]
+    table = runner(cfg)
     table.metadata = {
         "config": cfg.to_json_dict(),
         "master_seed": cfg.master_seed,

@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import InvalidArgument
+from .errors import check_epsilon, check_eta, check_min, check_positive, check_range
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -34,14 +34,10 @@ class HorizonParams:
     eta: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgument("n must be a positive integer")
-        if not (self.delta2 > 0):
-            raise InvalidArgument("delta2 must be positive")
-        if not (0 < self.epsilon < 0.5):
-            raise InvalidArgument("epsilon must lie in (0, 1/2)")
-        if not (0 < self.eta < 1):
-            raise InvalidArgument("eta must lie in (0,1)")
+        check_min(self.n, "n", 1)
+        check_positive(self.delta2, "delta2")
+        check_epsilon(self.epsilon)
+        check_eta(self.eta)
 
 
 @dataclass(frozen=True)
@@ -59,7 +55,8 @@ class SampleBound:
     log_bound: float
 
 
-def _bound_from_log(log_bound: float) -> float:
+def bound_from_log(log_bound: float) -> float:
+    """exp(log_bound), or +inf where that overflows a float."""
     if log_bound > _LOG_FLOAT_MAX:
         return math.inf
     return math.exp(log_bound)
@@ -68,12 +65,11 @@ def _bound_from_log(log_bound: float) -> float:
 def sample_lb(params: HorizonParams, gap: int) -> SampleBound:
     """Lower bound (1-eps)^2 / (eta^gap * delta2) on the samples needed to
     test a hypothesis pair ``gap`` steps upstream of the observation."""
-    if gap < 0:
-        raise InvalidArgument("gap must be nonnegative")
+    check_min(gap, "gap", 0)
     log_attenuated = gap * math.log(params.eta) + math.log(params.delta2)
     regime = REGIME_DECAYED if log_attenuated <= 0 else REGIME_SEPARATED
     log_bound = 2.0 * math.log1p(-params.epsilon) - log_attenuated
-    return SampleBound(bound=_bound_from_log(log_bound), regime=regime, log_bound=log_bound)
+    return SampleBound(bound=bound_from_log(log_bound), regime=regime, log_bound=log_bound)
 
 
 def critical_horizon(params: HorizonParams) -> float:
@@ -90,18 +86,16 @@ def critical_horizon(params: HorizonParams) -> float:
 
 def critical_horizon_simplified(n: float, delta2: float, eta: float) -> float:
     """The epsilon-free form max(0, ln(n*delta2) / ln(1/eta))."""
-    if not (n > 0 and delta2 > 0):
-        raise InvalidArgument("n and delta2 must be positive")
-    if not (0 < eta < 1):
-        raise InvalidArgument("eta must lie in (0,1)")
+    check_positive(n, "n")
+    check_positive(delta2, "delta2")
+    check_eta(eta)
     return max(0.0, (math.log(n) + math.log(delta2)) / math.log(1.0 / eta))
 
 
 def minimax_error_lb(params: HorizonParams, gap: int) -> float:
     """Floor on the minimax testing error with n samples at the given gap:
     (1 - sqrt(((1 + eta^gap*delta2)^n - 1) / 2)) / 2, clamped to [0, 1/2]."""
-    if gap < 0:
-        raise InvalidArgument("gap must be nonnegative")
+    check_min(gap, "gap", 0)
     attenuated = math.exp(gap * math.log(params.eta) + math.log(params.delta2))
     exponent = params.n * math.log1p(attenuated)
     if exponent > _LOG_FLOAT_MAX:
@@ -113,11 +107,10 @@ def minimax_error_lb(params: HorizonParams, gap: int) -> float:
 def sample_cap_for_error(params: HorizonParams, gap: int) -> float:
     """Any n at or below ln(1 + 2(1-2eps)^2) / (eta^gap * delta2) forces
     minimax error at least epsilon."""
-    if gap < 0:
-        raise InvalidArgument("gap must be nonnegative")
+    check_min(gap, "gap", 0)
     log_numer = math.log1p(2.0 * (1.0 - 2.0 * params.epsilon) ** 2)
     log_cap = math.log(log_numer) - gap * math.log(params.eta) - math.log(params.delta2)
-    return _bound_from_log(log_cap)
+    return bound_from_log(log_cap)
 
 
 def approx_lumpability_tv(
@@ -135,16 +128,11 @@ def approx_lumpability_tv(
     sqrt(eta^gap * delta2 / 2). Returns (tv_bound, n_lb) where testing at
     minimax error epsilon needs n >= (1 - 2*epsilon) / tv_bound.
     """
-    if not (0 < eta < 1):
-        raise InvalidArgument("eta must lie in (0,1)")
-    if not (delta2 > 0):
-        raise InvalidArgument("delta2 must be positive")
-    if gap < 0:
-        raise InvalidArgument("gap must be nonnegative")
-    if delta_step < 0:
-        raise InvalidArgument("delta_step must be nonnegative")
-    if not (0 < epsilon < 0.5):
-        raise InvalidArgument("epsilon must lie in (0, 1/2)")
+    check_eta(eta)
+    check_positive(delta2, "delta2")
+    check_min(gap, "gap", 0)
+    check_min(delta_step, "delta_step", 0)
+    check_epsilon(epsilon)
     signal = math.sqrt(math.exp(gap * math.log(eta)) * delta2 / 2.0)
     tv_bound = min(1.0, signal + 2.0 * gap * delta_step)
     n_lb = math.inf if tv_bound == 0 else (1.0 - 2.0 * epsilon) / tv_bound
@@ -154,8 +142,7 @@ def approx_lumpability_tv(
 def noisy_outcome_adjust(params: HorizonParams, eta_g: float) -> float:
     """Critical horizon when the terminal observation itself is a noisy
     channel with contraction eta_g: shortened by ln(1/eta_g)/ln(1/eta)."""
-    if not (0 < eta_g <= 1):
-        raise InvalidArgument("eta_g must lie in (0, 1]")
+    check_eta(eta_g, "eta_g", "(]")
     shrink = math.log(1.0 / eta_g) / math.log(1.0 / params.eta)
     return max(0.0, critical_horizon(params) - shrink)
 
@@ -170,21 +157,16 @@ def achievability_n(eta: float, delta2: float, gap: int, p0: float) -> float:
     (eta^gap * delta2 > 1) a constant 1.0 is returned; delta2 = 0 returns
     +inf (the hypotheses are indistinguishable).
     """
-    if not (0 < eta < 1):
-        raise InvalidArgument("eta must lie in (0,1)")
-    if delta2 < 0:
-        raise InvalidArgument("delta2 must be nonnegative")
-    if gap < 0:
-        raise InvalidArgument("gap must be nonnegative")
-    if not (0 < p0 < 1):
-        raise InvalidArgument("p0 must lie in (0,1)")
+    check_eta(eta)
+    check_min(delta2, "delta2", 0)
+    check_min(gap, "gap", 0)
+    check_range(p0, "p0", 0, 1)
     if delta2 == 0:
         return math.inf
     attenuated = math.exp(gap * math.log(eta) + math.log(delta2))
     if attenuated > 1.0:
         return 1.0
     p1 = p0 + math.sqrt(attenuated)
-    if not (0 < p1 < 1):
-        raise InvalidArgument(f"shifted parameter p1={p1!r} must lie in (0,1)")
+    check_range(p1, "shifted parameter p1", 0, 1)
     chi2_bernoulli = attenuated * (1.0 / p1 + 1.0 / (1.0 - p1))
     return 1.0 / chi2_bernoulli

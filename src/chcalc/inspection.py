@@ -7,15 +7,23 @@ feasibility check covers the final segment too.
 
 from __future__ import annotations
 
+import itertools
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
-from .errors import Infeasible, InvalidArgument
-from .horizon import HorizonParams, critical_horizon, sample_lb
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+from .errors import (
+    Infeasible,
+    InvalidArgument,
+    check_epsilon,
+    check_eta,
+    check_etas,
+    check_min,
+    check_positive,
+    check_range,
+    from_json,
+)
+from .horizon import HorizonParams, bound_from_log, critical_horizon, sample_lb
 
 
 @dataclass(frozen=True)
@@ -30,8 +38,7 @@ class Schedule:
     times: tuple[int, ...]
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InvalidArgument("horizon must be a positive integer")
+        check_min(self.horizon, "horizon", 1)
         times = tuple(int(t) for t in self.times)
         object.__setattr__(self, "times", times)
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
@@ -79,19 +86,20 @@ class BudgetParams:
     """Per-trajectory terminal-evaluation and per-inspection costs."""
 
     c_out: float
-    c_insp: float
+    c_insp: float = 0.0
 
     def __post_init__(self):
-        if not (self.c_out > 0):
-            raise InvalidArgument("c_out must be positive")
-        if self.c_insp < 0:
-            raise InvalidArgument("c_insp must be nonnegative")
+        check_positive(self.c_out, "c_out")
+        check_min(self.c_insp, "c_insp", 0)
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "BudgetParams":
+        return from_json(cls, data, "budget")
 
 
 def downstream_distance(schedule: Schedule, t: int) -> int:
     """Steps from t to its next checkpoint (the terminal outcome counts)."""
-    if not 0 <= t < schedule.horizon:
-        raise InvalidArgument(f"t={t} outside [0, {schedule.horizon})")
+    check_range(t, "t", 0, schedule.horizon, "[)")
     for u in schedule.times:
         if u > t:
             return u - t
@@ -107,8 +115,7 @@ def maximal_gap(schedule: Schedule) -> int:
 def uniform_schedule(horizon: int, m: int) -> Schedule:
     """Near-uniform placement t_i = floor(i*H/(m+1)), the minimax-optimal
     schedule under homogeneous contraction."""
-    if m < 0:
-        raise InvalidArgument("m must be nonnegative")
+    check_min(m, "m", 0)
     if m > horizon - 1:
         raise InvalidArgument(f"m={m} exceeds the {horizon - 1} interior slots")
     times = tuple(i * horizon // (m + 1) for i in range(1, m + 1))
@@ -117,11 +124,18 @@ def uniform_schedule(horizon: int, m: int) -> Schedule:
 
 def min_gap_value(horizon: int, m: int) -> int:
     """Minimal achievable maximal gap with m inspections: ceil(H/(m+1))."""
-    if horizon < 1:
-        raise InvalidArgument("horizon must be a positive integer")
-    if m < 0:
-        raise InvalidArgument("m must be nonnegative")
+    check_min(horizon, "horizon", 1)
+    check_min(m, "m", 0)
     return -(-horizon // (m + 1))
+
+
+def _check_testable(horizon: int, h_crit: float) -> None:
+    check_min(horizon, "horizon", 1)
+    if not h_crit >= 1:
+        raise Infeasible(
+            f"critical horizon {h_crit:.6g} is below one step: even the adjacent "
+            "step is untestable, so no inspection schedule helps"
+        )
 
 
 def min_inspections(horizon: int, h_crit: float) -> int:
@@ -129,45 +143,32 @@ def min_inspections(horizon: int, h_crit: float) -> int:
 
     This is a necessary condition only; integer rounding of segment
     lengths can require one more (see ``min_inspections_sufficient``).
+    Raises Infeasible when h_crit < 1.
     """
-    if horizon < 1:
-        raise InvalidArgument("horizon must be a positive integer")
-    if h_crit <= 0:
-        raise Infeasible(
-            "critical horizon is zero: no inspection schedule makes any step testable"
-        )
+    _check_testable(horizon, h_crit)
     return max(0, math.ceil(horizon / h_crit) - 1)
 
 
 def min_inspections_sufficient(horizon: int, h_crit: float) -> int:
-    """Smallest m whose minimax gap ceil(H/(m+1)) fits inside the horizon."""
-    if h_crit <= 0:
-        raise Infeasible(
-            "critical horizon is zero: no inspection schedule makes any step testable"
-        )
-    m = min_inspections(horizon, h_crit)
-    while min_gap_value(horizon, m) > h_crit:
-        m += 1
-    return m
+    """Smallest m whose minimax gap ceil(H/(m+1)) fits inside the critical
+    horizon: max(0, ceil(H / floor(h_crit)) - 1), since a gap is an integer.
+    Raises Infeasible when h_crit < 1."""
+    _check_testable(horizon, h_crit)
+    return max(0, -(-horizon // math.floor(h_crit)) - 1)
 
 
 def feasibility_threshold(n: float, delta2: float, epsilon: float) -> float:
     """Per-segment information budget Gamma = ln(n*delta2) - 2*ln(1-epsilon)."""
-    if not (n > 0 and delta2 > 0):
-        raise InvalidArgument("n and delta2 must be positive")
-    if not (0 < epsilon < 0.5):
-        raise InvalidArgument("epsilon must lie in (0, 1/2)")
+    check_positive(n, "n")
+    check_positive(delta2, "delta2")
+    check_epsilon(epsilon)
     return math.log(n) + math.log(delta2) - 2.0 * math.log1p(-epsilon)
 
 
 def step_info_distances(etas: Sequence[float]) -> list[float]:
     """Per-step information distance w_t = ln(1/eta_t)."""
-    out = []
-    for t, eta in enumerate(etas):
-        if not (0 < eta <= 1):
-            raise InvalidArgument(f"etas[{t}] must lie in (0, 1], got {eta!r}")
-        out.append(math.log(1.0 / eta))
-    return out
+    check_etas(etas, "(]")
+    return [math.log(1.0 / eta) for eta in etas]
 
 
 def greedy_schedule(
@@ -184,15 +185,11 @@ def greedy_schedule(
     ln(1/fidelity). Raises Infeasible (with the step index) if any single
     step alone exceeds the effective budget.
     """
-    if not (gamma > 0):
-        raise InvalidArgument("gamma must be positive")
+    check_positive(gamma, "gamma")
     horizon = len(etas)
-    if horizon < 1:
-        raise InvalidArgument("etas must cover at least one step")
     budget = gamma
     if inspection_fidelity is not None:
-        if not (0 < inspection_fidelity <= 1):
-            raise InvalidArgument("inspection_fidelity must lie in (0, 1]")
+        check_eta(inspection_fidelity, "inspection_fidelity", "(]")
         budget = gamma - math.log(1.0 / inspection_fidelity)
     weights = step_info_distances(etas)
     for t, w in enumerate(weights):
@@ -222,8 +219,7 @@ def _segment_attenuations(
     """(start, end, log-attenuation) per segment."""
     if isinstance(etas_or_eta, (int, float)):
         eta = float(etas_or_eta)
-        if not (0 < eta <= 1):
-            raise InvalidArgument("eta must lie in (0, 1]")
+        check_eta(eta, "eta", "(]")
         # length * w, not a prefix-sum difference: equal-length segments must
         # tie exactly so the smallest-index tie-break is meaningful.
         w = math.log(1.0 / eta)
@@ -232,10 +228,7 @@ def _segment_attenuations(
         raise InvalidArgument(
             f"etas length {len(etas_or_eta)} must equal horizon {schedule.horizon}"
         )
-    weights = step_info_distances(etas_or_eta)
-    prefix = [0.0]
-    for w in weights:
-        prefix.append(prefix[-1] + w)
+    prefix = list(itertools.accumulate(step_info_distances(etas_or_eta), initial=0.0))
     return [(a, b, prefix[b] - prefix[a]) for a, b in schedule.segments()]
 
 
@@ -251,15 +244,12 @@ def worst_case_sample_lb(
     cumulative information distance (ties broken toward the smallest step
     index); its bound is (1-eps)^2 / (attenuation * delta2).
     """
-    if not (delta2 > 0):
-        raise InvalidArgument("delta2 must be positive")
-    if not (0 < epsilon < 0.5):
-        raise InvalidArgument("epsilon must lie in (0, 1/2)")
-    segments = _segment_attenuations(schedule, etas_or_eta)
-    worst_start, _, worst_info = max(segments, key=lambda seg: (seg[2], -seg[0]))
-    log_bound = 2.0 * math.log1p(-epsilon) + worst_info - math.log(delta2)
-    bound = math.inf if log_bound > _LOG_FLOAT_MAX else math.exp(log_bound)
-    return worst_start, bound
+    worst = _worst_segment(segment_report(schedule, etas_or_eta, delta2, epsilon))
+    return worst.start, worst.worst_step_sample_lb
+
+
+def _worst_segment(segments: list[SegmentSummary]) -> SegmentSummary:
+    return max(segments, key=lambda seg: (seg.info_distance, -seg.start))
 
 
 def segment_report(
@@ -269,25 +259,21 @@ def segment_report(
     epsilon: float,
 ) -> list[SegmentSummary]:
     """Per-segment lengths, information distances, attenuations, and bounds."""
-    if not (delta2 > 0):
-        raise InvalidArgument("delta2 must be positive")
-    if not (0 < epsilon < 0.5):
-        raise InvalidArgument("epsilon must lie in (0, 1/2)")
-    out = []
-    for a, b, info in _segment_attenuations(schedule, etas_or_eta):
-        log_bound = 2.0 * math.log1p(-epsilon) + info - math.log(delta2)
-        bound = math.inf if log_bound > _LOG_FLOAT_MAX else math.exp(log_bound)
-        out.append(
-            SegmentSummary(
-                start=a,
-                end=b,
-                length=b - a,
-                info_distance=info,
-                attenuation=math.exp(-info),
-                worst_step_sample_lb=bound,
-            )
+    check_positive(delta2, "delta2")
+    check_epsilon(epsilon)
+    return [
+        SegmentSummary(
+            start=a,
+            end=b,
+            length=b - a,
+            info_distance=info,
+            attenuation=math.exp(-info),
+            worst_step_sample_lb=bound_from_log(
+                2.0 * math.log1p(-epsilon) + info - math.log(delta2)
+            ),
         )
-    return out
+        for a, b, info in _segment_attenuations(schedule, etas_or_eta)
+    ]
 
 
 def budget_lb(
@@ -300,8 +286,6 @@ def budget_lb(
 ) -> float:
     """Minimum total budget (c_out + m*c_insp) * (1-eps)^2 / (eta^gap * delta2)
     with the minimax gap ceil(H/(m+1))."""
-    if m < 0:
-        raise InvalidArgument("m must be nonnegative")
     params = HorizonParams(n=1, delta2=delta2, epsilon=epsilon, eta=eta)
     gap = min_gap_value(horizon, m)
     per_trajectory = budget.c_out + m * budget.c_insp
@@ -324,12 +308,7 @@ class BudgetScan:
     budget_rule: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "m_scan": self.m_scan,
-            "budget_scan": self.budget_scan,
-            "m_rule": self.m_rule,
-            "budget_rule": self.budget_rule,
-        }
+        return asdict(self)
 
 
 def budget_optimize(
@@ -350,7 +329,7 @@ def budget_optimize(
     budget_rule = None
     if n is not None:
         h_crit = critical_horizon(HorizonParams(n=n, delta2=delta2, epsilon=epsilon, eta=eta))
-        if h_crit > 0:
+        if h_crit >= 1:
             m_rule = min_inspections_sufficient(horizon, h_crit)
             budget_rule = budget_lb(budget, m_rule, horizon, eta, delta2, epsilon)
     return BudgetScan(m_scan=best_m, budget_scan=best_value, m_rule=m_rule, budget_rule=budget_rule)
@@ -359,12 +338,9 @@ def budget_optimize(
 def poly_density_min(horizon: int, p: float, eta: float) -> float:
     """Asymptotic estimate of the inspections needed for sample complexity
     O(H^p): (H * ln(1/eta)) / (p * ln H) - 1, floored at 0."""
-    if horizon < 3:
-        raise InvalidArgument("horizon must be at least 3")
-    if not (p > 0):
-        raise InvalidArgument("p must be positive")
-    if not (0 < eta < 1):
-        raise InvalidArgument("eta must lie in (0,1)")
+    check_min(horizon, "horizon", 3)
+    check_positive(p, "p")
+    check_eta(eta)
     return max(0.0, horizon * math.log(1.0 / eta) / (p * math.log(horizon)) - 1.0)
 
 
@@ -392,26 +368,12 @@ class DesignPlan:
     planned_cost: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "n": self.n,
-            "delta2": self.delta2,
-            "epsilon": self.epsilon,
-            "gamma": self.gamma,
-            "h_crit": self.h_crit,
-            "m_necessary": self.m_necessary,
-            "m_sufficient": self.m_sufficient,
-            "times": list(self.schedule.times),
-            "max_gap": self.max_gap,
-            "segments": [s.to_json_dict() for s in self.segments],
-            "worst_step": self.worst_step,
-            "worst_sample_lb": self.worst_sample_lb,
-            "feasible": self.feasible,
-            "per_trajectory_cost": self.per_trajectory_cost,
-            "budget_required": self.budget_required,
-            "planned_cost": self.planned_cost,
-        }
+        """Every field under its own name, except that the schedule appears
+        as its ``times`` and the segments in their JSON form."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["times"] = list(payload.pop("schedule").times)
+        payload["segments"] = [s.to_json_dict() for s in self.segments]
+        return payload
 
 
 def design_procedure(
@@ -458,7 +420,8 @@ def design_procedure(
         m_sufficient = None
         mode = "heterogeneous"
     segments = segment_report(schedule, rates, delta2, epsilon)
-    worst_step, worst_bound = worst_case_sample_lb(schedule, rates, delta2, epsilon)
+    worst = _worst_segment(segments)
+    worst_bound = worst.worst_step_sample_lb
     per_trajectory = budget.c_out + schedule.m * budget.c_insp if budget else None
     return DesignPlan(
         mode=mode,
@@ -473,10 +436,42 @@ def design_procedure(
         schedule=schedule,
         max_gap=maximal_gap(schedule),
         segments=segments,
-        worst_step=worst_step,
+        worst_step=worst.start,
         worst_sample_lb=worst_bound,
         feasible=n >= worst_bound,
         per_trajectory_cost=per_trajectory,
         budget_required=per_trajectory * worst_bound if per_trajectory is not None else None,
         planned_cost=per_trajectory * n if per_trajectory is not None else None,
     )
+
+
+@dataclass(frozen=True)
+class PlanConfig:
+    """The ``schedule plan`` config file: the inputs of ``design_procedure``
+    under their JSON names (``H`` is the horizon)."""
+
+    H: int
+    n: int
+    delta2: float
+    epsilon: float
+    eta: float | None = None
+    etas: tuple[float, ...] | None = None
+    budget: BudgetParams | None = None
+    inspection_fidelity: float | None = None
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "PlanConfig":
+        return from_json(cls, data, "plan config")
+
+    def design(self) -> DesignPlan:
+        """Run ``design_procedure`` on this config."""
+        return design_procedure(
+            horizon=self.H,
+            n=self.n,
+            delta2=self.delta2,
+            epsilon=self.epsilon,
+            eta=self.eta,
+            etas=self.etas,
+            budget=self.budget,
+            inspection_fidelity=self.inspection_fidelity,
+        )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_eta, check_min, check_positive, check_range, from_json
 
 # Constructors reject anything farther from stochastic than this; they
 # renormalize (rather than silently accept) anything closer.
@@ -77,7 +77,10 @@ class Kernel:
     __slots__ = ("rows",)
 
     def __init__(self, rows, *, tol: float = CONSTRUCTION_TOL):
-        arr = np.asarray(rows, dtype=float)
+        try:
+            arr = np.asarray(rows, dtype=float)
+        except ValueError:  # ragged rows fail the shape check below
+            arr = np.empty(0)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InvalidArgument("kernel rows must form a nonempty square matrix")
         if np.any(arr < 0):
@@ -107,12 +110,20 @@ class Kernel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Kernel":
-        kernel = cls(data["rows"])
-        if "states" in data and int(data["states"]) != kernel.size:
+        """Build from the kernel file layout {"states": s, "rows": [[...], ...]}."""
+        file = from_json(_KernelFile, data, "kernel file")
+        kernel = cls(file.rows)
+        if file.states is not None and file.states != kernel.size:
             raise InvalidArgument(
-                f"kernel 'states' field ({data['states']}) does not match matrix size ({kernel.size})"
+                f"kernel 'states' field ({file.states}) does not match matrix size ({kernel.size})"
             )
         return kernel
+
+
+@dataclass(frozen=True)
+class _KernelFile:
+    rows: tuple[tuple[float, ...], ...]
+    states: int | None = None
 
 
 @dataclass(frozen=True)
@@ -130,8 +141,7 @@ class ChainSpec:
     initial: ProbVec
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InvalidArgument("horizon must be a positive integer")
+        check_min(self.horizon, "horizon", 1)
         kernels = self.kernels
         if isinstance(kernels, Kernel):
             size = kernels.size
@@ -166,8 +176,7 @@ class ChainSpec:
         return isinstance(self.kernels, Kernel)
 
     def kernel_at(self, t: int) -> Kernel:
-        if not 0 <= t < self.horizon:
-            raise InvalidArgument(f"step index {t} outside [0, {self.horizon})")
+        check_range(t, "step index", 0, self.horizon, "[)")
         if isinstance(self.kernels, Kernel):
             return self.kernels
         return self.kernels[t]
@@ -192,8 +201,7 @@ class SoftmaxPolicyInput:
             raise InvalidArgument("logits must be a (states x actions) matrix")
         if not np.all(np.isfinite(logits)):
             raise InvalidArgument("logits must be finite")
-        if not (self.temperature > 0):
-            raise InvalidArgument("temperature must be positive")
+        check_positive(self.temperature, "temperature")
         kernels = tuple(self.action_kernels)
         object.__setattr__(self, "action_kernels", kernels)
         if len(kernels) != logits.shape[1]:
@@ -204,10 +212,8 @@ class SoftmaxPolicyInput:
 
 def point_mass(state_index: int, size: int) -> ProbVec:
     """Distribution concentrated on a single state."""
-    if size < 1:
-        raise InvalidArgument("size must be at least 1")
-    if not 0 <= state_index < size:
-        raise InvalidArgument(f"state_index {state_index} outside [0, {size})")
+    check_min(size, "size", 1)
+    check_range(state_index, "state_index", 0, size, "[)")
     entries = np.zeros(size)
     entries[state_index] = 1.0
     return ProbVec(entries)
@@ -215,8 +221,7 @@ def point_mass(state_index: int, size: int) -> ProbVec:
 
 def uniform_dist(size: int) -> ProbVec:
     """Uniform distribution over ``size`` states."""
-    if size < 1:
-        raise InvalidArgument("size must be at least 1")
+    check_min(size, "size", 1)
     return ProbVec(np.full(size, 1.0 / size))
 
 
@@ -227,10 +232,8 @@ def mixture_kernel(eta: float, size: int) -> Kernel:
     contraction coefficient equals ``eta`` exactly, and the uniform
     distribution is stationary.
     """
-    if not (0 < eta <= 1):
-        raise InvalidArgument("eta must lie in (0, 1]")
-    if size < 2:
-        raise InvalidArgument("size must be at least 2")
+    check_eta(eta, "eta", "(]")
+    check_min(size, "size", 2)
     w = np.sqrt(eta)
     rows = np.full((size, size), (1.0 - w) / size)
     rows[np.diag_indices(size)] += w
@@ -239,8 +242,7 @@ def mixture_kernel(eta: float, size: int) -> Kernel:
 
 def two_state_kernel(p: float) -> Kernel:
     """Symmetric two-state kernel with flip probability p in [0, 1/2)."""
-    if not (0 <= p < 0.5):
-        raise InvalidArgument("p must lie in [0, 1/2)")
+    check_range(p, "p", 0, 0.5, "[)")
     return Kernel([[1.0 - p, p], [p, 1.0 - p]])
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidArgument
+from .errors import check_min, check_range
 
 
 @dataclass(frozen=True)
@@ -22,19 +22,13 @@ class ObjectivePoint:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.p <= 1):
-            raise InvalidArgument("p must lie in [0, 1]")
-        if self.H < 1:
-            raise InvalidArgument("H must be a positive integer")
-        if not (0 <= self.lam <= 1):
-            raise InvalidArgument("lambda must lie in [0, 1]")
+        _check_p_h(self.p, self.H)
+        check_range(self.lam, "lambda", 0, 1, "[]")
 
 
 def _check_p_h(p: float, h: int) -> None:
-    if not (0 <= p <= 1):
-        raise InvalidArgument("p must lie in [0, 1]")
-    if h < 1:
-        raise InvalidArgument("H must be a positive integer")
+    check_range(p, "p", 0, 1, "[]")
+    check_min(h, "H", 1)
 
 
 def _pow(p: float, k: int) -> float:
@@ -80,8 +74,7 @@ def j_interp(p: float, h: int, lam: float) -> tuple[float, float]:
     additive learning signal.
     """
     _check_p_h(p, h)
-    if not (0 <= lam <= 1):
-        raise InvalidArgument("lambda must lie in [0, 1]")
+    check_range(lam, "lambda", 0, 1, "[]")
     value = (1.0 - lam) * j_add(p, h) + lam * j_mult(p, h)
     grad = (1.0 - lam) * dj_add_dp(p, h) + lam * dj_mult_dp(p, h)
     return value, grad
@@ -105,8 +98,7 @@ def mostly_correct_but_wrong_prob(p: float, h: int, threshold: float) -> float:
     coefficients, good for H up to 1e4.
     """
     _check_p_h(p, h)
-    if not (0 < threshold <= 1):
-        raise InvalidArgument("threshold must lie in (0, 1]")
+    check_range(threshold, "threshold", 0, 1, "(]")
     if p == 1.0:
         return 0.0
     k_lo = math.ceil(threshold * h)

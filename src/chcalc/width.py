@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import check_eta, check_min, check_positive, check_range
 from .horizon import critical_horizon_simplified
 
 
@@ -20,29 +20,23 @@ class WidthParams:
     value: float = 0.5
 
     def __post_init__(self):
-        if self.W < 1:
-            raise InvalidArgument("W must be a positive integer")
-        if not (0 <= self.rho < 1):
-            raise InvalidArgument("rho must lie in [0, 1)")
-        if not (0 <= self.value <= 1):
-            raise InvalidArgument("value must lie in [0, 1]")
+        check_min(self.W, "W", 1)
+        check_range(self.rho, "rho", 0, 1, "[)")
+        check_range(self.value, "value", 0, 1, "[]")
 
 
 def estimator_variance_iid(value: float, w: float) -> float:
     """Variance value*(1-value)/W of the mean of W independent outcomes."""
-    if not (0 <= value <= 1):
-        raise InvalidArgument("value must lie in [0, 1]")
-    if w < 1:
-        raise InvalidArgument("W must be at least 1")
+    check_range(value, "value", 0, 1, "[]")
+    check_min(w, "W", 1)
     return value * (1.0 - value) / w
 
 
 def hoeffding_halfwidth(w: int, delta: float) -> float:
-    """Hoeffding confidence half-width sqrt(ln(2/delta) / (2W))."""
-    if w < 1:
-        raise InvalidArgument("W must be at least 1")
-    if not (0 < delta < 2):
-        raise InvalidArgument("delta must lie in (0, 2) so ln(2/delta) stays positive")
+    """Hoeffding confidence half-width sqrt(ln(2/delta) / (2W)); delta lies in
+    (0,2) so that ln(2/delta) stays positive."""
+    check_min(w, "W", 1)
+    check_range(delta, "delta", 0, 2)
     return math.sqrt(math.log(2.0 / delta) / (2.0 * w))
 
 
@@ -51,10 +45,8 @@ def effective_width(w: int, rho: float) -> float:
 
     Increasing in W, capped at 1/rho for rho > 0; equals W when rho = 0.
     """
-    if w < 1:
-        raise InvalidArgument("W must be at least 1")
-    if not (0 <= rho < 1):
-        raise InvalidArgument("rho must lie in [0, 1)")
+    check_min(w, "W", 1)
+    check_range(rho, "rho", 0, 1, "[)")
     return w / (1.0 + (w - 1) * rho)
 
 
@@ -66,8 +58,7 @@ def correlated_variance(value: float, w: int, rho: float) -> float:
 
 def width_horizon(n: int, w: int, rho: float, delta2: float, eta: float) -> float:
     """Critical horizon with the effective sample size n * W_eff."""
-    if n < 1:
-        raise InvalidArgument("n must be a positive integer")
+    check_min(n, "n", 1)
     return critical_horizon_simplified(n * effective_width(w, rho), delta2, eta)
 
 
@@ -78,12 +69,10 @@ def width_insufficiency_threshold(n: int, delta2: float, rho: float, eta: float)
     Since W_eff is capped at 1/rho, processes deeper than this need
     intermediate inspection, not more rollouts.
     """
-    if not (0 < rho <= 1):
-        raise InvalidArgument("rho must be positive (rho = 0 leaves width uncapped)")
-    if not (n > 0 and delta2 > 0):
-        raise InvalidArgument("n and delta2 must be positive")
-    if not (0 < eta < 1):
-        raise InvalidArgument("eta must lie in (0,1)")
+    check_range(rho, "rho", 0, 1, "(]")
+    check_positive(n, "n")
+    check_positive(delta2, "delta2")
+    check_eta(eta)
     return (math.log(n) + math.log(delta2) - math.log(rho)) / math.log(1.0 / eta)
 
 
@@ -102,12 +91,10 @@ def equicorrelated_outcomes(
     Cov(R_i, R_j) = rho * value * (1 - value), so the correlation hits rho for
     any value. Returns a (groups x w) float array of 0/1 outcomes.
     """
-    if not (0 <= value <= 1):
-        raise InvalidArgument("value must lie in [0, 1]")
-    if w < 1 or groups < 1:
-        raise InvalidArgument("w and groups must be positive")
-    if not (0 <= rho < 1):
-        raise InvalidArgument("rho must lie in [0, 1)")
+    check_range(value, "value", 0, 1, "[]")
+    check_min(w, "w", 1)
+    check_min(groups, "groups", 1)
+    check_range(rho, "rho", 0, 1, "[)")
     lam = math.sqrt(rho)
     shared = (rng.random((groups, 1)) < value).astype(float)
     private = (rng.random((groups, w)) < value).astype(float)

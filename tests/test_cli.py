@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chcalc
 from chcalc.cli import main
 from chcalc.experiments import GOLDEN_DECAY
 
@@ -209,6 +214,18 @@ class TestSchedulePlan:
         assert code == 1
         assert "unknown plan config fields" in err
 
+    def test_subunit_critical_horizon_exits_2_without_hanging(self, tmp_path):
+        # h_crit = 0.79: not even the adjacent step is testable.
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"eta": 0.1, "H": 20, "n": 10, "delta2": 0.5, "epsilon": 0.1}))
+        env = {**os.environ, "PYTHONPATH": str(Path(chcalc.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "chcalc", "schedule", "plan", "--config", str(path)],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["infeasible"] is True
+
 
 class TestExperimentRun:
     def test_decay_csv_and_sidecar(self, capsys, tmp_path):
@@ -261,3 +278,50 @@ class TestExperimentRun:
         )
         assert code == 1
         assert "etas" in err
+
+
+PLAN = {"eta": 0.9, "H": 50, "n": 10000, "delta2": 0.2, "epsilon": 0.1}
+ETAS_ARGS = ("--n", "1000", "--delta2", "0.3", "--epsilon", "0.1")
+
+# (command, file contents, extra arguments, field the error must name)
+REFUSALS = [
+    ("experiment", {"kind": "decay", "params": {"H": 20.5}}, (), "H"),
+    ("experiment", {"kind": "decay", "params": {"H": True}}, (), "H"),
+    ("experiment", {"kind": "width", "params": {"groups": "100"}}, (), "groups"),
+    ("experiment", {"kind": "width", "params": {"widths": [1.5]}}, (), "widths"),
+    ("experiment", {"kind": "oracle", "params": {"max_H": 12.5}}, (), "max_H"),
+    ("experiment", {"kind": "mismatch", "params": {"chains": 100.5}}, (), "chains"),
+    ("experiment", {"kind": "inspection", "params": {"schedules": [[5.5]]}}, (), "schedules"),
+    ("experiment", {"kind": "decay", "params": [1]}, (), "params"),
+    ("experiment", {"kind": "decay", "replicates": 1.7}, (), "replicates"),
+    ("experiment", {"kind": "decay", "master_seed": "7"}, (), "master_seed"),
+    ("plan", {**PLAN, "eta": "0.9"}, (), "eta"),
+    ("plan", {**{k: v for k, v in PLAN.items() if k != "eta"}, "etas": "abc"}, (), "etas"),
+    ("plan", {**PLAN, "H": 50.9}, (), "H"),
+    ("plan", {**PLAN, "n": 10000.5}, (), "n"),
+    ("plan", {**PLAN, "budget": 5}, (), "budget"),
+    ("plan", {**PLAN, "budget": {"c_insp": 50}}, (), "c_out"),
+    ("greedy", {"etas": [0.9, "x", 0.8]}, ETAS_ARGS, "etas[1]"),
+    ("greedy", {"etas": 5}, ETAS_ARGS, "etas"),
+    ("contraction", {"states": 3}, (), "rows"),
+    ("contraction", {"rows": [[0.5, 0.5], [1.0]]}, (), "rows"),
+    ("contraction", {"rows": "ab"}, (), "rows"),
+    ("contraction", {"states": "two", "rows": [[1.0, 0.0], [0.0, 1.0]]}, (), "states"),
+    ("contraction", [[1.0, 0.0], [0.0, 1.0]], (), "kernel file"),
+]
+
+
+@pytest.mark.parametrize("command,data,extra,field", REFUSALS)
+def test_malformed_json_input_is_refused(capsys, tmp_path, command, data, extra, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = {
+        "experiment": ["experiment", "run", "--config", str(path), "--out", str(tmp_path / "x.csv")],
+        "plan": ["schedule", "plan", "--config", str(path)],
+        "greedy": ["schedule", "greedy", "--etas-file", str(path)],
+        "contraction": ["calc", "contraction", "--kernel-file", str(path)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err and "Traceback" not in err

@@ -45,7 +45,8 @@ class TestConfig:
 
     def test_golden_configs_validate(self):
         for data in (GOLDEN_DECAY, GOLDEN_WIDTH, GOLDEN_INSPECTION, GOLDEN_HORIZON, GOLDEN_MISMATCH):
-            ExperimentConfig.from_json_dict(data)
+            cfg = ExperimentConfig.from_json_dict(data)
+            assert ExperimentConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
 
 class TestSeedDerivation:

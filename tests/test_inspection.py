@@ -119,6 +119,10 @@ class TestMinInspections:
     def test_infeasible(self):
         with pytest.raises(Infeasible):
             min_inspections(10, 0.0)
+        # below one step even the adjacent step is untestable
+        for count in (min_inspections, min_inspections_sufficient):
+            with pytest.raises(Infeasible):
+                count(20, 0.79)
 
     def test_sufficient_can_exceed_necessary(self):
         # H=11, h_crit=5.5: the necessary count is ceil(11/5.5)-1 = 1, but a
@@ -129,6 +133,11 @@ class TestMinInspections:
         # exact-division cases require no extra inspection
         assert min_inspections(10, 5.0) == 1
         assert min_inspections_sufficient(10, 5.0) == 1
+        # the closed form equals the brute-force smallest m
+        for h in range(1, 201):
+            for h_crit in (1.0, 1.5, 2.0, 2.99, 3.0, 7.3, 10.0, 48.0659, 199.5, 250.0):
+                brute = next(m for m in range(h) if min_gap_value(h, m) <= h_crit)
+                assert min_inspections_sufficient(h, h_crit) == brute, (h, h_crit)
 
 
 class TestFeasibilityThreshold:

@@ -14,7 +14,7 @@ from chcalc.contraction import (
     empirical_eta_lower,
 )
 from chcalc.divergence import chi2, decay_curve, tensorize_chi2, tv, tv_upper_from_chi2
-from chcalc.inspection import Schedule, worst_case_sample_lb
+from chcalc.inspection import Schedule, segment_report, worst_case_sample_lb
 from chcalc.markov import (
     ChainSpec,
     Kernel,
@@ -190,8 +190,13 @@ class TestScheduleRefinement:
             base = Schedule(horizon=h, times=base_times)
             refined = Schedule(horizon=h, times=refined_times)
             _, bound_base = worst_case_sample_lb(base, eta, 1.0, 0.1)
-            _, bound_refined = worst_case_sample_lb(refined, eta, 1.0, 0.1)
+            step_refined, bound_refined = worst_case_sample_lb(refined, eta, 1.0, 0.1)
             assert bound_refined <= bound_base * (1 + 1e-12)
+            # the worst case is the maximum over the segment report, ties to the earliest
+            segments = segment_report(refined, eta, 1.0, 0.1)
+            assert bound_refined == max(seg.worst_step_sample_lb for seg in segments)
+            worst_info = max(seg.info_distance for seg in segments)
+            assert step_refined == min(seg.start for seg in segments if seg.info_distance == worst_info)
 
 
 class TestSoftmaxInvariance:
