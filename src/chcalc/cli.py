@@ -43,6 +43,11 @@ def _load_json(path: str) -> dict:
         raise InvalidArgument(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _given(**options) -> dict:
+    """The options set on the command line; the library defaults the rest."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def _cmd_calc_horizon(args) -> int:
     params = horizon.HorizonParams(n=args.n, delta2=args.delta2, epsilon=args.epsilon, eta=args.eta)
     h_full = horizon.critical_horizon(params)
@@ -68,7 +73,7 @@ def _cmd_calc_horizon(args) -> int:
 
 
 def _cmd_calc_width(args) -> int:
-    params = width.WidthParams(W=args.W, rho=args.rho, value=args.value)
+    params = width.WidthParams(W=args.W, rho=args.rho, **_given(value=args.value))
     payload = {
         "w_eff": width.effective_width(params.W, params.rho),
         "variance": width.correlated_variance(params.value, params.W, params.rho),
@@ -81,13 +86,13 @@ def _cmd_calc_width(args) -> int:
 
 def _cmd_calc_contraction(args) -> int:
     kernel = Kernel.from_json_dict(_load_json(args.kernel_file))
-    report = contraction.contraction_report(kernel, trials=args.trials, seed=args.seed)
+    report = contraction.contraction_report(kernel, **_given(trials=args.trials, seed=args.seed))
     _print_json(report.to_json_dict())
     return 0
 
 
 def _cmd_calc_objectives(args) -> int:
-    point = objectives.ObjectivePoint(p=args.p, H=args.H, lam=args.lam)
+    point = objectives.ObjectivePoint(p=args.p, H=args.H, **_given(lam=args.lam))
     payload = {
         "j_add": objectives.j_add(point.p, point.H),
         "j_mult": objectives.j_mult(point.p, point.H),
@@ -202,19 +207,19 @@ def _add_calc_parsers(subparsers) -> None:
     p = calc_sub.add_parser("width", help="effective width under correlation")
     p.add_argument("--W", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--value", type=float, default=0.5)
+    p.add_argument("--value", type=float)
     p.set_defaults(func=_cmd_calc_width)
 
     p = calc_sub.add_parser("contraction", help="contraction coefficient bounds")
     p.add_argument("--kernel-file", dest="kernel_file", required=True)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_calc_contraction)
 
     p = calc_sub.add_parser("objectives", help="additive vs multiplicative objectives")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--H", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=_cmd_calc_objectives)
 

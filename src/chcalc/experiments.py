@@ -167,6 +167,7 @@ class WidthExperiment:
 
     def __post_init__(self):
         check_min(len(self.widths), "number of widths", 1)
+        check_range(self.value, "value", 0, 1)  # at 0 or 1 no outcome varies
         for w in self.widths:
             width.WidthParams(W=w, rho=self.rho, value=self.value)
         check_min(self.groups, "groups", 2)
@@ -372,21 +373,25 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
 
     The measured value is the ratio of the empirical single-outcome
     variance to the variance of the group means, i.e. how many independent
-    rollouts the group average is worth.
+    rollouts the group average is worth; inf when the group means happen not
+    to vary. Only the group sums are sampled: for 0/1 outcomes the
+    single-outcome variance follows from the pooled mean.
     """
     rho, value, groups = cfg.params.rho, cfg.params.value, cfg.params.groups
 
     def one_unit(args):
         replicate, unit, w = args
         rng = unit_rng(cfg.master_seed, "width", replicate, unit)
-        outcomes = width.equicorrelated_outcomes(value, w, rho, groups, rng)
-        var_single = float(outcomes.var(ddof=1))
+        sums = width.equicorrelated_group_sums(value, w, rho, groups, rng)
+        n = groups * w
+        pooled = float(sums.sum()) / n
+        var_single = n * pooled * (1.0 - pooled) / (n - 1)
         if w == 1:
             w_eff_emp = 1.0
             var_mean = var_single
         else:
-            var_mean = float(outcomes.mean(axis=1).var(ddof=1))
-            w_eff_emp = var_single / var_mean
+            var_mean = float((sums / w).var(ddof=1))
+            w_eff_emp = var_single / var_mean if var_mean > 0 else math.inf
         return [
             replicate,
             w,
@@ -444,18 +449,11 @@ def exact_two_point_accuracy(q0: float, q1: float, n_obs: int) -> float:
 
 def _outcome_probs_by_distance(states: int, h: int, kernel: markov.Kernel) -> list[float]:
     """P(Z_d in success set | Z_0 = delta_0) for d = 0..h, success set {0}."""
-    spec = markov.ChainSpec(
-        horizon=h,
-        kernels=kernel,
-        success_set=frozenset({0}),
-        initial=markov.point_mass(0, states),
-    )
-    probs = []
     dist = markov.point_mass(0, states)
-    probs.append(markov.outcome_prob(dist, spec.success_set))
-    for d in range(h):
-        dist = markov.propagate(dist, spec.kernel_at(d))
-        probs.append(markov.outcome_prob(dist, spec.success_set))
+    probs = [markov.outcome_prob(dist, {0})]
+    for _ in range(h):
+        dist = markov.propagate(dist, kernel)
+        probs.append(markov.outcome_prob(dist, {0}))
     return probs
 
 
@@ -575,12 +573,11 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
         rng = unit_rng(cfg.master_seed, "horizon", replicate, unit)
         q0 = probs[eta][d]
         k_star = _midpoint_threshold(q0, q1, obs)
-        is_h1 = rng.random(trials) < 0.5
-        draws = rng.random((trials, obs))
-        q_per_trial = np.where(is_h1, q1, q0)
-        x = (draws < q_per_trial[:, None]).sum(axis=1)
-        classified_h1 = x < k_star
-        accuracy = float(np.mean(classified_h1 == is_h1))
+        # Only counts matter: split the trials by hypothesis, then draw each side's.
+        n1 = int(rng.binomial(trials, 0.5))
+        correct1 = np.count_nonzero(rng.binomial(obs, q1, size=n1) < k_star)
+        correct0 = np.count_nonzero(rng.binomial(obs, q0, size=trials - n1) >= k_star)
+        accuracy = (correct0 + correct1) / trials
         return [
             replicate,
             eta,
@@ -592,14 +589,11 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
             markers[repr(eta)]["h_crit_simplified"],
         ]
 
-    units = []
-    unit = 0
-    for replicate in range(cfg.replicates):
-        unit = 0
-        for eta in etas:
-            for d in range(h + 1):
-                units.append((replicate, unit, eta, d))
-                unit += 1
+    units = [
+        (replicate, unit, eta, d)
+        for replicate in range(cfg.replicates)
+        for unit, (eta, d) in enumerate(itertools.product(etas, range(h + 1)))
+    ]
     rows = _map_units(one_unit, units)
     return ResultTable(
         columns=[
@@ -625,8 +619,7 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
 
     def one_replicate(replicate: int):
         rng = unit_rng(cfg.master_seed, "mismatch", replicate, 0)
-        correct = rng.random((chains, h)) < p
-        counts = correct.sum(axis=1)
+        counts = rng.binomial(h, p, size=chains)  # correct steps per chain
         hits = (counts >= math.ceil(threshold * h)) & (counts < h)
         sampled = float(np.mean(hits))
         se = math.sqrt(max(exact * (1 - exact), 1e-300) / chains)

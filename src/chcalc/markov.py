@@ -68,7 +68,7 @@ class ProbVec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProbVec":
-        return cls(data["entries"])
+        return cls(from_json(_ProbVecFile, data, "distribution").entries)
 
 
 class Kernel:
@@ -118,6 +118,11 @@ class Kernel:
                 f"kernel 'states' field ({file.states}) does not match matrix size ({kernel.size})"
             )
         return kernel
+
+
+@dataclass(frozen=True)
+class _ProbVecFile:
+    entries: tuple[float, ...]
 
 
 @dataclass(frozen=True)

@@ -91,12 +91,32 @@ def equicorrelated_outcomes(
     Cov(R_i, R_j) = rho * value * (1 - value), so the correlation hits rho for
     any value. Returns a (groups x w) float array of 0/1 outcomes.
     """
-    check_range(value, "value", 0, 1, "[]")
-    check_min(w, "w", 1)
+    WidthParams(W=w, rho=rho, value=value)
     check_min(groups, "groups", 1)
-    check_range(rho, "rho", 0, 1, "[)")
     lam = math.sqrt(rho)
     shared = (rng.random((groups, 1)) < value).astype(float)
     private = (rng.random((groups, w)) < value).astype(float)
     use_shared = rng.random((groups, w)) < lam
     return np.where(use_shared, shared, private)
+
+
+def equicorrelated_group_sums(
+    value: float,
+    w: int,
+    rho: float,
+    groups: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Row sums of ``equicorrelated_outcomes``, drawn without the outcomes.
+
+    Per group, k ~ Binomial(w, sqrt(rho)) outcomes copy the shared
+    C ~ Bernoulli(value) and the other w - k are i.i.d. Bernoulli(value), so
+    S = k * C + Binomial(w - k, value) has exactly the law of a row sum.
+    Costs three draws per group instead of 2w + 1. Returns a length-``groups``
+    integer array.
+    """
+    WidthParams(W=w, rho=rho, value=value)
+    check_min(groups, "groups", 1)
+    k = rng.binomial(w, math.sqrt(rho), size=groups)
+    shared = rng.random(groups) < value
+    return k * shared + rng.binomial(w - k, value)

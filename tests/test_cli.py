@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import chcalc
+from chcalc import contraction
 from chcalc.cli import main
 from chcalc.experiments import GOLDEN_DECAY
+from chcalc.markov import Kernel
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +79,11 @@ class TestCalcWidth:
         payload = run_json(capsys, "calc", "width", "--W", "4", "--rho", "0")
         assert payload["saturation_cap"] == "inf"
 
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_deterministic_outcomes_accepted(self, capsys, value):
+        payload = run_json(capsys, "calc", "width", "--W", "4", "--rho", "0.2", "--value", value)
+        assert payload["variance"] == 0.0
+
 
 class TestCalcContraction:
     def test_manufacturing_kernel(self, capsys, tmp_path):
@@ -93,6 +100,13 @@ class TestCalcContraction:
         assert payload["dobrushin_bound"] == pytest.approx(0.65)
         assert payload["empirical_lower"] <= 0.65 + 1e-9
         assert payload["smoothing"] == 1e-6
+
+    def test_omitted_options_take_library_defaults(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"rows": [[0.9, 0.1], [0.3, 0.7]]}))
+        payload = run_json(capsys, "calc", "contraction", "--kernel-file", str(path))
+        report = contraction.contraction_report(Kernel([[0.9, 0.1], [0.3, 0.7]]))
+        assert payload == json.loads(json.dumps(report.to_json_dict()))
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "calc", "contraction", "--kernel-file", "/nope.json")
@@ -269,6 +283,35 @@ class TestExperimentRun:
         )
         assert out_a.read_text() == out_b.read_text()
         assert out_a.read_text() != out_c.read_text()
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_width_value_without_variance_exit_1(self, capsys, tmp_path, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "width", "params": {"value": value, "widths": [4]}}))
+        code, out, err = run_cli(
+            capsys, "experiment", "run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: value")
+
+    def test_width_constant_group_means_report_inf(self, capsys, tmp_path):
+        # two strongly correlated groups often agree outcome for outcome
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"kind": "width", "master_seed": 0, "params": {"rho": 0.99, "widths": [4], "groups": 2}})
+        )
+        w_effs = []
+        for seed in range(20):
+            out_path = tmp_path / f"w{seed}.csv"
+            code, _, err = run_cli(
+                capsys, "experiment", "run", "--config", str(cfg_path),
+                "--out", str(out_path), "--seed", str(seed),
+            )
+            assert code == 0, err
+            header, row = out_path.read_text().splitlines()
+            w_effs.append(dict(zip(header.split(","), row.split(",")))["w_eff_empirical"])
+        assert "inf" in w_effs
 
     def test_invalid_config_exit_1(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

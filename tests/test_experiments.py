@@ -177,6 +177,20 @@ class TestRunHorizon:
             se = math.sqrt(max(exact * (1 - exact), 1e-12) / 4000)
             assert abs(measured - exact) < 5 * se + 1e-9
 
+    @pytest.mark.parametrize("obs", [1, 5])
+    def test_correct_count_within_five_se(self, obs):
+        trials = 4000
+        table = run_experiment(
+            small(GOLDEN_HORIZON, H=20, etas=[0.6, 0.9], obs_per_trial=obs, trials=trials)
+        )
+        for measured, exact in zip(
+            table.column("accuracy_measured"), table.column("accuracy_exact")
+        ):
+            count = measured * trials
+            assert count == pytest.approx(round(count), abs=1e-6)
+            se = math.sqrt(trials * exact * (1 - exact))
+            assert abs(count - trials * exact) <= 5 * se + 1e-9
+
     def test_markers_present(self):
         table = run_experiment(small(GOLDEN_HORIZON, trials=100))
         markers = table.metadata["markers"]
@@ -210,6 +224,15 @@ class TestRunMismatch:
         table = run_experiment(ExperimentConfig.from_json_dict(GOLDEN_MISMATCH))
         row = dict(zip(table.columns, table.rows[0]))
         assert abs(row["fraction_sampled"] - row["fraction_exact"]) <= 3 * row["standard_error"]
+
+    @pytest.mark.parametrize("p,h,threshold", [(0.995, 2000, 0.99), (0.9, 20, 0.5), (0.6, 7, 0.5)])
+    def test_hit_count_within_five_se(self, p, h, threshold):
+        chains = 20_000
+        table = run_experiment(small(GOLDEN_MISMATCH, p=p, H=h, threshold=threshold, chains=chains))
+        row = dict(zip(table.columns, table.rows[0]))
+        count, exact = row["fraction_sampled"] * chains, row["fraction_exact"]
+        assert count == pytest.approx(round(count), abs=1e-6)
+        assert abs(count - chains * exact) <= 5 * math.sqrt(chains * exact * (1 - exact))
 
     def test_perfect_policy_zero(self):
         table = run_experiment(small(GOLDEN_MISMATCH, p=1.0, chains=1000))

@@ -302,3 +302,7 @@ class TestJsonRoundTrip:
         vec = ProbVec([0.25, 0.75])
         restored = ProbVec.from_json_dict(vec.to_json_dict())
         np.testing.assert_allclose(restored.entries, vec.entries)
+
+    def test_probvec_missing_entries(self):
+        with pytest.raises(InvalidArgument, match="entries"):
+            ProbVec.from_json_dict({})

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from chcalc.errors import InvalidArgument
 from chcalc.width import (
     WidthParams,
     correlated_variance,
     effective_width,
+    equicorrelated_group_sums,
     equicorrelated_outcomes,
     estimator_variance_iid,
     hoeffding_halfwidth,
@@ -179,3 +181,45 @@ class TestEquicorrelatedSampler:
         a = equicorrelated_outcomes(0.4, 4, 0.1, 100, np.random.default_rng(3))
         b = equicorrelated_outcomes(0.4, 4, 0.1, 100, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
+
+
+def group_sum_pmf(value: float, w: int, rho: float) -> np.ndarray:
+    """Exact pmf of a group's sum: given the shared bit C, each outcome is an
+    independent Bernoulli(lam * C + (1 - lam) * value), lam = sqrt(rho)."""
+    lam = math.sqrt(rho)
+    s = np.arange(w + 1)
+    return (1 - value) * stats.binom.pmf(s, w, (1 - lam) * value) + value * stats.binom.pmf(
+        s, w, lam + (1 - lam) * value
+    )
+
+
+def _sum_by_draw(value, w, rho, groups, rng):
+    return equicorrelated_outcomes(value, w, rho, groups, rng).sum(axis=1)
+
+
+class TestGroupSums:
+    @pytest.mark.parametrize("sampler", [equicorrelated_group_sums, _sum_by_draw])
+    @pytest.mark.parametrize("w", [1, 4, 16])
+    @pytest.mark.parametrize("rho", [0.0, 0.15, 0.6])
+    def test_chi_squared_fit_to_exact_pmf(self, sampler, w, rho):
+        value, groups = 0.3, 20_000
+        sums = np.asarray(sampler(value, w, rho, groups, np.random.default_rng(11)))
+        assert sums.shape == (groups,)
+        observed = np.bincount(sums.astype(int), minlength=w + 1)
+        expected = groups * group_sum_pmf(value, w, rho)
+        rare = expected < 5  # pooled into one cell, as the chi-squared law needs
+        if rare.any():
+            observed = np.append(observed[~rare], observed[rare].sum())
+            expected = np.append(expected[~rare], expected[rare].sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    def test_deterministic_per_seed(self):
+        a = equicorrelated_group_sums(0.4, 4, 0.1, 100, np.random.default_rng(3))
+        b = equicorrelated_group_sums(0.4, 4, 0.1, 100, np.random.default_rng(3))
+        np.testing.assert_array_equal(a, b)
+
+    def test_rejects_bad_arguments(self):
+        rng = np.random.default_rng(0)
+        for args in ((1.5, 4, 0.1, 10), (0.5, 0, 0.1, 10), (0.5, 4, 1.0, 10), (0.5, 4, 0.1, 0)):
+            with pytest.raises(InvalidArgument):
+                equicorrelated_group_sums(*args, rng)
