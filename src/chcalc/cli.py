@@ -60,9 +60,9 @@ def _cmd_calc_horizon(args) -> int:
     if args.gap is not None:
         gaps["requested_gap"] = args.gap
     for label, gap in gaps.items():
-        bound = horizon.sample_lb(params, max(0, int(gap)))
+        bound = horizon.sample_lb(params, gap)
         payload["sample_lb_at"][label] = {
-            "gap": int(gap),
+            "gap": gap,
             "bound": bound.bound,
             "regime": bound.regime,
         }
@@ -115,29 +115,16 @@ def _cmd_calc_gamma(args) -> int:
     return 0
 
 
-def _schedule_payload(
-    schedule: inspection.Schedule,
-    etas_or_eta,
-    delta2: float | None,
-    epsilon: float | None,
-    n: int | None,
-) -> dict:
-    payload: dict = {
-        "times": list(schedule.times),
-        "max_gap": inspection.maximal_gap(schedule),
-    }
-    if etas_or_eta is not None and delta2 is not None and epsilon is not None:
-        segments = inspection.segment_report(schedule, etas_or_eta, delta2, epsilon)
-        payload["segments"] = [s.to_json_dict() for s in segments]
-        _, worst = inspection.worst_case_sample_lb(schedule, etas_or_eta, delta2, epsilon)
-        payload["worst_sample_lb"] = worst
-        payload["feasible"] = bool(n is not None and n >= worst)
-    return payload
-
-
 def _cmd_schedule_uniform(args) -> int:
     schedule = inspection.uniform_schedule(args.H, args.m)
-    _print_json(_schedule_payload(schedule, args.eta, args.delta2, args.epsilon, args.n))
+    payload: dict = {"times": list(schedule.times), "max_gap": inspection.maximal_gap(schedule)}
+    if args.eta is not None and args.delta2 is not None and args.epsilon is not None:
+        segments = inspection.segment_report(schedule, args.eta, args.delta2, args.epsilon)
+        worst = inspection.worst_segment(segments).worst_step_sample_lb
+        payload["segments"] = [s.to_json_dict() for s in segments]
+        payload["worst_sample_lb"] = worst
+        payload["feasible"] = bool(args.n is not None and args.n >= worst)
+    _print_json(payload)
     return 0
 
 
@@ -150,12 +137,14 @@ class _EtasFile:
 
 def _cmd_schedule_greedy(args) -> int:
     etas = from_json(_EtasFile, _load_json(args.etas_file), "etas file").etas
-    gamma = inspection.feasibility_threshold(args.n, args.delta2, args.epsilon)
-    schedule = inspection.greedy_schedule(etas, gamma, args.eta_g)
-    payload = _schedule_payload(schedule, etas, args.delta2, args.epsilon, args.n)
-    payload["gamma"] = gamma
+    plan = inspection.design_procedure(
+        horizon=len(etas), n=args.n, delta2=args.delta2, epsilon=args.epsilon,
+        etas=etas, inspection_fidelity=args.eta_g,
+    ).to_json_dict()
+    keys = ("times", "max_gap", "segments", "worst_sample_lb", "feasible", "gamma")
+    payload = {key: plan[key] for key in keys}
     if args.eta_g is not None:
-        payload["effective_gamma"] = gamma - math.log(1.0 / args.eta_g)
+        payload["effective_gamma"] = plan["gamma"] - math.log(1.0 / args.eta_g)
     _print_json(payload)
     return 0
 

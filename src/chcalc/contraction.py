@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import chi2
+from .divergence import chi2_arrays
 from .errors import AbsoluteContinuityViolated, InvalidArgument, check_eta, check_min, check_range
-from .markov import Kernel, ProbVec, point_mass, propagate
+from .markov import Kernel, step
 
 # Point-mass reference distributions violate absolute continuity; the
 # empirical estimator mixes in this much uniform mass before dividing.
@@ -50,18 +50,13 @@ def two_state_exact(p: float) -> float:
     return (1.0 - 2.0 * p) ** 2
 
 
-def _smoothed(dist: ProbVec) -> ProbVec:
-    size = dist.size
-    mixed = (1.0 - SMOOTHING) * dist.entries + SMOOTHING / size
-    return ProbVec(mixed)
-
-
-def _contraction_ratio(kernel: Kernel, p: ProbVec, q: ProbVec) -> float:
-    denom = chi2(p, q)
+def _contraction_ratio(p: np.ndarray, pk: np.ndarray, q: np.ndarray, qk: np.ndarray) -> float:
+    """chi2(PK || QK) / chi2(P || Q) on raw entries, pk and qk the pushed pair."""
+    denom = chi2_arrays(p, q)
     if denom <= 0.0:
         return 0.0
     try:
-        return chi2(propagate(p, kernel), propagate(q, kernel)) / denom
+        return chi2_arrays(pk, qk) / denom
     except AbsoluteContinuityViolated:
         # Kernel entries between the support threshold and the smoothing
         # floor can make the pushed pair unmeasurable; skipping the pair
@@ -80,23 +75,25 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     does not depend on evaluation order.
     """
     check_min(trials, "trials", 1)
-    n = kernel.size
+    n, rows = kernel.size, kernel.rows
+    masses = np.eye(n)
+    pushed = [step(mass, rows) for mass in masses]
+    refs = [mix / mix.sum() for mix in (1.0 - SMOOTHING) * masses + SMOOTHING / n]
+    pushed_refs = [step(ref, rows) for ref in refs]
     best = 0.0
     for i in range(n):
-        p = point_mass(i, n)
         for j in range(n):
-            if i == j:
-                continue
-            q = _smoothed(point_mass(j, n))
-            best = max(best, _contraction_ratio(kernel, p, q))
+            if i != j:
+                best = max(best, _contraction_ratio(masses[i], pushed[i], refs[j], pushed_refs[j]))
     for t in range(trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
-        p = point_mass(int(rng.integers(n)), n)
+        i = int(rng.integers(n))
         draw = rng.dirichlet(np.ones(n))
         # Nudge the draw strictly inside the simplex so the denominator
         # divergence is always finite.
-        q = ProbVec((draw + 1e-9) / (1.0 + n * 1e-9), tol=1e-9)
-        best = max(best, _contraction_ratio(kernel, p, q))
+        q = (draw + 1e-9) / (1.0 + n * 1e-9)
+        q = q / q.sum()
+        best = max(best, _contraction_ratio(masses[i], pushed[i], q, step(q, rows)))
     return min(1.0, best)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsoluteContinuityViolated, InvalidArgument, check_min, check_range
-from .markov import ChainSpec, ProbVec, propagate
+from .markov import ChainSpec, ProbVec, step
 
 # Entries below this are treated as zero for support purposes; propagation
 # leaves denormal dust that must not masquerade as real mass.
@@ -30,7 +30,11 @@ def chi2(p: ProbVec, q: ProbVec) -> float:
     AbsoluteContinuityViolated.
     """
     _check_dims(p, q)
-    pe, qe = p.entries, q.entries
+    return chi2_arrays(p.entries, q.entries)
+
+
+def chi2_arrays(pe: np.ndarray, qe: np.ndarray) -> float:
+    """``chi2`` on the raw entries of two distributions of one size."""
     q_null = qe < SUPPORT_EPS
     if np.any(q_null & (pe >= SUPPORT_EPS)):
         raise AbsoluteContinuityViolated(
@@ -130,11 +134,11 @@ def decay_curve(spec: ChainSpec, p_t: ProbVec, q_t: ProbVec, t: int) -> DecayCur
     check_range(t, "t", 0, spec.horizon, "[]")
     if p_t.size != spec.states or q_t.size != spec.states:
         raise InvalidArgument("distribution dimensions must match the chain")
-    values = [(t, chi2(p_t, q_t))]
-    p, q = p_t, q_t
+    p, q = p_t.entries, q_t.entries
+    values = [(t, chi2_arrays(p, q))]
     for u in range(t, spec.horizon):
-        kernel = spec.kernel_at(u)
-        p = propagate(p, kernel)
-        q = propagate(q, kernel)
-        values.append((u + 1, chi2(p, q)))
+        rows = spec.kernel_at(u).rows
+        p = step(p, rows)
+        q = step(q, rows)
+        values.append((u + 1, chi2_arrays(p, q)))
     return DecayCurve(start_step=t, horizon=spec.horizon, values=tuple(values))

@@ -340,22 +340,14 @@ def run_decay(cfg: ExperimentConfig) -> ResultTable:
         curve = divergence.decay_curve(
             spec, markov.point_mass(0, states), markov.uniform_dist(states), 0
         )
-        curve_rows = curve.csv_rows(eta=eta)
-        rows = []
-        for u in range(h + 1):  # u = perturbation step, d = H - u propagation steps
-            by_distance = curve_rows[h - u]
-            rows.append(
-                [
-                    u,
-                    h - u,
-                    eta,
-                    by_distance["chi2_measured"],
-                    by_distance["chi2_theory"],
-                ]
-            )
-        distances = np.array([row[1] for row in rows], dtype=float)
-        measured = np.array([row[3] for row in rows], dtype=float)
-        slope, r2 = _fit_loglinear(distances, measured)
+        # u = perturbation step, read at d = H - u propagation steps
+        by_distance = curve.csv_rows(eta=eta)[::-1]
+        rows = [
+            [u, h - u, eta, row["chi2_measured"], row["chi2_theory"]]
+            for u, row in enumerate(by_distance)
+        ]
+        measured = np.array([row[3] for row in rows])
+        slope, r2 = _fit_loglinear(np.arange(h, -1, -1, dtype=float), measured)
         return rows, {"slope": slope, "r2": r2}
 
     results = _map_units(one_eta, list(etas))
@@ -449,11 +441,12 @@ def exact_two_point_accuracy(q0: float, q1: float, n_obs: int) -> float:
 
 def _outcome_probs_by_distance(states: int, h: int, kernel: markov.Kernel) -> list[float]:
     """P(Z_d in success set | Z_0 = delta_0) for d = 0..h, success set {0}."""
-    dist = markov.point_mass(0, states)
-    probs = [markov.outcome_prob(dist, {0})]
+    dist = np.zeros(states)
+    dist[0] = 1.0
+    probs = [1.0]
     for _ in range(h):
-        dist = markov.propagate(dist, kernel)
-        probs.append(markov.outcome_prob(dist, {0}))
+        dist = markov.step(dist, kernel.rows)
+        probs.append(float(dist[0]))
     return probs
 
 
@@ -480,50 +473,45 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     q_by_distance = _outcome_probs_by_distance(states, h, kernel)
     q1 = 1.0 / states
     delta2 = divergence.chi2(markov.point_mass(0, states), markov.uniform_dist(states))
+    # d_by_schedule[times][t]: steps from t to the next checkpoint
+    d_by_schedule = {
+        s.times: [inspection.downstream_distance(s, t) for t in range(h)] for s in schedules
+    }
+    # Le Cam total error of one checkpoint bit, by downstream distance
+    bit = markov.ProbVec([1 - q1, q1])
+    lecam = [divergence.lecam_total_error(markov.ProbVec([1 - q, q]), bit) for q in q_by_distance]
 
     def one_step(args):
+        """Summed error at step t for each downstream distance the schedules use."""
         replicate, t = args
         rng = unit_rng(cfg.master_seed, "inspection", replicate, t)
         u0 = rng.random((trials, n_per_test))
         u1 = rng.random((trials, n_per_test))
+        x1 = (u1 < q1).sum(axis=1)
         errors = {}
-        for sched in schedules:
-            d = inspection.downstream_distance(sched, t)
+        for d in {ds[t] for ds in d_by_schedule.values()}:
             q0 = q_by_distance[d]
             k_star = _midpoint_threshold(q0, q1, n_per_test)
             x0 = (u0 < q0).sum(axis=1)
-            x1 = (u1 < q1).sum(axis=1)
-            err0 = float(np.mean(x0 < k_star))
-            err1 = float(np.mean(x1 >= k_star))
-            errors[sched.times] = err0 + err1
+            errors[d] = float(np.mean(x0 < k_star)) + float(np.mean(x1 >= k_star))
         return errors
 
     rows = []
     for replicate in range(cfg.replicates):
         step_errors = _map_units(one_step, [(replicate, t) for t in range(h)])
         for sched in schedules:
-            measured = [errors[sched.times] for errors in step_errors]
-            worst_measured = max(measured)
+            ds = d_by_schedule[sched.times]
             worst_step, worst_bound = inspection.worst_case_sample_lb(
                 sched, eta_chi2, delta2, epsilon
-            )
-            worst_gap = inspection.maximal_gap(sched)
-            lecam_worst = max(
-                divergence.lecam_total_error(
-                    markov.ProbVec([1 - q_by_distance[inspection.downstream_distance(sched, t)],
-                                    q_by_distance[inspection.downstream_distance(sched, t)]]),
-                    markov.ProbVec([1 - q1, q1]),
-                )
-                for t in range(h)
             )
             rows.append(
                 [
                     replicate,
                     ";".join(str(t) for t in sched.times),
                     worst_step,
-                    worst_gap,
-                    worst_measured,
-                    lecam_worst,
+                    inspection.maximal_gap(sched),
+                    max(errors[d] for errors, d in zip(step_errors, ds)),
+                    max(lecam[d] for d in ds),
                     worst_bound,
                 ]
             )

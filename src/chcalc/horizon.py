@@ -72,16 +72,26 @@ def sample_lb(params: HorizonParams, gap: int) -> SampleBound:
     return SampleBound(bound=bound_from_log(log_bound), regime=regime, log_bound=log_bound)
 
 
+def feasibility_threshold(n: float, delta2: float, epsilon: float) -> float:
+    """Per-segment information budget Gamma = ln(n*delta2) - 2*ln(1-epsilon)."""
+    check_positive(n, "n")
+    check_positive(delta2, "delta2")
+    check_epsilon(epsilon)
+    return _gamma(n, delta2, epsilon)
+
+
+def _gamma(n: float, delta2: float, epsilon: float) -> float:
+    return math.log(n) + math.log(delta2) - 2.0 * math.log1p(-epsilon)
+
+
 def critical_horizon(params: HorizonParams) -> float:
     """Largest gap at which the sample budget still permits testing at
-    error epsilon: max(0, ln(n*delta2/(1-eps)^2) / ln(1/eta)).
+    error epsilon: max(0, Gamma / ln(1/eta)), Gamma the feasibility threshold.
 
     Returned as a real; callers floor when they need a step index.
     """
-    numerator = (
-        math.log(params.n) + math.log(params.delta2) - 2.0 * math.log1p(-params.epsilon)
-    )
-    return max(0.0, numerator / math.log(1.0 / params.eta))
+    gamma = _gamma(params.n, params.delta2, params.epsilon)
+    return max(0.0, gamma / math.log(1.0 / params.eta))
 
 
 def critical_horizon_simplified(n: float, delta2: float, eta: float) -> float:

@@ -23,7 +23,9 @@ from .errors import (
     check_range,
     from_json,
 )
-from .horizon import HorizonParams, bound_from_log, critical_horizon, sample_lb
+from .horizon import (
+    HorizonParams, bound_from_log, critical_horizon, feasibility_threshold, sample_lb,
+)
 
 
 @dataclass(frozen=True)
@@ -157,14 +159,6 @@ def min_inspections_sufficient(horizon: int, h_crit: float) -> int:
     return max(0, -(-horizon // math.floor(h_crit)) - 1)
 
 
-def feasibility_threshold(n: float, delta2: float, epsilon: float) -> float:
-    """Per-segment information budget Gamma = ln(n*delta2) - 2*ln(1-epsilon)."""
-    check_positive(n, "n")
-    check_positive(delta2, "delta2")
-    check_epsilon(epsilon)
-    return math.log(n) + math.log(delta2) - 2.0 * math.log1p(-epsilon)
-
-
 def step_info_distances(etas: Sequence[float]) -> list[float]:
     """Per-step information distance w_t = ln(1/eta_t)."""
     check_etas(etas, "(]")
@@ -244,11 +238,12 @@ def worst_case_sample_lb(
     cumulative information distance (ties broken toward the smallest step
     index); its bound is (1-eps)^2 / (attenuation * delta2).
     """
-    worst = _worst_segment(segment_report(schedule, etas_or_eta, delta2, epsilon))
+    worst = worst_segment(segment_report(schedule, etas_or_eta, delta2, epsilon))
     return worst.start, worst.worst_step_sample_lb
 
 
-def _worst_segment(segments: list[SegmentSummary]) -> SegmentSummary:
+def worst_segment(segments: list[SegmentSummary]) -> SegmentSummary:
+    """The segment with the largest information distance, earliest on ties."""
     return max(segments, key=lambda seg: (seg.info_distance, -seg.start))
 
 
@@ -420,7 +415,7 @@ def design_procedure(
         m_sufficient = None
         mode = "heterogeneous"
     segments = segment_report(schedule, rates, delta2, epsilon)
-    worst = _worst_segment(segments)
+    worst = worst_segment(segments)
     worst_bound = worst.worst_step_sample_lb
     per_trajectory = budget.c_out + schedule.m * budget.c_insp if budget else None
     return DesignPlan(

@@ -16,9 +16,6 @@ from .errors import InvalidArgument, check_eta, check_min, check_positive, check
 # Constructors reject anything farther from stochastic than this; they
 # renormalize (rather than silently accept) anything closer.
 CONSTRUCTION_TOL = 1e-12
-# One matrix multiply can lose a little mass; propagate() renormalizes
-# within this looser budget and rejects beyond it.
-PROPAGATION_TOL = 1e-10
 
 
 def _as_float_vector(entries) -> np.ndarray:
@@ -251,13 +248,20 @@ def two_state_kernel(p: float) -> Kernel:
     return Kernel([[1.0 - p, p], [p, 1.0 - p]])
 
 
+def step(entries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """entries @ rows divided by its sum: the arithmetic of ``ProbVec`` without its
+    checks, which cannot fail for a validated distribution and kernel of one size."""
+    pushed = entries @ rows
+    return pushed / pushed.sum()
+
+
 def propagate(dist: ProbVec, kernel: Kernel) -> ProbVec:
     """Push a distribution through one kernel: result = dist @ rows."""
     if dist.size != kernel.size:
         raise InvalidArgument(
             f"dimension mismatch: distribution has {dist.size} states, kernel {kernel.size}"
         )
-    return ProbVec(dist.entries @ kernel.rows, tol=PROPAGATION_TOL)
+    return ProbVec(dist.entries @ kernel.rows)
 
 
 def propagate_chain(dist: ProbVec, spec: ChainSpec, from_step: int, to_step: int) -> ProbVec:

@@ -67,6 +67,16 @@ class TestCalcHorizon:
         assert code == 1
         assert "eta must lie in (0,1)" in err
 
+    def test_negative_gap_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "calc", "horizon", "--eta", "0.9", "--delta2", "0.1",
+            "--n", "1000000", "--epsilon", "0.1", "--gap", "-3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "gap must be at least 0" in err
+
 
 class TestCalcWidth:
     def test_payload(self, capsys):
@@ -185,6 +195,22 @@ class TestScheduleGreedy:
         payload = json.loads(out)
         assert payload["infeasible"] is True
         assert payload["step"] == 1
+
+    def test_nonpositive_gamma_exit_code_2_like_plan(self, capsys, tmp_path):
+        etas = [0.6] * 11 + [0.95] * 39
+        code, out, err = run_cli(
+            capsys,
+            "schedule", "greedy", "--etas-file", self._etas_file(tmp_path, etas),
+            "--n", "1", "--delta2", "0.5", "--epsilon", "0.1",
+        )
+        assert code == 2, err
+        payload = json.loads(out)
+        assert payload["infeasible"] is True
+        assert payload["step"] is None
+        assert "Gamma" in payload["reason"]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"etas": etas, "H": 50, "n": 1, "delta2": 0.5, "epsilon": 0.1}))
+        assert run_cli(capsys, "schedule", "plan", "--config", str(plan)) == (2, out, "")
 
     def test_fidelity_penalty(self, capsys, tmp_path):
         path = self._etas_file(tmp_path, [0.85] * 20)

@@ -10,8 +10,9 @@ from chcalc.contraction import (
     empirical_eta_lower,
     two_state_exact,
 )
-from chcalc.errors import InvalidArgument
-from chcalc.markov import Kernel, mixture_kernel, two_state_kernel
+from chcalc.divergence import chi2
+from chcalc.errors import AbsoluteContinuityViolated, InvalidArgument
+from chcalc.markov import Kernel, ProbVec, mixture_kernel, point_mass, two_state_kernel
 
 MANUFACTURING = Kernel([[0.85, 0.14, 0.01], [0.55, 0.35, 0.10], [0.20, 0.30, 0.50]])
 REASONING = Kernel([[0.7, 0.2, 0.1], [0.3, 0.4, 0.3], [0.1, 0.2, 0.7]])
@@ -83,6 +84,64 @@ class TestEmpiricalLower:
         a = empirical_eta_lower(MANUFACTURING, trials=200, seed=5)
         b = empirical_eta_lower(MANUFACTURING, trials=200, seed=5)
         assert a == b
+
+
+def _reference_eta_lower(kernel, trials, seed):
+    """The estimator with a checked ProbVec per point mass, smoothed reference,
+    trial draw and pushed vector (the former formulation). Returns the bound
+    and the number of pairs skipped for absolute continuity."""
+    smoothing = 1e-6
+    skipped = 0
+
+    def ratio(p, q):
+        nonlocal skipped
+        denom = chi2(p, q)
+        if denom <= 0.0:
+            return 0.0
+        try:
+            pushed_p = ProbVec(p.entries @ kernel.rows, tol=1e-10)
+            pushed_q = ProbVec(q.entries @ kernel.rows, tol=1e-10)
+            return chi2(pushed_p, pushed_q) / denom
+        except AbsoluteContinuityViolated:
+            skipped += 1
+            return 0.0
+
+    n = kernel.size
+    best = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                q = ProbVec((1.0 - smoothing) * point_mass(j, n).entries + smoothing / n)
+                best = max(best, ratio(point_mass(i, n), q))
+    for t in range(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
+        p = point_mass(int(rng.integers(n)), n)
+        draw = rng.dirichlet(np.ones(n))
+        best = max(best, ratio(p, ProbVec((draw + 1e-9) / (1.0 + n * 1e-9), tol=1e-9)))
+    return min(1.0, best), skipped
+
+
+class TestEmpiricalLowerReference:
+    """The raw-array estimator equals the ProbVec-per-step one bit for bit."""
+
+    @pytest.mark.parametrize("states", [5, 10, 30])
+    def test_mixture_kernels(self, states):
+        kernel = mixture_kernel(0.8, states)
+        assert empirical_eta_lower(kernel, 300, 0) == _reference_eta_lower(kernel, 300, 0)[0]
+
+    def test_dirichlet_dense_kernel(self):
+        kernel = Kernel(np.random.default_rng(11).dirichlet(np.ones(8), size=8))
+        assert empirical_eta_lower(kernel, 500, 3) == _reference_eta_lower(kernel, 500, 3)[0]
+
+    def test_two_state_kernel(self):
+        kernel = two_state_kernel(0.2)
+        assert empirical_eta_lower(kernel, 500, 1) == _reference_eta_lower(kernel, 500, 1)[0]
+
+    def test_absolute_continuity_skip(self):
+        kernel = Kernel([[1 - 1e-10, 1e-10], [1.0, 0.0]])
+        expected, skipped = _reference_eta_lower(kernel, 50, 0)
+        assert skipped == 1
+        assert empirical_eta_lower(kernel, 50, 0) == expected
 
 
 class TestReport:

@@ -12,7 +12,7 @@ from chcalc.divergence import (
     tv_upper_from_chi2,
 )
 from chcalc.errors import AbsoluteContinuityViolated, InvalidArgument
-from chcalc.markov import ChainSpec, ProbVec, mixture_kernel, point_mass, uniform_dist
+from chcalc.markov import ChainSpec, Kernel, ProbVec, mixture_kernel, point_mass, uniform_dist
 
 
 class TestChi2:
@@ -139,3 +139,30 @@ class TestDecayCurve:
     def test_bad_range(self):
         with pytest.raises(InvalidArgument):
             decay_curve(_spec(0.8, horizon=4), point_mass(0, 10), uniform_dist(10), 5)
+
+
+def _reference_decay_values(spec, p, q, t):
+    """The curve built with a checked ProbVec after every step (the former
+    formulation, loss tolerance 1e-10); the raw-array loop must match it bit for bit."""
+    values = [(t, chi2(p, q))]
+    for u in range(t, spec.horizon):
+        rows = spec.kernel_at(u).rows
+        p = ProbVec(p.entries @ rows, tol=1e-10)
+        q = ProbVec(q.entries @ rows, tol=1e-10)
+        values.append((u + 1, chi2(p, q)))
+    return tuple(values)
+
+
+class TestDecayCurveReference:
+    @pytest.mark.parametrize("eta,states,horizon", [(0.7, 10, 40), (0.999, 10, 2000), (0.5, 3, 60)])
+    def test_homogeneous_matches_reference(self, eta, states, horizon):
+        spec = _spec(eta, states=states, horizon=horizon)
+        p, q = point_mass(0, states), uniform_dist(states)
+        assert decay_curve(spec, p, q, 0).values == _reference_decay_values(spec, p, q, 0)
+
+    def test_heterogeneous_matches_reference(self):
+        rng = np.random.default_rng(5)
+        kernels = [Kernel(rng.dirichlet(np.ones(6), size=6)) for _ in range(30)]
+        spec = ChainSpec(horizon=30, kernels=kernels, success_set=frozenset({1}), initial=uniform_dist(6))
+        p, q = ProbVec(rng.dirichlet(np.ones(6))), ProbVec(rng.dirichlet(np.ones(6)))
+        assert decay_curve(spec, p, q, 4).values == _reference_decay_values(spec, p, q, 4)

@@ -132,6 +132,17 @@ class TestPropagation:
         with pytest.raises(InvalidArgument):
             propagate(uniform_dist(3), two_state_kernel(0.1))
 
+    def test_matches_checked_product_bit_for_bit(self):
+        # the former formulation: a checked ProbVec on the raw product
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            n = int(rng.integers(2, 20))
+            p, kernel = ProbVec(rng.dirichlet(np.ones(n))), Kernel(rng.dirichlet(np.ones(n), size=n))
+            reference = ProbVec(p.entries @ kernel.rows, tol=1e-10)
+            result = propagate(p, kernel)
+            assert np.array_equal(result.entries, reference.entries)
+            assert not result.entries.flags.writeable
+
 
 def _spec(horizon=10, eta=0.81, states=10):
     return ChainSpec(
@@ -156,6 +167,20 @@ class TestChainSpec:
         for _ in range(4):
             iterated = propagate(iterated, spec.kernel_at(0))
         np.testing.assert_allclose(direct.entries, iterated.entries)
+
+    def test_heterogeneous_matches_iterated_propagate_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        kernels = [Kernel(rng.dirichlet(np.ones(5), size=5)) for _ in range(12)]
+        spec = ChainSpec(horizon=12, kernels=kernels, success_set=frozenset({0}), initial=uniform_dist(5))
+        iterated = ProbVec(rng.dirichlet(np.ones(5)))
+        direct = propagate_chain(iterated, spec, 2, 12)
+        for t in range(2, 12):
+            iterated = propagate(iterated, kernels[t])
+        assert np.array_equal(direct.entries, iterated.entries)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InvalidArgument, match="dimension mismatch"):
+            propagate_chain(uniform_dist(3), _spec(), 0, 2)
 
     def test_two_step_entry(self):
         result = propagate_chain(point_mass(0, 10), _spec(), 0, 2)
