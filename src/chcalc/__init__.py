@@ -76,6 +76,7 @@ from .inspection import (
     min_inspections,
     min_inspections_sufficient,
     poly_density_min,
+    segment_budget,
     segment_report,
     uniform_schedule,
     worst_case_sample_lb,

@@ -1,7 +1,7 @@
 """Command-line interface: calculators, schedulers, and the experiment runner.
 
-Exit codes: 0 success, 1 precondition violation (message on stderr), 2
-infeasible design (structured JSON reason on stdout).
+Exit codes: 0 success, 1 precondition violation or usage error (message on
+stderr), 2 infeasible design (structured JSON reason on stdout).
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _cmd_schedule_greedy(args) -> int:
     keys = ("times", "max_gap", "segments", "worst_sample_lb", "feasible", "gamma")
     payload = {key: plan[key] for key in keys}
     if args.eta_g is not None:
-        payload["effective_gamma"] = plan["gamma"] - math.log(1.0 / args.eta_g)
+        payload["effective_gamma"] = inspection.segment_budget(plan["gamma"], args.eta_g)
     _print_json(payload)
     return 0
 
@@ -256,8 +256,15 @@ def _add_experiment_parsers(subparsers) -> None:
     p.set_defaults(func=_cmd_experiment_run)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are refused inputs too: exit 1 with an ``error:`` line."""
+
+    def error(self, message):
+        raise InvalidArgument(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chcalc",
         description=(
             "Information limits on credit assignment in multi-stage Markov "
@@ -272,9 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Infeasible as exc:
         _print_json({"infeasible": True, "reason": exc.reason, "step": exc.step})

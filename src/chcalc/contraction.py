@@ -75,6 +75,7 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     does not depend on evaluation order.
     """
     check_min(trials, "trials", 1)
+    check_min(seed, "seed", 0)
     n, rows = kernel.size, kernel.rows
     masses = np.eye(n)
     pushed = [step(mass, rows) for mass in masses]

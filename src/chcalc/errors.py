@@ -4,6 +4,7 @@ across the package."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import types
 import typing
@@ -59,8 +60,11 @@ def check_min(value, name: str, lo: int) -> None:
 
 
 def check_positive(value, name: str) -> None:
+    """Refuse ``value`` unless 0 < value < inf; a huge int such as 10**400 passes."""
     if not value > 0:
         raise InvalidArgument(f"{name} must be positive, got {value!r}")
+    if not value < math.inf:
+        raise InvalidArgument(f"{name} must be finite, got {value!r}")
 
 
 def check_eta(eta, name: str = "eta", brackets: str = "()") -> None:
@@ -92,10 +96,11 @@ def from_json(cls, data, what: str):
 
     The JSON typing rule: unknown keys are refused, and a field without a
     default must be present. An ``int`` field refuses bool, str, null and
-    float; a ``float`` field refuses bool, str and null and stores a float;
-    for a ``tuple[X, ...]`` field the list and each element are checked; a
-    dataclass field is built by its class's ``from_json_dict``; ``X | None``
-    also admits null; an ``Any`` field is left to the class.
+    float; a ``float`` field refuses bool, str, null, NaN and infinities and
+    stores a float; for a ``tuple[X, ...]`` field the list and each element
+    are checked; a dataclass field is built by its class's
+    ``from_json_dict``; ``X | None`` also admits null; an ``Any`` field is
+    left to the class.
     """
     if not isinstance(data, dict):
         raise InvalidArgument(f"{what} must be a JSON object, got {data!r:.60}")
@@ -131,9 +136,12 @@ def _json_value(value, hint, name: str):
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise InvalidArgument(f"{name} must be {noun}, got {value!r}")
     try:
-        return hint(value)
+        result = hint(value)
     except OverflowError as exc:  # an integer beyond float range
         raise InvalidArgument(f"{name} is out of range, got {value!r}") from exc
+    if hint is float and not math.isfinite(result):  # JSON NaN, Infinity, -Infinity
+        raise InvalidArgument(f"{name} must be finite, got {value!r}")
+    return result
 
 
 _SCALARS = {

@@ -696,8 +696,7 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
         rng = unit_rng(cfg.master_seed, "oracle", 0, case)
         h = int(rng.integers(3, max_h + 1))
         etas = rng.uniform(0.35, 0.99, size=h)
-        weights = [math.log(1.0 / e) for e in etas]
-        gamma = max(weights) * float(rng.uniform(1.05, 3.0))
+        gamma = max(inspection.step_info_distances(etas)) * float(rng.uniform(1.05, 3.0))
         greedy_m = inspection.greedy_schedule(etas, gamma).m
         oracle_m = oracle_min_inspections(etas, gamma)
         return ["greedy", h, greedy_m, gamma, oracle_m, greedy_m, int(oracle_m == greedy_m)]

@@ -24,7 +24,8 @@ from .errors import (
     from_json,
 )
 from .horizon import (
-    HorizonParams, bound_from_log, critical_horizon, feasibility_threshold, sample_lb,
+    HorizonParams, bound_from_log, critical_horizon, feasibility_threshold, noisy_outcome_adjust,
+    sample_lb,
 )
 
 
@@ -98,6 +99,10 @@ class BudgetParams:
     def from_json_dict(cls, data: dict) -> "BudgetParams":
         return from_json(cls, data, "budget")
 
+    def per_trajectory(self, m: int) -> float:
+        """Cost c_out + m*c_insp of one trajectory with m inspections."""
+        return self.c_out + m * self.c_insp
+
 
 def downstream_distance(schedule: Schedule, t: int) -> int:
     """Steps from t to its next checkpoint (the terminal outcome counts)."""
@@ -165,6 +170,16 @@ def step_info_distances(etas: Sequence[float]) -> list[float]:
     return [math.log(1.0 / eta) for eta in etas]
 
 
+def segment_budget(gamma: float, inspection_fidelity: float | None = None) -> float:
+    """Per-segment information budget: Gamma, less ln(1/fidelity) when the
+    inspections observe through a channel with contraction
+    ``inspection_fidelity``."""
+    if inspection_fidelity is None:
+        return gamma
+    check_eta(inspection_fidelity, "inspection_fidelity", "(]")
+    return gamma - math.log(1.0 / inspection_fidelity)
+
+
 def greedy_schedule(
     etas: Sequence[float],
     gamma: float,
@@ -174,17 +189,13 @@ def greedy_schedule(
     information distance within the budget.
 
     From each placed checkpoint, the next one goes at the largest index the
-    budget allows. An imperfect inspection channel with contraction
-    ``inspection_fidelity`` shrinks the per-segment budget by
-    ln(1/fidelity). Raises Infeasible (with the step index) if any single
-    step alone exceeds the effective budget.
+    budget allows. The budget is ``segment_budget(gamma,
+    inspection_fidelity)``. Raises Infeasible (with the step index) if any
+    single step alone exceeds it.
     """
     check_positive(gamma, "gamma")
     horizon = len(etas)
-    budget = gamma
-    if inspection_fidelity is not None:
-        check_eta(inspection_fidelity, "inspection_fidelity", "(]")
-        budget = gamma - math.log(1.0 / inspection_fidelity)
+    budget = segment_budget(gamma, inspection_fidelity)
     weights = step_info_distances(etas)
     for t, w in enumerate(weights):
         if w > budget:
@@ -205,25 +216,6 @@ def greedy_schedule(
             times.append(end)
         start = end
     return Schedule(horizon=horizon, times=tuple(times))
-
-
-def _segment_attenuations(
-    schedule: Schedule, etas_or_eta: float | Sequence[float]
-) -> list[tuple[int, int, float]]:
-    """(start, end, log-attenuation) per segment."""
-    if isinstance(etas_or_eta, (int, float)):
-        eta = float(etas_or_eta)
-        check_eta(eta, "eta", "(]")
-        # length * w, not a prefix-sum difference: equal-length segments must
-        # tie exactly so the smallest-index tie-break is meaningful.
-        w = math.log(1.0 / eta)
-        return [(a, b, (b - a) * w) for a, b in schedule.segments()]
-    if len(etas_or_eta) != schedule.horizon:
-        raise InvalidArgument(
-            f"etas length {len(etas_or_eta)} must equal horizon {schedule.horizon}"
-        )
-    prefix = list(itertools.accumulate(step_info_distances(etas_or_eta), initial=0.0))
-    return [(a, b, prefix[b] - prefix[a]) for a, b in schedule.segments()]
 
 
 def worst_case_sample_lb(
@@ -256,6 +248,21 @@ def segment_report(
     """Per-segment lengths, information distances, attenuations, and bounds."""
     check_positive(delta2, "delta2")
     check_epsilon(epsilon)
+    bounds = schedule.segments()
+    if isinstance(etas_or_eta, (int, float)):
+        eta = float(etas_or_eta)
+        check_eta(eta, "eta", "(]")
+        # length * w, not a prefix-sum difference: equal-length segments must
+        # tie exactly so the smallest-index tie-break is meaningful.
+        w = math.log(1.0 / eta)
+        infos = [(b - a) * w for a, b in bounds]
+    else:
+        if len(etas_or_eta) != schedule.horizon:
+            raise InvalidArgument(
+                f"etas length {len(etas_or_eta)} must equal horizon {schedule.horizon}"
+            )
+        prefix = list(itertools.accumulate(step_info_distances(etas_or_eta), initial=0.0))
+        infos = [prefix[b] - prefix[a] for a, b in bounds]
     return [
         SegmentSummary(
             start=a,
@@ -267,7 +274,7 @@ def segment_report(
                 2.0 * math.log1p(-epsilon) + info - math.log(delta2)
             ),
         )
-        for a, b, info in _segment_attenuations(schedule, etas_or_eta)
+        for (a, b), info in zip(bounds, infos)
     ]
 
 
@@ -282,10 +289,11 @@ def budget_lb(
     """Minimum total budget (c_out + m*c_insp) * (1-eps)^2 / (eta^gap * delta2)
     with the minimax gap ceil(H/(m+1))."""
     params = HorizonParams(n=1, delta2=delta2, epsilon=epsilon, eta=eta)
-    gap = min_gap_value(horizon, m)
-    per_trajectory = budget.c_out + m * budget.c_insp
-    needed = sample_lb(params, gap)
-    return per_trajectory * needed.bound
+    return _budget_lb(budget, m, horizon, params)
+
+
+def _budget_lb(budget: BudgetParams, m: int, horizon: int, params: HorizonParams) -> float:
+    return budget.per_trajectory(m) * sample_lb(params, min_gap_value(horizon, m)).bound
 
 
 @dataclass(frozen=True)
@@ -314,19 +322,30 @@ def budget_optimize(
     epsilon: float,
     n: int | None = None,
 ) -> BudgetScan:
-    """Scan m = 0..min(H-1, 10^4) for the cheapest feasible design."""
+    """Find the m in 0..H-1 with the smallest budget lower bound.
+
+    The bound depends on m only through the gap ceil(H/(m+1)) and grows
+    with m at a fixed gap, so only the smallest m of each distinct gap is
+    evaluated: at most 2*sqrt(H) of them.
+    """
+    params = HorizonParams(n=1, delta2=delta2, epsilon=epsilon, eta=eta)
     best_m, best_value = 0, math.inf
-    for m in range(0, min(horizon - 1, 10_000) + 1):
-        value = budget_lb(budget, m, horizon, eta, delta2, epsilon)
+    m = 0
+    while True:
+        value = _budget_lb(budget, m, horizon, params)
         if value < best_value:
             best_m, best_value = m, value
+        gap = min_gap_value(horizon, m)
+        if gap == 1:
+            break
+        m = -(-horizon // (gap - 1)) - 1  # the smallest m with a shorter gap
     m_rule = None
     budget_rule = None
     if n is not None:
         h_crit = critical_horizon(HorizonParams(n=n, delta2=delta2, epsilon=epsilon, eta=eta))
         if h_crit >= 1:
             m_rule = min_inspections_sufficient(horizon, h_crit)
-            budget_rule = budget_lb(budget, m_rule, horizon, eta, delta2, epsilon)
+            budget_rule = _budget_lb(budget, m_rule, horizon, params)
     return BudgetScan(m_scan=best_m, budget_scan=best_value, m_rule=m_rule, budget_rule=budget_rule)
 
 
@@ -371,79 +390,14 @@ class DesignPlan:
         return payload
 
 
-def design_procedure(
-    *,
-    horizon: int,
-    n: int,
-    delta2: float,
-    epsilon: float,
-    eta: float | None = None,
-    etas: Sequence[float] | None = None,
-    budget: BudgetParams | None = None,
-    inspection_fidelity: float | None = None,
-) -> DesignPlan:
-    """Run the full design procedure: information budget, critical horizon,
-    minimum inspection count, placement, and budget check.
-
-    Provide ``eta`` for homogeneous contraction (uniform placement) or
-    ``etas`` for per-step rates (greedy placement). Raises Infeasible when
-    no schedule can cover some step.
-    """
-    if (eta is None) == (etas is None):
-        raise InvalidArgument("provide exactly one of eta or etas")
-    gamma = feasibility_threshold(n, delta2, epsilon)
-    if gamma <= 0:
-        raise Infeasible(
-            f"information budget Gamma={gamma:.6g} is not positive: "
-            "the sample budget cannot test even an adjacent step"
-        )
-    if eta is not None:
-        params = HorizonParams(n=n, delta2=delta2, epsilon=epsilon, eta=eta)
-        h_crit = critical_horizon(params)
-        m_necessary = min_inspections(horizon, h_crit)
-        m_sufficient = min_inspections_sufficient(horizon, h_crit)
-        schedule = uniform_schedule(horizon, m_sufficient)
-        rates: float | Sequence[float] = eta
-        mode = "homogeneous"
-    else:
-        if len(etas) != horizon:
-            raise InvalidArgument(f"etas length {len(etas)} must equal horizon {horizon}")
-        schedule = greedy_schedule(etas, gamma, inspection_fidelity)
-        rates = list(etas)
-        h_crit = None
-        m_necessary = None
-        m_sufficient = None
-        mode = "heterogeneous"
-    segments = segment_report(schedule, rates, delta2, epsilon)
-    worst = worst_segment(segments)
-    worst_bound = worst.worst_step_sample_lb
-    per_trajectory = budget.c_out + schedule.m * budget.c_insp if budget else None
-    return DesignPlan(
-        mode=mode,
-        horizon=horizon,
-        n=n,
-        delta2=delta2,
-        epsilon=epsilon,
-        gamma=gamma,
-        h_crit=h_crit,
-        m_necessary=m_necessary,
-        m_sufficient=m_sufficient,
-        schedule=schedule,
-        max_gap=maximal_gap(schedule),
-        segments=segments,
-        worst_step=worst.start,
-        worst_sample_lb=worst_bound,
-        feasible=n >= worst_bound,
-        per_trajectory_cost=per_trajectory,
-        budget_required=per_trajectory * worst_bound if per_trajectory is not None else None,
-        planned_cost=per_trajectory * n if per_trajectory is not None else None,
-    )
-
-
 @dataclass(frozen=True)
 class PlanConfig:
-    """The ``schedule plan`` config file: the inputs of ``design_procedure``
-    under their JSON names (``H`` is the horizon)."""
+    """The inputs of the design procedure, under their ``schedule plan``
+    JSON names: horizon ``H``, sample budget ``n``, separation ``delta2``,
+    target error ``epsilon``, exactly one of ``eta`` (homogeneous
+    contraction) or ``etas`` (one rate per step), and optionally the
+    ``budget`` and the contraction ``inspection_fidelity`` of an imperfect
+    inspection channel."""
 
     H: int
     n: int
@@ -454,19 +408,70 @@ class PlanConfig:
     budget: BudgetParams | None = None
     inspection_fidelity: float | None = None
 
+    def __post_init__(self):
+        if (self.eta is None) == (self.etas is None):
+            raise InvalidArgument("provide exactly one of eta or etas")
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "PlanConfig":
         return from_json(cls, data, "plan config")
 
     def design(self) -> DesignPlan:
-        """Run ``design_procedure`` on this config."""
-        return design_procedure(
+        """Run the full design procedure: information budget, critical horizon,
+        minimum inspection count, placement, and budget check.
+
+        With ``eta`` the placement is uniform, with ``etas`` greedy. Raises
+        Infeasible when no schedule can cover some step.
+        """
+        gamma = feasibility_threshold(self.n, self.delta2, self.epsilon)
+        if gamma <= 0:
+            raise Infeasible(
+                f"information budget Gamma={gamma:.6g} is not positive: "
+                "the sample budget cannot test even an adjacent step"
+            )
+        h_crit = m_necessary = m_sufficient = None
+        if self.eta is not None:
+            params = HorizonParams(n=self.n, delta2=self.delta2, epsilon=self.epsilon, eta=self.eta)
+            h_crit = critical_horizon(params)
+            if self.inspection_fidelity is not None:
+                check_eta(self.inspection_fidelity, "inspection_fidelity", "(]")
+                h_crit = noisy_outcome_adjust(params, self.inspection_fidelity)
+            m_necessary = min_inspections(self.H, h_crit)
+            m_sufficient = min_inspections_sufficient(self.H, h_crit)
+            schedule = uniform_schedule(self.H, m_sufficient)
+        else:
+            if len(self.etas) != self.H:
+                raise InvalidArgument(f"etas length {len(self.etas)} must equal horizon {self.H}")
+            schedule = greedy_schedule(self.etas, gamma, self.inspection_fidelity)
+        segments = segment_report(
+            schedule, self.etas if self.eta is None else self.eta, self.delta2, self.epsilon
+        )
+        worst = worst_segment(segments)
+        worst_bound = worst.worst_step_sample_lb
+        per_trajectory = self.budget.per_trajectory(schedule.m) if self.budget else None
+        return DesignPlan(
+            mode="heterogeneous" if self.eta is None else "homogeneous",
             horizon=self.H,
             n=self.n,
             delta2=self.delta2,
             epsilon=self.epsilon,
-            eta=self.eta,
-            etas=self.etas,
-            budget=self.budget,
-            inspection_fidelity=self.inspection_fidelity,
+            gamma=gamma,
+            h_crit=h_crit,
+            m_necessary=m_necessary,
+            m_sufficient=m_sufficient,
+            schedule=schedule,
+            max_gap=maximal_gap(schedule),
+            segments=segments,
+            worst_step=worst.start,
+            worst_sample_lb=worst_bound,
+            feasible=self.n >= worst_bound,
+            per_trajectory_cost=per_trajectory,
+            budget_required=per_trajectory * worst_bound if per_trajectory is not None else None,
+            planned_cost=per_trajectory * self.n if per_trajectory is not None else None,
         )
+
+
+def design_procedure(*, horizon: int, **inputs) -> DesignPlan:
+    """``PlanConfig.design`` on the plan inputs given as keywords, with
+    ``horizon`` for ``H``."""
+    return PlanConfig(H=horizon, **inputs).design()

@@ -77,6 +77,14 @@ class TestCalcHorizon:
         assert out == ""
         assert "gap must be at least 0" in err
 
+    def test_infinite_delta2_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "calc", "horizon", "--eta", "0.9", "--delta2", "inf", "--n", "20", "--epsilon", "0.1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: delta2 must be finite, got inf\n"
+
 
 class TestCalcWidth:
     def test_payload(self, capsys):
@@ -122,6 +130,15 @@ class TestCalcContraction:
         code, _, err = run_cli(capsys, "calc", "contraction", "--kernel-file", "/nope.json")
         assert code == 1
         assert "not found" in err
+
+    def test_negative_seed_refused(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"rows": [[0.9, 0.1], [0.3, 0.7]]}))
+        code, out, err = run_cli(
+            capsys, "calc", "contraction", "--kernel-file", str(path), "--seed", "-1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be at least 0, got -1\n"
 
 
 class TestCalcObjectives:
@@ -183,6 +200,39 @@ class TestScheduleGreedy:
         assert payload["times"] == [16]
         assert 5.90 <= payload["gamma"] <= 5.92
         assert [seg["start"] for seg in payload["segments"]] == [0, 16]
+
+    def test_service_journey_output_pinned(self, capsys, tmp_path):
+        path = self._etas_file(tmp_path, [0.6] * 11 + [0.95] * 39)
+        payload = run_json(
+            capsys,
+            "schedule", "greedy", "--etas-file", path,
+            "--n", "1000", "--delta2", "0.3", "--epsilon", "0.1",
+        )
+        assert payload == {
+            "feasible": True,
+            "gamma": 5.914503505971854,
+            "max_gap": 34,
+            "segments": [
+                {
+                    "attenuation": 0.0028072544611392088,
+                    "end": 16,
+                    "info_distance": 5.875548333363647,
+                    "length": 16,
+                    "sample_lb": 961.7938228885442,
+                    "start": 0,
+                },
+                {
+                    "attenuation": 0.1748246147237996,
+                    "end": 50,
+                    "info_distance": 1.743972009176705,
+                    "length": 34,
+                    "sample_lb": 15.444049479334774,
+                    "start": 16,
+                },
+            ],
+            "times": [16],
+            "worst_sample_lb": 961.7938228885442,
+        }
 
     def test_infeasible_exit_code_2(self, capsys, tmp_path):
         path = self._etas_file(tmp_path, [0.9, 1e-8, 0.9])
@@ -247,6 +297,59 @@ class TestSchedulePlan:
         assert payload["budget_required"] == pytest.approx(1.413e4, rel=0.001)
         assert payload["feasible"] is True
 
+    def test_readme_plan_output_pinned(self, capsys, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(
+            '{"eta": 0.85, "H": 50, "n": 10000, "delta2": 0.2, "epsilon": 0.1,\n'
+            ' "budget": {"c_out": 10, "c_insp": 50}}'
+        )
+        segment = {
+            "attenuation": 0.01719780985220789,
+            "info_distance": 4.062973237444374,
+            "length": 25,
+            "sample_lb": 235.49510285346327,
+        }
+        payload = run_json(capsys, "schedule", "plan", "--config", str(path))
+        assert payload == {
+            "budget_required": 14129.706171207796,
+            "delta2": 0.2,
+            "epsilon": 0.1,
+            "feasible": True,
+            "gamma": 7.811623490857736,
+            "h_crit": 48.065930011953995,
+            "horizon": 50,
+            "m_necessary": 1,
+            "m_sufficient": 1,
+            "max_gap": 25,
+            "mode": "homogeneous",
+            "n": 10000,
+            "per_trajectory_cost": 60.0,
+            "planned_cost": 600000.0,
+            "segments": [
+                {**segment, "start": 0, "end": 25},
+                {**segment, "start": 25, "end": 50},
+            ],
+            "times": [25],
+            "worst_sample_lb": 235.49510285346327,
+            "worst_step": 0,
+        }
+
+    def test_fidelity_applies_to_homogeneous_plan(self, capsys, tmp_path):
+        path = tmp_path / "plan.json"
+        plan = {"eta": 0.9, "H": 100, "n": 1000, "delta2": 0.3, "epsilon": 0.1}
+        path.write_text(json.dumps(plan))
+        perfect = run_json(capsys, "schedule", "plan", "--config", str(path))
+        path.write_text(json.dumps({**plan, "inspection_fidelity": 0.5}))
+        noisy = run_json(capsys, "schedule", "plan", "--config", str(path))
+        assert perfect["times"] == [50]
+        assert noisy["times"] == [33, 66]
+        horizon = run_json(
+            capsys,
+            "calc", "horizon", "--eta", "0.9", "--delta2", "0.3", "--n", "1000",
+            "--epsilon", "0.1", "--eta-g", "0.5",
+        )
+        assert noisy["h_crit"] == horizon["h_crit_noisy_outcome"]
+
     def test_unknown_field_rejected(self, capsys, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps({"eta": 0.85, "H": 50, "n": 100, "delta2": 0.2, "epsilon": 0.1, "zzz": 1}))
@@ -265,6 +368,37 @@ class TestSchedulePlan:
         )
         assert proc.returncode == 2, proc.stderr
         assert json.loads(proc.stdout)["infeasible"] is True
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["calc", "horizon", "--n", "20.5", "--eta", "0.9", "--delta2", "0.1", "--epsilon", "0.1"],
+                "chcalc calc horizon: argument --n: invalid int value: '20.5'",
+            ),
+            (
+                ["calc", "horizon", "--eta", "0.9", "--delta2", "0.1", "--epsilon", "0.1"],
+                "chcalc calc horizon: the following arguments are required: --n",
+            ),
+            (
+                ["calc", "gamma", "--n", "5", "--delta2", "0.3", "--epsilon", "0.1", "--bogus"],
+                "chcalc: unrecognized arguments: --bogus",
+            ),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_exit_1_with_error_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["calc", "gamma", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: chcalc calc gamma")
 
 
 class TestExperimentRun:
@@ -377,6 +511,8 @@ REFUSALS = [
     ("contraction", {"rows": "ab"}, (), "rows"),
     ("contraction", {"states": "two", "rows": [[1.0, 0.0], [0.0, 1.0]]}, (), "states"),
     ("contraction", [[1.0, 0.0], [0.0, 1.0]], (), "kernel file"),
+    ("plan", {**PLAN, "delta2": math.inf}, (), "delta2"),
+    ("contraction", {"rows": [[math.nan, 1.0], [0.5, 0.5]]}, (), "rows[0][0]"),
 ]
 
 

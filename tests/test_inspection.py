@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 
 from chcalc.errors import Infeasible, InvalidArgument
+from chcalc.horizon import HorizonParams, noisy_outcome_adjust
 from chcalc.inspection import (
     BudgetParams,
+    PlanConfig,
     Schedule,
     budget_lb,
     budget_optimize,
@@ -149,6 +152,13 @@ class TestFeasibilityThreshold:
     def test_semiconductor_value(self):
         assert feasibility_threshold(10_000, 0.2, 0.1) == pytest.approx(7.8116, abs=5e-5)
 
+    def test_non_finite_inputs_refused(self):
+        assert math.isfinite(feasibility_threshold(10**400, 0.3, 0.1))
+        with pytest.raises(InvalidArgument, match="delta2 must be finite"):
+            feasibility_threshold(1000, math.inf, 0.1)
+        with pytest.raises(InvalidArgument, match="n must be finite"):
+            feasibility_threshold(math.inf, 0.3, 0.1)
+
     def test_zero_budget(self):
         eps = 0.1
         n_delta2 = (1 - eps) ** 2
@@ -259,6 +269,27 @@ class TestBudget:
         assert result.m_rule == 1
         assert result.budget_rule == pytest.approx(scanned[1])
 
+    def test_optimize_equals_brute_force_scan(self):
+        rng = random.Random(3)
+        cases = [(h, 0.0) for h in range(1, 40)] + [(h, 2.5) for h in range(1, 40)]
+        cases += [(rng.randint(40, 2000), rng.choice([0.0, rng.uniform(0.0, 20.0)])) for _ in range(60)]
+        for h, c_insp in cases:
+            budget = BudgetParams(c_out=rng.uniform(0.5, 10.0), c_insp=c_insp)
+            eta, delta2, eps = rng.uniform(0.3, 0.999), rng.uniform(0.05, 2.0), rng.uniform(0.01, 0.45)
+            scanned = [budget_lb(budget, m, h, eta, delta2, eps) for m in range(h)]
+            result = budget_optimize(budget, h, eta, delta2, eps)
+            best = min(scanned)
+            assert (result.m_scan, result.budget_scan) == (scanned.index(best), best), (h, budget)
+
+    def test_optimize_scans_every_count_at_large_horizon(self):
+        budget = BudgetParams(c_out=1.0, c_insp=1.0)
+        result = budget_optimize(budget, 100_000, 0.5, 0.2, 0.1)
+        # gap 2 is the cheapest, and its smallest count lies beyond 10^4
+        assert result.m_scan == 49_999
+        assert result.budget_scan == budget_lb(budget, 49_999, 100_000, 0.5, 0.2, 0.1)
+        assert result.budget_scan == pytest.approx(50_000 * 0.81 / (0.25 * 0.2), rel=1e-12)
+        assert result.budget_scan < budget_lb(budget, 9_999, 100_000, 0.5, 0.2, 0.1) / 50
+
 
 class TestPolyDensity:
     def test_worked_example(self):
@@ -312,6 +343,28 @@ class TestDesignProcedure:
             design_procedure(
                 horizon=10, n=100, delta2=1.0, epsilon=0.1, eta=0.9, etas=[0.9] * 10
             )
+
+    def test_plan_config_refuses_both_rates_at_load(self):
+        data = {"H": 10, "n": 100, "delta2": 1.0, "epsilon": 0.1, "eta": 0.9, "etas": [0.9] * 10}
+        with pytest.raises(InvalidArgument, match="exactly one of eta or etas"):
+            PlanConfig.from_json_dict(data)
+
+    def test_fidelity_applies_to_homogeneous_plans(self):
+        inputs = dict(horizon=100, n=1000, delta2=0.3, epsilon=0.1, eta=0.9)
+        perfect = design_procedure(**inputs)
+        noisy = design_procedure(**inputs, inspection_fidelity=0.5)
+        assert perfect.m_sufficient == 1
+        assert noisy.m_sufficient == 2
+        params = HorizonParams(n=1000, delta2=0.3, epsilon=0.1, eta=0.9)
+        assert noisy.h_crit == noisy_outcome_adjust(params, 0.5)
+        assert design_procedure(**inputs, inspection_fidelity=1.0) == perfect
+        # the same fidelity costs the heterogeneous plan on equal rates as much
+        hetero = {**inputs, "eta": None, "etas": [0.9] * 100}
+        assert design_procedure(**hetero, inspection_fidelity=0.5).schedule.m == 2
+        with pytest.raises(Infeasible, match="below one step"):
+            design_procedure(**inputs, inspection_fidelity=1e-3)
+        with pytest.raises(InvalidArgument, match="inspection_fidelity"):
+            design_procedure(**inputs, inspection_fidelity=1.5)
 
     def test_infeasible_propagates(self):
         with pytest.raises(Infeasible):
