@@ -13,9 +13,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import contraction, experiments, horizon, inspection, objectives, width
+from . import horizon, inspection, objectives, width
 from .errors import Infeasible, InvalidArgument, from_json
-from .markov import Kernel
 
 
 def _sanitize(value):
@@ -85,6 +84,9 @@ def _cmd_calc_width(args) -> int:
 
 
 def _cmd_calc_contraction(args) -> int:
+    from . import contraction
+    from .markov import Kernel
+
     kernel = Kernel.from_json_dict(_load_json(args.kernel_file))
     report = contraction.contraction_report(kernel, **_given(trials=args.trials, seed=args.seed))
     _print_json(report.to_json_dict())
@@ -166,6 +168,8 @@ def _meta_path(out: str | Path) -> Path:
 
 
 def _cmd_experiment_run(args) -> int:
+    from . import experiments
+
     cfg = experiments.ExperimentConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)

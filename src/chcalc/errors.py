@@ -9,8 +9,6 @@ import numbers
 import types
 import typing
 
-import numpy as np
-
 
 class InvalidArgument(ValueError):
     """An argument violates a documented precondition."""
@@ -75,6 +73,8 @@ def check_eta(eta, name: str = "eta", brackets: str = "()") -> None:
 def check_etas(etas, brackets: str = "()") -> None:
     """``check_eta`` on every rate of a nonempty per-step list, naming the first
     offender by index; vectorised, since per-step lists run to 1e5 entries."""
+    import numpy as np  # only here, so that the closed forms start without numpy
+
     check_min(len(etas), "number of etas", 1)
     bad = np.flatnonzero(~_inside(np.asarray(etas, dtype=float), 0, 1, brackets))
     if bad.size:

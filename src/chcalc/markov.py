@@ -25,6 +25,12 @@ def _as_float_vector(entries) -> np.ndarray:
     return arr
 
 
+def _check_nonnegative(arr: np.ndarray, what: str) -> None:
+    if not np.all(arr >= 0):  # NaN compares False, so it is refused here too
+        problem = "must not be NaN" if np.isnan(arr).any() else "must be nonnegative"
+        raise InvalidArgument(f"{what} entries {problem}")
+
+
 class ProbVec:
     """Probability distribution over abstract states.
 
@@ -36,8 +42,7 @@ class ProbVec:
 
     def __init__(self, entries, *, tol: float = CONSTRUCTION_TOL):
         arr = _as_float_vector(entries)
-        if np.any(arr < 0):
-            raise InvalidArgument("distribution entries must be nonnegative")
+        _check_nonnegative(arr, "distribution")
         total = float(arr.sum())
         if abs(total - 1.0) > tol:
             raise InvalidArgument(
@@ -80,8 +85,7 @@ class Kernel:
             arr = np.empty(0)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InvalidArgument("kernel rows must form a nonempty square matrix")
-        if np.any(arr < 0):
-            raise InvalidArgument("kernel entries must be nonnegative")
+        _check_nonnegative(arr, "kernel")
         sums = arr.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > tol):
             worst = float(np.max(np.abs(sums - 1.0)))

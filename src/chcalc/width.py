@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import check_eta, check_min, check_positive, check_range
 from .horizon import critical_horizon_simplified
 
@@ -91,6 +89,8 @@ def equicorrelated_outcomes(
     Cov(R_i, R_j) = rho * value * (1 - value), so the correlation hits rho for
     any value. Returns a (groups x w) float array of 0/1 outcomes.
     """
+    import numpy as np  # only here, so that the closed forms start without numpy
+
     WidthParams(W=w, rho=rho, value=value)
     check_min(groups, "groups", 1)
     lam = math.sqrt(rho)

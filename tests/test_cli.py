@@ -530,3 +530,43 @@ def test_malformed_json_input_is_refused(capsys, tmp_path, command, data, extra,
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+# The closed-form commands need only math. Each case runs in a fresh
+# interpreter; a dict argument is written to a JSON file first.
+START_UP_CASES = [
+    (["calc", "horizon", "--eta", "0.9", "--delta2", "0.1", "--n", "1000000",
+      "--epsilon", "0.1", "--eta-g", "0.95", "--gap", "20"], 0, False),
+    (["calc", "width", "--W", "256", "--rho", "0.15"], 0, False),
+    (["calc", "objectives", "--p", "0.99", "--H", "100", "--threshold", "0.8"], 0, False),
+    (["calc", "gamma", "--n", "1000", "--delta2", "0.3", "--epsilon", "0.1"], 0, False),
+    (["schedule", "uniform", "--H", "50", "--m", "1", "--eta", "0.9", "--delta2", "0.3",
+      "--epsilon", "0.1", "--n", "1000"], 0, False),
+    (["schedule", "plan", "--config", {**PLAN, "budget": {"c_out": 10, "c_insp": 50}}], 0, False),
+    (["schedule", "plan", "--config", {**PLAN, "n": 1}], 2, False),
+    (["calc", "width", "--W", "0", "--rho", "0.15"], 1, False),
+    # control: the probe does see numpy when a command needs it
+    (["calc", "contraction", "--kernel-file", {"rows": [[0.9, 0.1], [0.2, 0.8]]}], 0, True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,uses_numpy", START_UP_CASES,
+    ids=[f"{argv[0]}-{argv[1]}-exit{code}" for argv, code, _ in START_UP_CASES],
+)
+def test_closed_form_commands_start_without_numpy(tmp_path, argv, code, uses_numpy):
+    path = tmp_path / "input.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+    argv = [str(path) if isinstance(arg, dict) else arg for arg in argv]
+    probe = (
+        "import sys\nfrom chcalc.cli import main\ncode = main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(chcalc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{code} {uses_numpy}"

@@ -175,6 +175,11 @@ class TestReport:
         assert payload["smoothing"] == 1e-6
         assert set(payload) >= {"dobrushin_alpha", "diversity_bound", "empirical_lower", "gap"}
 
+    def test_nan_kernel_refused_not_reported(self):
+        # a NaN entry once built a kernel whose report read dobrushin_bound 0.0
+        with pytest.raises(InvalidArgument, match="NaN"):
+            contraction_report(Kernel([[np.nan, 1.0], [0.5, 0.5]]), trials=50, seed=2)
+
 
 class TestAttenuation:
     def test_empty_product(self):

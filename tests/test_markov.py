@@ -65,6 +65,15 @@ class TestConstructors:
         with pytest.raises(InvalidArgument):
             Kernel([[0.5, 0.5]])
 
+    def test_probvec_rejects_nan(self):
+        # NaN fails every comparison, so it must not slip past the sign and sum checks
+        with pytest.raises(InvalidArgument, match="distribution entries must not be NaN"):
+            ProbVec([np.nan, 1.0])
+
+    def test_kernel_rejects_nan(self):
+        with pytest.raises(InvalidArgument, match="kernel entries must not be NaN"):
+            Kernel([[np.nan, 1.0], [0.5, 0.5]])
+
 
 class TestMixtureKernel:
     def test_closed_form_081(self):
