@@ -13,13 +13,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import chi2_arrays
+from .divergence import SUPPORT_EPS, chi2_arrays, chi2_full_support
 from .errors import AbsoluteContinuityViolated, InvalidArgument, check_eta, check_min, check_range
 from .markov import Kernel, step
 
 # Point-mass reference distributions violate absolute continuity; the
 # empirical estimator mixes in this much uniform mass before dividing.
 SMOOTHING = 1e-6
+
+# Pairs and trials are evaluated this many at a time, so the working arrays
+# stay _BLOCK x n whatever the trial count.
+_BLOCK = 256
 
 
 def dobrushin_alpha(kernel: Kernel) -> float:
@@ -28,7 +32,9 @@ def dobrushin_alpha(kernel: Kernel) -> float:
     n = kernel.size
     if n == 1:
         return 1.0
-    overlap = np.minimum(rows[:, None, :], rows[None, :, :]).sum(axis=2)
+    # One row of overlaps at a time keeps memory at n x n; each row sums the
+    # same elements in the same order as the n x n x n broadcast would.
+    overlap = np.array([np.minimum(row, rows).sum(axis=1) for row in rows])
     off_diagonal = overlap[~np.eye(n, dtype=bool)]
     return float(min(1.0, off_diagonal.min()))
 
@@ -64,6 +70,27 @@ def _contraction_ratio(p: np.ndarray, pk: np.ndarray, q: np.ndarray, qk: np.ndar
         return 0.0
 
 
+def _block_max(p: np.ndarray, pk: np.ndarray, q: np.ndarray, qk: np.ndarray) -> float:
+    """Largest ``_contraction_ratio`` over the rows of four stacked blocks.
+
+    Rows whose references q and qk have full support are evaluated together;
+    the rest go through the scalar ratio, which owns the absolute-continuity
+    skip.
+    """
+    full = (q.min(axis=-1) >= SUPPORT_EPS) & (qk.min(axis=-1) >= SUPPORT_EPS)
+    best = 0.0
+    if not full.all():
+        rest = ~full
+        best = max(map(_contraction_ratio, p[rest], pk[rest], q[rest], qk[rest]))
+        p, pk, q, qk = p[full], pk[full], q[full], qk[full]
+    if len(q):
+        denom = chi2_full_support(p, q)
+        num = chi2_full_support(pk, qk)
+        ratios = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
+        best = max(best, float(ratios.max()))
+    return best
+
+
 def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     """Randomized lower bound on the chi-squared contraction coefficient.
 
@@ -73,28 +100,42 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     against a Dirichlet(1,...,1) interior point. Deterministic given the
     seed; trial t always uses the rng derived from (seed, t), so the result
     does not depend on evaluation order.
+
+    Only the draws and each trial's product with the kernel run one trial at
+    a time; nudging, normalization and both divergences run over blocks of
+    rows and give the bits of the per-pair evaluation.
     """
     check_min(trials, "trials", 1)
     check_min(seed, "seed", 0)
     n, rows = kernel.size, kernel.rows
     masses = np.eye(n)
-    pushed = [step(mass, rows) for mass in masses]
-    refs = [mix / mix.sum() for mix in (1.0 - SMOOTHING) * masses + SMOOTHING / n]
-    pushed_refs = [step(ref, rows) for ref in refs]
+    pushed = np.array([step(mass, rows) for mass in masses])
+    refs = (1.0 - SMOOTHING) * masses + SMOOTHING / n
+    refs /= refs.sum(axis=-1, keepdims=True)
+    pushed_refs = np.array([step(ref, rows) for ref in refs])
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    alpha = np.ones(n)
     best = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                best = max(best, _contraction_ratio(masses[i], pushed[i], refs[j], pushed_refs[j]))
-    for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
-        i = int(rng.integers(n))
-        draw = rng.dirichlet(np.ones(n))
-        # Nudge the draw strictly inside the simplex so the denominator
+    for s in range(0, len(i), _BLOCK):
+        pi, pj = i[s : s + _BLOCK], j[s : s + _BLOCK]
+        best = max(best, _block_max(masses[pi], pushed[pi], refs[pj], pushed_refs[pj]))
+    for s in range(0, trials, _BLOCK):
+        size = min(_BLOCK, trials - s)
+        picks = np.empty(size, dtype=np.intp)
+        draws = np.empty((size, n))
+        for k in range(size):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, s + k])))
+            picks[k] = rng.integers(n)
+            draws[k] = rng.dirichlet(alpha)
+        # Nudge the draws strictly inside the simplex so the denominator
         # divergence is always finite.
-        q = (draw + 1e-9) / (1.0 + n * 1e-9)
-        q = q / q.sum()
-        best = max(best, _contraction_ratio(masses[i], pushed[i], q, step(q, rows)))
+        q = (draws + 1e-9) / (1.0 + n * 1e-9)
+        q /= q.sum(axis=-1, keepdims=True)
+        # One vector-matrix product per trial: a block product would take
+        # another BLAS path and need not give the same bits.
+        qk = np.array([row @ rows for row in q])
+        qk /= qk.sum(axis=-1, keepdims=True)
+        best = max(best, _block_max(masses[picks], pushed[picks], q, qk))
     return min(1.0, best)
 
 

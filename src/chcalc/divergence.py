@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,8 +34,18 @@ def chi2(p: ProbVec, q: ProbVec) -> float:
     return chi2_arrays(p.entries, q.entries)
 
 
+def chi2_full_support(pe: np.ndarray, qe: np.ndarray) -> np.ndarray:
+    """``chi2`` along the last axis, for references with every entry at least
+    SUPPORT_EPS: no masks and no refusal are needed. A row gives the bits of
+    the same evaluation on it alone."""
+    diff = pe - qe
+    return (diff * diff / qe).sum(axis=-1)
+
+
 def chi2_arrays(pe: np.ndarray, qe: np.ndarray) -> float:
     """``chi2`` on the raw entries of two distributions of one size."""
+    if qe.min() >= SUPPORT_EPS:
+        return float(chi2_full_support(pe, qe))
     q_null = qe < SUPPORT_EPS
     if np.any(q_null & (pe >= SUPPORT_EPS)):
         raise AbsoluteContinuityViolated(
@@ -136,8 +147,11 @@ def decay_curve(spec: ChainSpec, p_t: ProbVec, q_t: ProbVec, t: int) -> DecayCur
         raise InvalidArgument("distribution dimensions must match the chain")
     p, q = p_t.entries, q_t.entries
     values = [(t, chi2_arrays(p, q))]
-    for u in range(t, spec.horizon):
-        rows = spec.kernel_at(u).rows
+    if spec.homogeneous:
+        per_step = itertools.repeat(spec.kernels.rows, spec.horizon - t)
+    else:
+        per_step = (kernel.rows for kernel in spec.kernels[t:])
+    for u, rows in enumerate(per_step, start=t):
         p = step(p, rows)
         q = step(q, rows)
         values.append((u + 1, chi2_arrays(p, q)))

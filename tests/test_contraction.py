@@ -1,7 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chcalc
+from chcalc import contraction
 from chcalc.contraction import (
+    _contraction_ratio,
     attenuation,
     contraction_report,
     diversity_bound,
@@ -39,6 +48,16 @@ class TestDobrushin:
     def test_two_state_bound(self):
         for p in (0.05, 0.2, 0.45):
             assert dobrushin_bound(two_state_kernel(p)) == pytest.approx(1 - 2 * p)
+
+    @pytest.mark.parametrize("states", [2, 3, 9, 17, 40])
+    def test_row_at_a_time_equals_broadcast(self, states):
+        rng = np.random.default_rng(states)
+        for concentration in (1.0, 0.1):
+            kernel = Kernel(rng.dirichlet(np.full(states, concentration), size=states))
+            rows = kernel.rows
+            overlap = np.minimum(rows[:, None, :], rows[None, :, :]).sum(axis=2)
+            expected = float(min(1.0, overlap[~np.eye(states, dtype=bool)].min()))
+            assert dobrushin_alpha(kernel) == expected
 
 
 class TestDiversity:
@@ -142,6 +161,68 @@ class TestEmpiricalLowerReference:
         expected, skipped = _reference_eta_lower(kernel, 50, 0)
         assert skipped == 1
         assert empirical_eta_lower(kernel, 50, 0) == expected
+
+    @pytest.mark.parametrize("concentration", [1.0, 0.1])
+    @pytest.mark.parametrize("states", [3, 7, 12])
+    def test_random_kernels(self, states, concentration):
+        rng = np.random.default_rng([states, int(10 * concentration)])
+        for seed in (0, 4, 91):
+            kernel = Kernel(rng.dirichlet(np.full(states, concentration), size=states))
+            assert empirical_eta_lower(kernel, 200, seed) == _reference_eta_lower(kernel, 200, seed)[0]
+
+    def test_zero_column_takes_scalar_fallback(self, monkeypatch):
+        rows = np.random.default_rng(2).dirichlet(np.ones(6), size=6)
+        rows[:, 2] = 0.0
+        kernel = Kernel(rows / rows.sum(axis=1, keepdims=True))
+        calls = []
+
+        def counted(*pair):
+            calls.append(pair)
+            return _contraction_ratio(*pair)
+
+        monkeypatch.setattr(contraction, "_contraction_ratio", counted)
+        assert empirical_eta_lower(kernel, 300, 5) == _reference_eta_lower(kernel, 300, 5)[0]
+        # every pushed reference has a null column, so no pair or trial is batched
+        assert len(calls) == 6 * 5 + 300
+
+    @pytest.mark.parametrize("states", [1, 2])
+    def test_one_and_two_states(self, states):
+        kernel = Kernel(np.random.default_rng(states).dirichlet(np.ones(states), size=states))
+        for seed in (0, 3):
+            assert empirical_eta_lower(kernel, 100, seed) == _reference_eta_lower(kernel, 100, seed)[0]
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_trials_spanning_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(contraction, "_BLOCK", block)
+        for kernel in (mixture_kernel(0.8, 5), Kernel(np.random.default_rng(8).dirichlet(np.ones(9), size=9))):
+            assert empirical_eta_lower(kernel, 150, 2) == _reference_eta_lower(kernel, 150, 2)[0]
+
+
+_REPORT_PROBE = """
+import json, sys
+import numpy as np
+from chcalc.contraction import contraction_report
+from chcalc.markov import Kernel, mixture_kernel
+kernels = [mixture_kernel(0.8, 10)]
+kernels += [Kernel(np.random.default_rng(5).dirichlet(np.ones(s), size=s)) for s in (10, 120)]
+print(json.dumps([contraction_report(k).to_json_dict() for k in kernels]))
+"""
+
+
+def test_report_independent_of_blas_threads():
+    # 120 states is above OpenBLAS's size threshold for a threaded
+    # vector-matrix product, so the two runs take different BLAS paths
+    src = str(Path(chcalc.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT_PROBE], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])) == 3
 
 
 class TestReport:

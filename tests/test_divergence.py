@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from chcalc.divergence import (
+    SUPPORT_EPS,
     chi2,
+    chi2_arrays,
     decay_curve,
     lecam_total_error,
     tensorize_chi2,
@@ -36,6 +38,35 @@ class TestChi2:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgument):
             chi2(uniform_dist(3), uniform_dist(4))
+
+
+def _masked_chi2(pe, qe):
+    """chi2_arrays through its support masks, whatever the reference."""
+    support = qe >= SUPPORT_EPS
+    diff = pe[support] - qe[support]
+    return float(np.sum(diff * diff / qe[support]))
+
+
+class TestChi2Arrays:
+    @pytest.mark.parametrize("states", [1, 2, 5, 8, 9, 31, 200])
+    def test_full_support_equals_masked_path(self, states):
+        rng = np.random.default_rng(states)
+        for concentration in (1.0, 0.05):
+            pe, qe = rng.dirichlet(np.full(states, concentration), size=2)
+            qe = (qe + 1e-12) / (qe + 1e-12).sum()
+            assert qe.min() >= SUPPORT_EPS
+            assert chi2_arrays(pe, qe) == _masked_chi2(pe, qe)
+
+    def test_null_reference_component_still_masked(self):
+        pe = np.array([0.5, 0.5, 0.0, 1e-16])
+        qe = np.array([0.25, 0.75, 0.0, 0.0])
+        assert chi2_arrays(pe, qe) == _masked_chi2(pe, qe)
+
+    def test_absolute_continuity_refusal_unchanged(self):
+        with pytest.raises(AbsoluteContinuityViolated, match="P has mass where the reference Q does not"):
+            chi2_arrays(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+        with pytest.raises(AbsoluteContinuityViolated):
+            chi2_arrays(np.array([0.5, 0.5 - 1e-15, 1e-15]), np.array([0.5, 0.5, 1e-16]))
 
 
 class TestTv:
