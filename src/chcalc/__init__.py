@@ -46,10 +46,8 @@ _EXPORTS = {
         "ObjectivePoint", "dj_add_dp", "dj_mult_dp", "grad_attenuation", "j_add",
         "j_interp", "j_mult", "mostly_correct_but_wrong_prob",
     ),
-    "experiments": (
-        "ExperimentConfig", "ResultTable", "oracle_min_gap", "oracle_min_inspections",
-        "run_experiment",
-    ),
+    "schema": ("ExperimentConfig",),
+    "experiments": ("ResultTable", "oracle_min_gap", "oracle_min_inspections", "run_experiment"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -13,8 +13,10 @@ import math
 import sys
 from pathlib import Path
 
-from . import horizon, inspection, objectives, width
 from .errors import Infeasible, InvalidArgument, from_json
+
+# Each handler imports the modules it runs, so that a process loads only its
+# subcommand's code, and a JSON input is refused before numpy is imported.
 
 
 def _sanitize(value):
@@ -48,6 +50,8 @@ def _given(**options) -> dict:
 
 
 def _cmd_calc_horizon(args) -> int:
+    from . import horizon
+
     params = horizon.HorizonParams(n=args.n, delta2=args.delta2, epsilon=args.epsilon, eta=args.eta)
     h_full = horizon.critical_horizon(params)
     payload = {
@@ -72,6 +76,8 @@ def _cmd_calc_horizon(args) -> int:
 
 
 def _cmd_calc_width(args) -> int:
+    from . import width
+
     params = width.WidthParams(W=args.W, rho=args.rho, **_given(value=args.value))
     payload = {
         "w_eff": width.effective_width(params.W, params.rho),
@@ -84,16 +90,22 @@ def _cmd_calc_width(args) -> int:
 
 
 def _cmd_calc_contraction(args) -> int:
+    from .schema import KernelFile
+
+    file = KernelFile.from_json_dict(_load_json(args.kernel_file))
     from . import contraction
     from .markov import Kernel
 
-    kernel = Kernel.from_json_dict(_load_json(args.kernel_file))
-    report = contraction.contraction_report(kernel, **_given(trials=args.trials, seed=args.seed))
+    report = contraction.contraction_report(
+        Kernel.from_file(file), **_given(trials=args.trials, seed=args.seed)
+    )
     _print_json(report.to_json_dict())
     return 0
 
 
 def _cmd_calc_objectives(args) -> int:
+    from . import objectives
+
     point = objectives.ObjectivePoint(p=args.p, H=args.H, **_given(lam=args.lam))
     payload = {
         "j_add": objectives.j_add(point.p, point.H),
@@ -113,11 +125,15 @@ def _cmd_calc_objectives(args) -> int:
 
 
 def _cmd_calc_gamma(args) -> int:
-    _print_json({"gamma": inspection.feasibility_threshold(args.n, args.delta2, args.epsilon)})
+    from .horizon import feasibility_threshold
+
+    _print_json({"gamma": feasibility_threshold(args.n, args.delta2, args.epsilon)})
     return 0
 
 
 def _cmd_schedule_uniform(args) -> int:
+    from . import inspection
+
     schedule = inspection.uniform_schedule(args.H, args.m)
     payload: dict = {"times": list(schedule.times), "max_gap": inspection.maximal_gap(schedule)}
     if args.eta is not None and args.delta2 is not None and args.epsilon is not None:
@@ -130,15 +146,11 @@ def _cmd_schedule_uniform(args) -> int:
     return 0
 
 
-@dataclasses.dataclass(frozen=True)
-class _EtasFile:
-    """The ``schedule greedy`` input {"etas": [...]}, one contraction rate per step."""
-
-    etas: tuple[float, ...]
-
-
 def _cmd_schedule_greedy(args) -> int:
-    etas = from_json(_EtasFile, _load_json(args.etas_file), "etas file").etas
+    from . import inspection
+    from .schema import EtasFile
+
+    etas = from_json(EtasFile, _load_json(args.etas_file), "etas file").etas
     plan = inspection.design_procedure(
         horizon=len(etas), n=args.n, delta2=args.delta2, epsilon=args.epsilon,
         etas=etas, inspection_fidelity=args.eta_g,
@@ -152,6 +164,8 @@ def _cmd_schedule_greedy(args) -> int:
 
 
 def _cmd_schedule_plan(args) -> int:
+    from . import inspection
+
     config = inspection.PlanConfig.from_json_dict(_load_json(args.config))
     _print_json(config.design().to_json_dict())
     return 0
@@ -168,11 +182,13 @@ def _meta_path(out: str | Path) -> Path:
 
 
 def _cmd_experiment_run(args) -> int:
-    from . import experiments
+    from .schema import ExperimentConfig
 
-    cfg = experiments.ExperimentConfig.from_json_dict(_load_json(args.config))
+    cfg = ExperimentConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    from . import experiments
+
     table = experiments.run_experiment(cfg)
     emit_csv(table, args.out)
     meta = _meta_path(args.out)

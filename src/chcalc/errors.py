@@ -72,13 +72,18 @@ def check_eta(eta, name: str = "eta", brackets: str = "()") -> None:
 
 def check_etas(etas, brackets: str = "()") -> None:
     """``check_eta`` on every rate of a nonempty per-step list, naming the first
-    offender by index; vectorised, since per-step lists run to 1e5 entries."""
-    import numpy as np  # only here, so that the closed forms start without numpy
+    offender by index.
 
+    Per-step lists run to 1e5 entries, so ``min``, ``max`` and ``sum`` decide
+    the common case at C speed; a NaN, which ``min`` and ``max`` may skip,
+    makes the sum NaN. Only a list that fails is walked.
+    """
     check_min(len(etas), "number of etas", 1)
-    bad = np.flatnonzero(~_inside(np.asarray(etas, dtype=float), 0, 1, brackets))
-    if bad.size:
-        check_eta(etas[bad[0]], f"etas[{bad[0]}]", brackets)
+    inside = _inside(min(etas), 0, 1, brackets) and _inside(max(etas), 0, 1, brackets)
+    if inside and not math.isnan(sum(etas)):
+        return
+    for i, eta in enumerate(etas):
+        check_eta(eta, f"etas[{i}]", brackets)
 
 
 def check_epsilon(epsilon) -> None:

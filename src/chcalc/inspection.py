@@ -7,7 +7,6 @@ feasibility check covers the final segment too.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -194,9 +193,13 @@ def greedy_schedule(
     single step alone exceeds it.
     """
     check_positive(gamma, "gamma")
-    horizon = len(etas)
     budget = segment_budget(gamma, inspection_fidelity)
-    weights = step_info_distances(etas)
+    return _greedy_placement(step_info_distances(etas), budget)
+
+
+def _greedy_placement(weights: list[float], budget: float) -> Schedule:
+    """``greedy_schedule`` on checked per-step distances and a resolved budget."""
+    horizon = len(weights)
     for t, w in enumerate(weights):
         if w > budget:
             raise Infeasible(
@@ -261,8 +264,25 @@ def segment_report(
             raise InvalidArgument(
                 f"etas length {len(etas_or_eta)} must equal horizon {schedule.horizon}"
             )
-        prefix = list(itertools.accumulate(step_info_distances(etas_or_eta), initial=0.0))
-        infos = [prefix[b] - prefix[a] for a, b in bounds]
+        infos = _segment_infos(schedule, step_info_distances(etas_or_eta))
+    return _summaries(bounds, infos, delta2, epsilon)
+
+
+def _segment_infos(schedule: Schedule, weights: list[float]) -> list[float]:
+    """Each segment's summed distance, as the difference of the left-to-right
+    running total of ``weights`` read at the segment's bounds."""
+    at_bounds = [0.0]
+    total = 0.0
+    for a, b in schedule.segments():
+        for w in weights[a:b]:
+            total += w
+        at_bounds.append(total)
+    return [hi - lo for lo, hi in zip(at_bounds, at_bounds[1:])]
+
+
+def _summaries(
+    bounds: list[tuple[int, int]], infos: list[float], delta2: float, epsilon: float
+) -> list[SegmentSummary]:
     return [
         SegmentSummary(
             start=a,
@@ -439,13 +459,17 @@ class PlanConfig:
             m_necessary = min_inspections(self.H, h_crit)
             m_sufficient = min_inspections_sufficient(self.H, h_crit)
             schedule = uniform_schedule(self.H, m_sufficient)
+            segments = segment_report(schedule, self.eta, self.delta2, self.epsilon)
         else:
             if len(self.etas) != self.H:
                 raise InvalidArgument(f"etas length {len(self.etas)} must equal horizon {self.H}")
-            schedule = greedy_schedule(self.etas, gamma, self.inspection_fidelity)
-        segments = segment_report(
-            schedule, self.etas if self.eta is None else self.eta, self.delta2, self.epsilon
-        )
+            # greedy_schedule and segment_report on one checked list of distances
+            budget = segment_budget(gamma, self.inspection_fidelity)
+            weights = step_info_distances(self.etas)
+            schedule = _greedy_placement(weights, budget)
+            segments = _summaries(
+                schedule.segments(), _segment_infos(schedule, weights), self.delta2, self.epsilon
+            )
         worst = worst_segment(segments)
         worst_bound = worst.worst_step_sample_lb
         per_trajectory = self.budget.per_trajectory(schedule.m) if self.budget else None

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, check_eta, check_min, check_positive, check_range, from_json
+from .schema import KernelFile, ProbVecFile
 
 # Constructors reject anything farther from stochastic than this; they
 # renormalize (rather than silently accept) anything closer.
@@ -70,7 +71,7 @@ class ProbVec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProbVec":
-        return cls(from_json(_ProbVecFile, data, "distribution").entries)
+        return cls(from_json(ProbVecFile, data, "distribution").entries)
 
 
 class Kernel:
@@ -112,24 +113,17 @@ class Kernel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Kernel":
         """Build from the kernel file layout {"states": s, "rows": [[...], ...]}."""
-        file = from_json(_KernelFile, data, "kernel file")
+        return cls.from_file(KernelFile.from_json_dict(data))
+
+    @classmethod
+    def from_file(cls, file: KernelFile) -> "Kernel":
+        """Build from a parsed kernel file; its ``states``, if given, must match."""
         kernel = cls(file.rows)
         if file.states is not None and file.states != kernel.size:
             raise InvalidArgument(
                 f"kernel 'states' field ({file.states}) does not match matrix size ({kernel.size})"
             )
         return kernel
-
-
-@dataclass(frozen=True)
-class _ProbVecFile:
-    entries: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class _KernelFile:
-    rows: tuple[tuple[float, ...], ...]
-    states: int | None = None
 
 
 @dataclass(frozen=True)

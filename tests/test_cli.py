@@ -532,34 +532,53 @@ def test_malformed_json_input_is_refused(capsys, tmp_path, command, data, extra,
     assert err.startswith("error:") and field in err and "Traceback" not in err
 
 
-# The closed-form commands need only math. Each case runs in a fresh
-# interpreter; a dict argument is written to a JSON file first.
-START_UP_CASES = [
-    (["calc", "horizon", "--eta", "0.9", "--delta2", "0.1", "--n", "1000000",
-      "--epsilon", "0.1", "--eta-g", "0.95", "--gap", "20"], 0, False),
-    (["calc", "width", "--W", "256", "--rho", "0.15"], 0, False),
-    (["calc", "objectives", "--p", "0.99", "--H", "100", "--threshold", "0.8"], 0, False),
-    (["calc", "gamma", "--n", "1000", "--delta2", "0.3", "--epsilon", "0.1"], 0, False),
-    (["schedule", "uniform", "--H", "50", "--m", "1", "--eta", "0.9", "--delta2", "0.3",
-      "--epsilon", "0.1", "--n", "1000"], 0, False),
-    (["schedule", "plan", "--config", {**PLAN, "budget": {"c_out": 10, "c_insp": 50}}], 0, False),
-    (["schedule", "plan", "--config", {**PLAN, "n": 1}], 2, False),
-    (["calc", "width", "--W", "0", "--rho", "0.15"], 1, False),
-    # control: the probe does see numpy when a command needs it
-    (["calc", "contraction", "--kernel-file", {"rows": [[0.9, 0.1], [0.2, 0.8]]}], 0, True),
-]
+# The closed-form commands and the schedulers need only math, and a JSON input
+# with a wrong layout is refused before numpy is imported. Each case runs in a
+# fresh interpreter; a dict argument is written to a JSON file first, and a
+# Path argument names a file in the test's directory.
+START_UP_CASES = {
+    "calc-horizon-exit0": (["calc", "horizon", "--eta", "0.9", "--delta2", "0.1", "--n", "1000000",
+                            "--epsilon", "0.1", "--eta-g", "0.95", "--gap", "20"], 0, False),
+    "calc-width-exit0": (["calc", "width", "--W", "256", "--rho", "0.15"], 0, False),
+    "calc-objectives-exit0": (["calc", "objectives", "--p", "0.99", "--H", "100",
+                               "--threshold", "0.8"], 0, False),
+    "calc-gamma-exit0": (["calc", "gamma", "--n", "1000", "--delta2", "0.3", "--epsilon", "0.1"],
+                         0, False),
+    "schedule-uniform-exit0": (["schedule", "uniform", "--H", "50", "--m", "1", "--eta", "0.9",
+                                "--delta2", "0.3", "--epsilon", "0.1", "--n", "1000"], 0, False),
+    "schedule-plan-exit0": (["schedule", "plan", "--config",
+                             {**PLAN, "budget": {"c_out": 10, "c_insp": 50}}], 0, False),
+    "schedule-plan-exit2": (["schedule", "plan", "--config", {**PLAN, "n": 1}], 2, False),
+    "calc-width-exit1": (["calc", "width", "--W", "0", "--rho", "0.15"], 1, False),
+    "schedule-greedy-exit0": (["schedule", "greedy", "--etas-file", {"etas": [0.9, 0.8, 0.95]},
+                               *ETAS_ARGS], 0, False),
+    "schedule-plan-etas-exit0": (["schedule", "plan", "--config",
+                                  {**PLAN, "eta": None, "etas": [0.9] * 50}], 0, False),
+    "experiment-run-exit1": (["experiment", "run", "--config", {"kind": "decay", "params": {"H": 20.5}},
+                              "--out", Path("x.csv")], 1, False),
+    "calc-contraction-exit1": (["calc", "contraction", "--kernel-file", {"states": 3}], 1, False),
+    "schedule-greedy-exit1": (["schedule", "greedy", "--etas-file", {"etas": [0.9, "x", 0.8]},
+                               *ETAS_ARGS], 1, False),
+    # controls: the probe does see numpy when a command needs it
+    "calc-contraction-exit0": (["calc", "contraction", "--kernel-file",
+                                {"rows": [[0.9, 0.1], [0.2, 0.8]]}], 0, True),
+    "experiment-run-exit0": (["experiment", "run", "--config", GOLDEN_DECAY,
+                              "--out", Path("x.csv")], 0, True),
+}
 
 
 @pytest.mark.parametrize(
-    "argv,code,uses_numpy", START_UP_CASES,
-    ids=[f"{argv[0]}-{argv[1]}-exit{code}" for argv, code, _ in START_UP_CASES],
+    "argv,code,uses_numpy", list(START_UP_CASES.values()), ids=list(START_UP_CASES),
 )
 def test_closed_form_commands_start_without_numpy(tmp_path, argv, code, uses_numpy):
     path = tmp_path / "input.json"
     for arg in argv:
         if isinstance(arg, dict):
             path.write_text(json.dumps(arg))
-    argv = [str(path) if isinstance(arg, dict) else arg for arg in argv]
+    argv = [
+        str(path) if isinstance(arg, dict) else str(tmp_path / arg) if isinstance(arg, Path) else arg
+        for arg in argv
+    ]
     probe = (
         "import sys\nfrom chcalc.cli import main\ncode = main(sys.argv[1:])\n"
         "print(code, 'numpy' in sys.modules, file=sys.stderr)"

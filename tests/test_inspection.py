@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from chcalc import inspection
 from chcalc.errors import Infeasible, InvalidArgument
 from chcalc.horizon import HorizonParams, noisy_outcome_adjust
 from chcalc.inspection import (
@@ -365,6 +366,36 @@ class TestDesignProcedure:
             design_procedure(**inputs, inspection_fidelity=1e-3)
         with pytest.raises(InvalidArgument, match="inspection_fidelity"):
             design_procedure(**inputs, inspection_fidelity=1.5)
+
+    def test_heterogeneous_plan_is_the_public_composition(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            h = rng.randint(1, 2000)
+            etas = [rng.uniform(0.9, 0.9999) for _ in range(h)]
+            n, delta2 = rng.randint(1000, 10**6), rng.uniform(0.1, 1.0)
+            fidelity = rng.choice([None, rng.uniform(0.95, 1.0)])
+            plan = design_procedure(
+                horizon=h, n=n, delta2=delta2, epsilon=0.1, etas=etas,
+                inspection_fidelity=fidelity,
+            ).to_json_dict()
+            schedule = greedy_schedule(etas, feasibility_threshold(n, delta2, 0.1), fidelity)
+            segments = segment_report(schedule, etas, delta2, 0.1)
+            worst_step, worst_lb = worst_case_sample_lb(schedule, etas, delta2, 0.1)
+            assert plan == {
+                **plan,
+                "times": list(schedule.times),
+                "max_gap": maximal_gap(schedule),
+                "segments": [s.to_json_dict() for s in segments],
+                "worst_step": worst_step,
+                "worst_sample_lb": worst_lb,
+                "feasible": n >= worst_lb,
+            }
+
+    def test_heterogeneous_plan_checks_its_etas_once(self, monkeypatch):
+        calls, original = [], inspection.check_etas
+        monkeypatch.setattr(inspection, "check_etas", lambda *a: calls.append(a) or original(*a))
+        design_procedure(horizon=50, n=1000, delta2=0.3, epsilon=0.1, etas=SERVICE_ETAS)
+        assert len(calls) == 1
 
     def test_infeasible_propagates(self):
         with pytest.raises(Infeasible):

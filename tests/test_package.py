@@ -100,3 +100,18 @@ def test_bare_import_loads_neither_numpy_nor_the_harness():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_schema_and_experiment_config_load_without_numpy():
+    probe = (
+        "import sys, chcalc.schema\n"
+        "from chcalc import ExperimentConfig\n"
+        "ExperimentConfig.from_json_dict({'kind': 'decay'})\n"
+        "print(sorted(m for m in ('numpy', 'chcalc.experiments') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(chcalc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import itertools
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from chcalc.contraction import (
     attenuation,
@@ -14,6 +14,7 @@ from chcalc.contraction import (
     empirical_eta_lower,
 )
 from chcalc.divergence import chi2, decay_curve, tensorize_chi2, tv, tv_upper_from_chi2
+from chcalc.errors import check_eta, check_etas, check_min
 from chcalc.inspection import Schedule, segment_report, worst_case_sample_lb
 from chcalc.markov import (
     ChainSpec,
@@ -224,3 +225,45 @@ class TestStationarity:
                 before = uniform_dist(size)
                 after = propagate(before, kernel)
                 np.testing.assert_allclose(after.entries, before.entries, atol=1e-15)
+
+
+def _vectorised_check_etas(etas, brackets):
+    """The numpy form of ``check_etas``, kept as its reference: one array
+    comparison, then ``check_eta`` on the first offender."""
+    check_min(len(etas), "number of etas", 1)
+    arr = np.asarray(etas, dtype=float)
+    above = 0 < arr if brackets[0] == "(" else 0 <= arr
+    below = arr < 1 if brackets[1] == ")" else arr <= 1
+    bad = np.flatnonzero(~(above & below))
+    if bad.size:
+        check_eta(etas[bad[0]], f"etas[{bad[0]}]", brackets)
+
+
+def _refusal(check, etas, brackets):
+    try:
+        check(etas, brackets)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+# mostly valid rates, so that lists with one offender among them are common
+_ETA_ENTRIES = st.one_of(
+    st.floats(min_value=0.01, max_value=0.99),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0, -0.5, -1e-300, 1 + 1e-15, True, False]),
+)
+
+
+class TestCheckEtasMatchesVectorised:
+    @settings(max_examples=400)
+    @example([0.5, np.nan, 0.7], list, "()")  # min and max both skip a NaN that is not first
+    @given(
+        st.lists(_ETA_ENTRIES, max_size=12),
+        st.sampled_from([list, tuple, np.array]),
+        st.sampled_from(["()", "(]"]),
+    )
+    def test_same_acceptance_and_message(self, entries, container, brackets):
+        etas = container(entries)
+        expected = _refusal(_vectorised_check_etas, etas, brackets)
+        assert _refusal(check_etas, etas, brackets) == expected
