@@ -1,7 +1,8 @@
 """Command-line interface: calculators, schedulers, and the experiment runner.
 
-Exit codes: 0 success, 1 precondition violation or usage error (message on
-stderr), 2 infeasible design (structured JSON reason on stdout).
+Each handler returns the text it prints; ``main`` prints it and chooses the
+exit code: 0 success, 1 a refused input (one ``error:`` line on stderr), 2 an
+infeasible design (a JSON reason on stdout).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ def _sanitize(value):
     return value
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False))
+def _dumps(payload: dict) -> str:
+    return json.dumps(_sanitize(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _load_json(path: str) -> dict:
@@ -40,7 +41,7 @@ def _load_json(path: str) -> dict:
             return json.load(handle)
     except FileNotFoundError as exc:
         raise InvalidArgument(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidArgument(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -49,7 +50,7 @@ def _given(**options) -> dict:
     return {name: value for name, value in options.items() if value is not None}
 
 
-def _cmd_calc_horizon(args) -> int:
+def _cmd_calc_horizon(args) -> str:
     from . import horizon
 
     params = horizon.HorizonParams(n=args.n, delta2=args.delta2, epsilon=args.epsilon, eta=args.eta)
@@ -71,11 +72,10 @@ def _cmd_calc_horizon(args) -> int:
         }
     if args.eta_g is not None:
         payload["h_crit_noisy_outcome"] = horizon.noisy_outcome_adjust(params, args.eta_g)
-    _print_json(payload)
-    return 0
+    return _dumps(payload)
 
 
-def _cmd_calc_width(args) -> int:
+def _cmd_calc_width(args) -> str:
     from . import width
 
     params = width.WidthParams(W=args.W, rho=args.rho, **_given(value=args.value))
@@ -85,11 +85,10 @@ def _cmd_calc_width(args) -> int:
         "variance_iid": width.estimator_variance_iid(params.value, params.W),
         "saturation_cap": (1.0 / params.rho) if params.rho > 0 else math.inf,
     }
-    _print_json(payload)
-    return 0
+    return _dumps(payload)
 
 
-def _cmd_calc_contraction(args) -> int:
+def _cmd_calc_contraction(args) -> str:
     from .schema import KernelFile
 
     file = KernelFile.from_json_dict(_load_json(args.kernel_file))
@@ -99,11 +98,10 @@ def _cmd_calc_contraction(args) -> int:
     report = contraction.contraction_report(
         Kernel.from_file(file), **_given(trials=args.trials, seed=args.seed)
     )
-    _print_json(report.to_json_dict())
-    return 0
+    return _dumps(report.to_json_dict())
 
 
-def _cmd_calc_objectives(args) -> int:
+def _cmd_calc_objectives(args) -> str:
     from . import objectives
 
     point = objectives.ObjectivePoint(p=args.p, H=args.H, **_given(lam=args.lam))
@@ -120,18 +118,16 @@ def _cmd_calc_objectives(args) -> int:
         payload["mostly_correct_but_wrong"] = objectives.mostly_correct_but_wrong_prob(
             point.p, point.H, args.threshold
         )
-    _print_json(payload)
-    return 0
+    return _dumps(payload)
 
 
-def _cmd_calc_gamma(args) -> int:
+def _cmd_calc_gamma(args) -> str:
     from .horizon import feasibility_threshold
 
-    _print_json({"gamma": feasibility_threshold(args.n, args.delta2, args.epsilon)})
-    return 0
+    return _dumps({"gamma": feasibility_threshold(args.n, args.delta2, args.epsilon)})
 
 
-def _cmd_schedule_uniform(args) -> int:
+def _cmd_schedule_uniform(args) -> str:
     from . import inspection
 
     schedule = inspection.uniform_schedule(args.H, args.m)
@@ -142,11 +138,10 @@ def _cmd_schedule_uniform(args) -> int:
         payload["segments"] = [s.to_json_dict() for s in segments]
         payload["worst_sample_lb"] = worst
         payload["feasible"] = bool(args.n is not None and args.n >= worst)
-    _print_json(payload)
-    return 0
+    return _dumps(payload)
 
 
-def _cmd_schedule_greedy(args) -> int:
+def _cmd_schedule_greedy(args) -> str:
     from . import inspection
     from .schema import EtasFile
 
@@ -159,16 +154,14 @@ def _cmd_schedule_greedy(args) -> int:
     payload = {key: plan[key] for key in keys}
     if args.eta_g is not None:
         payload["effective_gamma"] = inspection.segment_budget(plan["gamma"], args.eta_g)
-    _print_json(payload)
-    return 0
+    return _dumps(payload)
 
 
-def _cmd_schedule_plan(args) -> int:
+def _cmd_schedule_plan(args) -> str:
     from . import inspection
 
     config = inspection.PlanConfig.from_json_dict(_load_json(args.config))
-    _print_json(config.design().to_json_dict())
-    return 0
+    return _dumps(config.design().to_json_dict())
 
 
 def emit_csv(table: experiments.ResultTable, path: str | Path) -> None:
@@ -176,28 +169,22 @@ def emit_csv(table: experiments.ResultTable, path: str | Path) -> None:
     Path(path).write_text(table.to_csv_string(), encoding="utf-8", newline="\n")
 
 
-def _meta_path(out: str | Path) -> Path:
-    out = Path(out)
-    return out.with_name(out.stem + ".meta.json")
-
-
-def _cmd_experiment_run(args) -> int:
+def _cmd_experiment_run(args) -> str:
     from .schema import ExperimentConfig
 
     cfg = ExperimentConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise InvalidArgument(f"--out must name a file in an existing directory, got {args.out}")
     from . import experiments
 
     table = experiments.run_experiment(cfg)
-    emit_csv(table, args.out)
-    meta = _meta_path(args.out)
-    meta.write_text(
-        json.dumps(_sanitize(table.metadata), indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {args.out} and {meta} ({len(table.rows)} rows)")
-    return 0
+    emit_csv(table, out)
+    meta = out.with_name(out.stem + ".meta.json")
+    meta.write_text(_dumps(table.metadata) + "\n", encoding="utf-8")
+    return f"wrote {args.out} and {meta} ({len(table.rows)} rows)"
 
 
 def _add_calc_parsers(subparsers) -> None:
@@ -301,13 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        print(args.func(args))
     except Infeasible as exc:
-        _print_json({"infeasible": True, "reason": exc.reason, "step": exc.step})
+        print(_dumps({"infeasible": True, "reason": exc.reason, "step": exc.step}))
         return 2
-    except InvalidArgument as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InvalidArgument, OSError, OverflowError) as exc:
+        # an OverflowError is an integer beyond float range
+        reason = f"a number is out of range: {exc}" if isinstance(exc, OverflowError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

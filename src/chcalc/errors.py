@@ -70,20 +70,23 @@ def check_eta(eta, name: str = "eta", brackets: str = "()") -> None:
     check_range(eta, name, 0, 1, brackets)
 
 
-def check_etas(etas, brackets: str = "()") -> None:
+def check_etas(etas, brackets: str = "()"):
     """``check_eta`` on every rate of a nonempty per-step list, naming the first
-    offender by index.
+    offender by index; returns the rates, as a list when ``etas`` is an array.
 
     Per-step lists run to 1e5 entries, so ``min``, ``max`` and ``sum`` decide
-    the common case at C speed; a NaN, which ``min`` and ``max`` may skip,
-    makes the sum NaN. Only a list that fails is walked.
+    the common case at C speed, on Python floats (an array's ``tolist()``);
+    a NaN, which ``min`` and ``max`` may skip, makes the sum NaN. Only a list
+    that fails is walked, over the caller's own elements.
     """
     check_min(len(etas), "number of etas", 1)
-    inside = _inside(min(etas), 0, 1, brackets) and _inside(max(etas), 0, 1, brackets)
-    if inside and not math.isnan(sum(etas)):
-        return
+    values = etas.tolist() if hasattr(etas, "tolist") else etas
+    inside = _inside(min(values), 0, 1, brackets) and _inside(max(values), 0, 1, brackets)
+    if inside and not math.isnan(sum(values)):
+        return values
     for i, eta in enumerate(etas):
         check_eta(eta, f"etas[{i}]", brackets)
+    return values
 
 
 def check_epsilon(epsilon) -> None:

@@ -165,8 +165,7 @@ def min_inspections_sufficient(horizon: int, h_crit: float) -> int:
 
 def step_info_distances(etas: Sequence[float]) -> list[float]:
     """Per-step information distance w_t = ln(1/eta_t)."""
-    check_etas(etas, "(]")
-    return [math.log(1.0 / eta) for eta in etas]
+    return [math.log(1.0 / eta) for eta in check_etas(etas, "(]")]
 
 
 def segment_budget(gamma: float, inspection_fidelity: float | None = None) -> float:

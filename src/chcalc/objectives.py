@@ -7,10 +7,11 @@ p^H. The gap between the two is what makes "mostly correct" chains invalid.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
-from .errors import check_min, check_range
+from .errors import InvalidArgument, check_min, check_range
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,20 @@ def _log_binom_pmf(k: int, n: int, log_p: float, log_q: float) -> float:
     )
 
 
+# math.exp is exactly 0.0 below about -745.1, so a term whose log-pmf is
+# under this floor adds nothing to the tail sum.
+_LOG_PMF_FLOOR = -800.0
+_MAX_TAIL_TERMS = 10**7
+
+
 def mostly_correct_but_wrong_prob(p: float, h: int, threshold: float) -> float:
     """P(X >= ceil(threshold*H) and X < H) for X ~ Binomial(H, p).
 
     The probability that a chain clears the step-quality bar yet still
     contains at least one wrong step. Exact tail sum with log-binomial
-    coefficients, good for H up to 1e4.
+    coefficients, in increasing k, over the terms that are not exactly 0.0
+    in double precision; their number grows like sqrt(H). A tail of more
+    than 10**7 such terms is refused.
     """
     _check_p_h(p, h)
     check_range(threshold, "threshold", 0, 1, "(]")
@@ -107,7 +116,20 @@ def mostly_correct_but_wrong_prob(p: float, h: int, threshold: float) -> float:
     if p == 0.0:
         return 0.0 if k_lo >= 1 else 1.0
     log_p, log_q = math.log(p), math.log1p(-p)
+
+    def below(k: int) -> bool:
+        return _log_binom_pmf(k, h, log_p, log_q) < _LOG_PMF_FLOOR
+
+    # the log-pmf is concave in k: bisect for the floor on each side of the mode
+    mode = min(math.floor((h + 1) * p), h)
+    start = max(k_lo, bisect.bisect_left(range(mode), True, key=lambda k: not below(k)))
+    stop = min(h, mode + bisect.bisect_left(range(mode, h + 1), True, key=below))
+    if stop - start > _MAX_TAIL_TERMS:
+        raise InvalidArgument(
+            f"H is too large for the exact tail sum ({stop - start} terms, "
+            f"at most {_MAX_TAIL_TERMS}), got {h!r}"
+        )
     total = 0.0
-    for k in range(k_lo, h):
+    for k in range(start, stop):
         total += math.exp(_log_binom_pmf(k, h, log_p, log_q))
     return min(1.0, total)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chcalc
-from chcalc import contraction
+from chcalc import contraction, experiments
 from chcalc.cli import main
 from chcalc.experiments import GOLDEN_DECAY
 from chcalc.markov import Kernel
@@ -482,6 +482,18 @@ class TestExperimentRun:
         assert code == 1
         assert "etas" in err
 
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unusable_out_refused_before_the_run(self, capsys, tmp_path, monkeypatch, out):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(GOLDEN_DECAY))
+        monkeypatch.setattr(experiments, "run_experiment", lambda cfg: pytest.fail("the run started"))
+        out_path = tmp_path / out
+        code, stdout, err = run_cli(
+            capsys, "experiment", "run", "--config", str(cfg_path), "--out", str(out_path)
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: --out must name a file in an existing directory, got {out_path}\n"
+
 
 PLAN = {"eta": 0.9, "H": 50, "n": 10000, "delta2": 0.2, "epsilon": 0.1}
 ETAS_ARGS = ("--n", "1000", "--delta2", "0.3", "--epsilon", "0.1")
@@ -530,6 +542,51 @@ def test_malformed_json_input_is_refused(capsys, tmp_path, command, data, extra,
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+BIG = str(10**400)  # an integer beyond float range
+
+# Inputs that once ended in a traceback, and output paths that cannot be
+# written: (argv, contents of the file that a Path("input") argument names).
+# A Path argument names a file in the test's directory.
+UNUSABLE_INPUTS = {
+    "kernel-file-is-a-directory": (["calc", "contraction", "--kernel-file", Path(".")], None),
+    "kernel-file-not-utf8": (["calc", "contraction", "--kernel-file", Path("input")], b"\xff\xfe{}"),
+    "plan-nested-too-deep": (["schedule", "plan", "--config", Path("input")],
+                             "[" * 100_000 + "]" * 100_000),
+    "out-in-missing-directory": (["experiment", "run", "--config", Path("input"),
+                                  "--out", Path("missing/x.csv")], GOLDEN_DECAY),
+    "out-is-a-directory": (["experiment", "run", "--config", Path("input"), "--out", Path(".")],
+                           GOLDEN_DECAY),
+    "width-W-out-of-range": (["calc", "width", "--W", BIG, "--rho", "0.2"], None),
+    "objectives-H-out-of-range": (["calc", "objectives", "--p", "0.5", "--H", BIG], None),
+    "horizon-gap-out-of-range": (["calc", "horizon", "--eta", "0.9", "--delta2", "0.1", "--n", "1000",
+                                  "--epsilon", "0.1", "--gap", BIG], None),
+    "plan-n-out-of-range": (["schedule", "plan", "--config", Path("input")],
+                            {**PLAN, "n": 10**400, "budget": {"c_out": 10, "c_insp": 50}}),
+    "width-config-out-of-range": (["experiment", "run", "--config", Path("input"), "--out",
+                                   Path("x.csv")], {"kind": "width", "params": {"widths": [10**400]}}),
+    "mismatch-config-out-of-range": (["experiment", "run", "--config", Path("input"), "--out",
+                                      Path("x.csv")], {"kind": "mismatch", "params": {"H": 10**400}}),
+    "decay-config-out-of-range": (["experiment", "run", "--config", Path("input"), "--out",
+                                   Path("x.csv")], {"kind": "decay", "params": {"H": 10**400}}),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,contents", list(UNUSABLE_INPUTS.values()), ids=list(UNUSABLE_INPUTS),
+)
+def test_unusable_input_exits_1_with_one_error_line(capsys, tmp_path, argv, contents):
+    path = tmp_path / "input"
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    elif contents is not None:
+        path.write_text(contents if isinstance(contents, str) else json.dumps(contents))
+    code, out, err = run_cli(
+        capsys, *[str(tmp_path / arg) if isinstance(arg, Path) else arg for arg in argv]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 # The closed-form commands and the schedulers need only math, and a JSON input

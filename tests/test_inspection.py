@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from chcalc import inspection
@@ -22,6 +23,7 @@ from chcalc.inspection import (
     min_inspections_sufficient,
     poly_density_min,
     segment_report,
+    step_info_distances,
     uniform_schedule,
     worst_case_sample_lb,
 )
@@ -164,6 +166,17 @@ class TestFeasibilityThreshold:
         eps = 0.1
         n_delta2 = (1 - eps) ** 2
         assert feasibility_threshold(1.0, n_delta2, eps) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestStepInfoDistances:
+    def test_list_tuple_and_array_agree(self):
+        rng = random.Random(3)
+        etas = [rng.uniform(1e-6, 1.0) for _ in range(1000)] + [1.0]
+        expected = [math.log(1.0 / eta) for eta in etas]
+        for container in (list, tuple, np.array):
+            distances = step_info_distances(container(etas))
+            assert distances == expected
+            assert all(type(w) is float for w in distances)
 
 
 class TestGreedySchedule:

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from scipy.stats import binom
 
 from chcalc.errors import InvalidArgument
 from chcalc.objectives import (
+    _log_binom_pmf,
     ObjectivePoint,
     dj_add_dp,
     dj_mult_dp,
@@ -81,6 +83,23 @@ class TestInterpolated:
                     assert grad >= (1 - lam) * dj_add_dp(p, h) - 1e-12
 
 
+def _tail_sum_over_every_k(p, h, threshold):
+    """The tail sum over every k in [ceil(threshold*H), H), kept as the
+    reference for the windowed sum."""
+    if p == 1.0:
+        return 0.0
+    k_lo = math.ceil(threshold * h)
+    if k_lo >= h:
+        return 0.0
+    if p == 0.0:
+        return 0.0 if k_lo >= 1 else 1.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    total = 0.0
+    for k in range(k_lo, h):
+        total += math.exp(_log_binom_pmf(k, h, log_p, log_q))
+    return min(1.0, total)
+
+
 class TestMostlyCorrectButWrong:
     def test_perfect_policy_never_wrong(self):
         assert mostly_correct_but_wrong_prob(1.0, 100, 0.8) == 0.0
@@ -112,6 +131,25 @@ class TestMostlyCorrectButWrong:
             below = binom.cdf(k_lo - 1, h, p)
             all_correct = p**h
             assert middle + below + all_correct == pytest.approx(1.0, abs=1e-12)
+
+    def test_window_equals_the_sum_over_every_k(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            h = int(10 ** rng.uniform(0, math.log10(20_000)))
+            p = rng.choice([rng.random(), 1 - 10 ** rng.uniform(-12, 0), 10 ** rng.uniform(-12, 0), 0.5])
+            threshold = rng.choice([1.0 - rng.random(), 1.0, 1e-9, 0.5, p or 1.0])
+            expected = _tail_sum_over_every_k(p, h, threshold)
+            assert mostly_correct_but_wrong_prob(p, h, threshold) == expected, (p, h, threshold)
+
+    def test_hundred_million_steps(self):
+        h = 10**8
+        expected = binom.sf(h // 2 - 1, h, 0.5) - binom.pmf(h, h, 0.5)
+        # lgamma(H + 1) is about 1.7e9 here, so each log-pmf carries ~1e-7 of rounding
+        assert mostly_correct_but_wrong_prob(0.5, h, 0.5) == pytest.approx(expected, rel=1e-6)
+
+    def test_tail_beyond_ten_million_terms_refused(self):
+        with pytest.raises(InvalidArgument, match="H is too large for the exact tail sum"):
+            mostly_correct_but_wrong_prob(0.5, 10**12, 0.5)
 
     def test_threshold_validation(self):
         with pytest.raises(InvalidArgument):
