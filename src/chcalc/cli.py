@@ -130,9 +130,16 @@ def _cmd_calc_gamma(args) -> str:
 def _cmd_schedule_uniform(args) -> str:
     from . import inspection
 
+    report = {"--eta": args.eta, "--delta2": args.delta2, "--epsilon": args.epsilon}
+    missing = [flag for flag, value in report.items() if value is None]
+    if missing and (len(missing) < len(report) or args.n is not None):
+        raise InvalidArgument(
+            "--eta, --delta2 and --epsilon go together, and --n needs them: "
+            f"missing {', '.join(missing)}"
+        )
     schedule = inspection.uniform_schedule(args.H, args.m)
     payload: dict = {"times": list(schedule.times), "max_gap": inspection.maximal_gap(schedule)}
-    if args.eta is not None and args.delta2 is not None and args.epsilon is not None:
+    if not missing:
         segments = inspection.segment_report(schedule, args.eta, args.delta2, args.epsilon)
         worst = inspection.worst_segment(segments).worst_step_sample_lb
         payload["segments"] = [s.to_json_dict() for s in segments]

@@ -107,61 +107,21 @@ def _map_units(fn: Callable, units: Sequence) -> list:
 # frozen golden configs
 
 
-GOLDEN_DECAY = {
-    "kind": "decay",
-    "master_seed": 20260810,
-    "replicates": 1,
-    "params": {"etas": [0.7, 0.8, 0.9, 0.95], "states": 10, "H": 40},
-}
+def _golden(kind: str, **overrides) -> dict:
+    """The kind's default params, with ``overrides``, under the golden seed."""
+    return ExperimentConfig(kind, master_seed=20260810, params=overrides).to_json_dict()
 
-GOLDEN_WIDTH = {
-    "kind": "width",
-    "master_seed": 20260810,
-    "replicates": 1,
-    "params": {"rho": 0.15, "value": 0.5, "widths": [1, 4, 16, 64, 256], "groups": 100_000},
-}
 
+GOLDEN_DECAY = _golden("decay")
+GOLDEN_WIDTH = _golden("width")
 # The chain kernel retains fraction eta of the mean signal per step
 # (identity weight eta, so its chi-squared contraction coefficient is
 # eta**2); each checkpoint emits one success-set membership bit per
 # trajectory, and attribution error is the summed type-I + type-II rate,
 # whose single-bit optimum is the Le Cam total error.
-GOLDEN_INSPECTION = {
-    "kind": "inspection",
-    "master_seed": 20260810,
-    "replicates": 1,
-    "params": {
-        "H": 20,
-        "states": 10,
-        "eta": 0.9,
-        "epsilon": 0.1,
-        "schedules": [[5, 10, 15], [2, 4, 6], [14, 16, 18], [2, 13, 14]],
-        "n_per_test": 1,
-        "trials": 20_000,
-    },
-}
-
-GOLDEN_HORIZON = {
-    "kind": "horizon",
-    "master_seed": 20260810,
-    "replicates": 1,
-    "params": {
-        "H": 40,
-        "states": 10,
-        "etas": [0.7, 0.8],
-        "n": 1000,
-        "epsilon": 0.1,
-        "obs_per_trial": 2,
-        "trials": 10_000,
-    },
-}
-
-GOLDEN_MISMATCH = {
-    "kind": "mismatch",
-    "master_seed": 20260810,
-    "replicates": 1,
-    "params": {"p": 0.99, "H": 100, "threshold": 0.8, "chains": 100_000},
-}
+GOLDEN_INSPECTION = _golden("inspection", n_per_test=1)
+GOLDEN_HORIZON = _golden("horizon")
+GOLDEN_MISMATCH = _golden("mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +474,7 @@ def oracle_min_inspections(
     horizon = len(etas)
     if horizon > ORACLE_MAX_HORIZON:
         raise InvalidArgument(f"horizon must be at most {ORACLE_MAX_HORIZON} for enumeration")
-    budget = gamma
-    if inspection_fidelity is not None:
-        budget = gamma - math.log(1.0 / inspection_fidelity)
+    budget = inspection.segment_budget(gamma, inspection_fidelity)
     weights = inspection.step_info_distances(etas)
     if any(w > budget for w in weights):
         offender = next(t for t, w in enumerate(weights) if w > budget)

@@ -439,9 +439,22 @@ class PlanConfig:
         """Run the full design procedure: information budget, critical horizon,
         minimum inspection count, placement, and budget check.
 
-        With ``eta`` the placement is uniform, with ``etas`` greedy. Raises
+        With ``eta`` the placement is uniform, with ``etas`` greedy. Every
+        field is checked, in declaration order, before Gamma is judged. Raises
         Infeasible when no schedule can cover some step.
         """
+        check_min(self.H, "H", 1)
+        check_min(self.n, "n", 1)
+        check_positive(self.delta2, "delta2")
+        check_epsilon(self.epsilon)
+        if self.eta is not None:
+            check_eta(self.eta)
+        elif len(self.etas) != self.H:
+            raise InvalidArgument(f"etas length {len(self.etas)} must equal horizon {self.H}")
+        else:
+            weights = step_info_distances(self.etas)
+        if self.inspection_fidelity is not None:
+            check_eta(self.inspection_fidelity, "inspection_fidelity", "(]")
         gamma = feasibility_threshold(self.n, self.delta2, self.epsilon)
         if gamma <= 0:
             raise Infeasible(
@@ -453,18 +466,14 @@ class PlanConfig:
             params = HorizonParams(n=self.n, delta2=self.delta2, epsilon=self.epsilon, eta=self.eta)
             h_crit = critical_horizon(params)
             if self.inspection_fidelity is not None:
-                check_eta(self.inspection_fidelity, "inspection_fidelity", "(]")
                 h_crit = noisy_outcome_adjust(params, self.inspection_fidelity)
             m_necessary = min_inspections(self.H, h_crit)
             m_sufficient = min_inspections_sufficient(self.H, h_crit)
             schedule = uniform_schedule(self.H, m_sufficient)
             segments = segment_report(schedule, self.eta, self.delta2, self.epsilon)
         else:
-            if len(self.etas) != self.H:
-                raise InvalidArgument(f"etas length {len(self.etas)} must equal horizon {self.H}")
             # greedy_schedule and segment_report on one checked list of distances
             budget = segment_budget(gamma, self.inspection_fidelity)
-            weights = step_info_distances(self.etas)
             schedule = _greedy_placement(weights, budget)
             segments = _summaries(
                 schedule.segments(), _segment_infos(schedule, weights), self.delta2, self.epsilon

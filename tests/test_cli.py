@@ -1,5 +1,6 @@
 """End-to-end tests for every CLI surface, pinned to the documented examples."""
 
+import itertools
 import json
 import math
 import os
@@ -163,6 +164,11 @@ class TestCalcGamma:
         assert payload["gamma"] == pytest.approx(5.9145, abs=5e-5)
 
 
+# schedule uniform's optional flags: the first three report the segments, and
+# --n judges feasibility
+RATE_FLAGS = {"--eta": "0.9", "--delta2": "0.3", "--epsilon": "0.1", "--n": "5"}
+
+
 class TestScheduleUniform:
     def test_midpoint(self, capsys):
         payload = run_json(capsys, "schedule", "uniform", "--H", "50", "--m", "1")
@@ -182,6 +188,26 @@ class TestScheduleUniform:
         code, _, err = run_cli(capsys, "schedule", "uniform", "--H", "5", "--m", "7")
         assert code == 1
         assert "interior slots" in err
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            flags
+            for size in range(len(RATE_FLAGS) + 1)
+            for flags in itertools.combinations(RATE_FLAGS, size)
+        ],
+        ids=lambda flags: "+".join(flag.lstrip("-") for flag in flags) or "none",
+    )
+    def test_rate_flags_come_together(self, capsys, given):
+        argv = [arg for flag in given for arg in (flag, RATE_FLAGS[flag])]
+        code, out, err = run_cli(capsys, "schedule", "uniform", "--H", "10", "--m", "2", *argv)
+        missing = [flag for flag in ("--eta", "--delta2", "--epsilon") if flag not in given]
+        if given in ((), ("--eta", "--delta2", "--epsilon"), tuple(RATE_FLAGS)):
+            assert code == 0, err
+            assert ("segments" in json.loads(out)) == bool(given)
+        else:
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and err.rstrip().endswith(f"missing {', '.join(missing)}")
 
 
 class TestScheduleGreedy:
@@ -525,6 +551,7 @@ REFUSALS = [
     ("contraction", [[1.0, 0.0], [0.0, 1.0]], (), "kernel file"),
     ("plan", {**PLAN, "delta2": math.inf}, (), "delta2"),
     ("contraction", {"rows": [[math.nan, 1.0], [0.5, 0.5]]}, (), "rows[0][0]"),
+    ("plan", {**{k: v for k, v in PLAN.items() if k != "eta"}, "etas": [0.9] * 49}, (), "etas length"),
 ]
 
 
@@ -542,6 +569,38 @@ def test_malformed_json_input_is_refused(capsys, tmp_path, command, data, extra,
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+# An invalid field is refused, naming it, even where the sample budget n=1
+# leaves no positive Gamma: (command, file contents, extra arguments, field).
+FIELDS_BEFORE_GAMMA = {
+    "plan-H": ("plan", {"eta": 0.9, "H": -5, "n": 1}, (), "H"),
+    "plan-H-large-n": ("plan", {"eta": 0.9, "H": -5, "n": 1000}, (), "H"),
+    "plan-eta": ("plan", {"eta": 1.5, "H": 5, "n": 1}, (), "eta"),
+    "plan-etas": ("plan", {"etas": [1.5, 0.3], "H": 3, "n": 1}, (), "etas"),
+    "plan-fidelity": ("plan", {"eta": 0.9, "H": 5, "n": 1, "inspection_fidelity": 7}, (),
+                      "inspection_fidelity"),
+    "greedy-etas": ("greedy", {"etas": [1.5, 0.8, 0.95]}, (), "etas[0]"),
+    "greedy-eta-g": ("greedy", {"etas": [0.9, 0.8, 0.95]}, ("--eta-g", "7"), "inspection_fidelity"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,data,extra,field", list(FIELDS_BEFORE_GAMMA.values()), ids=list(FIELDS_BEFORE_GAMMA)
+)
+def test_plan_fields_are_checked_before_gamma(capsys, tmp_path, command, data, extra, field):
+    path = tmp_path / "input.json"
+    if command == "plan":
+        data = {**data, "delta2": 0.3, "epsilon": 0.1}
+    path.write_text(json.dumps(data))
+    argv = {
+        "plan": ["schedule", "plan", "--config", str(path)],
+        "greedy": ["schedule", "greedy", "--etas-file", str(path),
+                   "--n", "1", "--delta2", "0.3", "--epsilon", "0.1"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field} ")
 
 
 BIG = str(10**400)  # an integer beyond float range

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from chcalc.experiments import (
     run_experiment,
     unit_rng,
 )
-from chcalc.inspection import greedy_schedule, min_gap_value
+from chcalc.inspection import greedy_schedule, min_gap_value, step_info_distances
 
 
 def small(config: dict, **param_overrides) -> ExperimentConfig:
@@ -47,6 +48,31 @@ class TestConfig:
         for data in (GOLDEN_DECAY, GOLDEN_WIDTH, GOLDEN_INSPECTION, GOLDEN_HORIZON, GOLDEN_MISMATCH):
             cfg = ExperimentConfig.from_json_dict(data)
             assert ExperimentConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "config,literal",
+        [
+            (GOLDEN_DECAY, '{"kind": "decay", "master_seed": 20260810, "replicates": 1, '
+             '"params": {"etas": [0.7, 0.8, 0.9, 0.95], "states": 10, "H": 40}}'),
+            (GOLDEN_WIDTH, '{"kind": "width", "master_seed": 20260810, "replicates": 1, '
+             '"params": {"rho": 0.15, "value": 0.5, "widths": [1, 4, 16, 64, 256], '
+             '"groups": 100000}}'),
+            (GOLDEN_INSPECTION, '{"kind": "inspection", "master_seed": 20260810, "replicates": 1, '
+             '"params": {"H": 20, "states": 10, "eta": 0.9, "epsilon": 0.1, '
+             '"schedules": [[5, 10, 15], [2, 4, 6], [14, 16, 18], [2, 13, 14]], '
+             '"n_per_test": 1, "trials": 20000}}'),
+            (GOLDEN_HORIZON, '{"kind": "horizon", "master_seed": 20260810, "replicates": 1, '
+             '"params": {"H": 40, "states": 10, "etas": [0.7, 0.8], "n": 1000, "epsilon": 0.1, '
+             '"obs_per_trial": 2, "trials": 10000}}'),
+            (GOLDEN_MISMATCH, '{"kind": "mismatch", "master_seed": 20260810, "replicates": 1, '
+             '"params": {"p": 0.99, "H": 100, "threshold": 0.8, "chains": 100000}}'),
+        ],
+        ids=["decay", "width", "inspection", "horizon", "mismatch"],
+    )
+    def test_golden_configs_are_pinned(self, config, literal):
+        # The golden configs are built from the kinds' defaults, so a changed
+        # default must not move one unnoticed.
+        assert json.dumps(config) == literal
 
 
 class TestSeedDerivation:
@@ -263,6 +289,31 @@ class TestOracles:
     def test_oracle_infeasible_single_step(self):
         with pytest.raises(Infeasible):
             oracle_min_inspections([0.9, 1e-6, 0.9], 1.0)
+
+    def test_greedy_matches_oracle_through_an_inspection_channel(self):
+        rng = np.random.default_rng(11)
+        infeasible = []
+        for _ in range(150):
+            h = int(rng.integers(3, 13))
+            etas = rng.uniform(0.35, 0.99, size=h)
+            gamma = max(step_info_distances(etas)) * float(rng.uniform(1.05, 3.0))
+            fidelity = float(rng.uniform(0.5, 1.0))
+            try:
+                greedy_m = greedy_schedule(etas, gamma, fidelity).m
+            except Infeasible:
+                greedy_m = None
+            try:
+                oracle_m = oracle_min_inspections(etas, gamma, fidelity)
+            except Infeasible:
+                oracle_m = None
+            assert greedy_m == oracle_m
+            infeasible.append(greedy_m is None)
+        assert any(infeasible) and not all(infeasible)  # both outcomes are exercised
+
+    @pytest.mark.parametrize("fidelity", [0.0, 1.5, math.nan])
+    def test_oracle_refuses_fidelity_outside_unit_interval(self, fidelity):
+        with pytest.raises(InvalidArgument, match="inspection_fidelity"):
+            oracle_min_inspections([0.9] * 3, 1.0, fidelity)
 
     def test_run_oracle_all_match(self):
         cfg = ExperimentConfig(

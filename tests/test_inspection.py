@@ -358,6 +358,11 @@ class TestDesignProcedure:
                 horizon=10, n=100, delta2=1.0, epsilon=0.1, eta=0.9, etas=[0.9] * 10
             )
 
+    @pytest.mark.parametrize("rates", [{"eta": 0.9}, {"etas": [0.9] * 10}])
+    def test_n_below_one_refused_in_both_modes(self, rates):
+        with pytest.raises(InvalidArgument, match="n must be at least 1"):
+            design_procedure(horizon=10, n=0.5, delta2=0.3, epsilon=0.1, **rates)
+
     def test_plan_config_refuses_both_rates_at_load(self):
         data = {"H": 10, "n": 100, "delta2": 1.0, "epsilon": 0.1, "eta": 0.9, "etas": [0.9] * 10}
         with pytest.raises(InvalidArgument, match="exactly one of eta or etas"):
