@@ -45,6 +45,19 @@ def _load_json(path: str) -> dict:
         raise InvalidArgument(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _int(text: str) -> int:
+    """An integer flag's argparse type, which refuses an integer beyond float
+    range; argparse names the flag."""
+    try:
+        value = int(text)
+        float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"out of range, got {text}") from None
+    return value
+
+
 def _given(**options) -> dict:
     """The options set on the command line; the library defaults the rest."""
     return {name: value for name, value in options.items() if value is not None}
@@ -201,33 +214,33 @@ def _add_calc_parsers(subparsers) -> None:
     p = calc_sub.add_parser("horizon", help="critical horizon and sample bounds")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--delta2", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--eta-g", dest="eta_g", type=float, default=None)
-    p.add_argument("--gap", type=int, default=None)
+    p.add_argument("--gap", type=_int, default=None)
     p.set_defaults(func=_cmd_calc_horizon)
 
     p = calc_sub.add_parser("width", help="effective width under correlation")
-    p.add_argument("--W", type=int, required=True)
+    p.add_argument("--W", type=_int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--value", type=float)
     p.set_defaults(func=_cmd_calc_width)
 
     p = calc_sub.add_parser("contraction", help="contraction coefficient bounds")
     p.add_argument("--kernel-file", dest="kernel_file", required=True)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=_int)
+    p.add_argument("--seed", type=_int)
     p.set_defaults(func=_cmd_calc_contraction)
 
     p = calc_sub.add_parser("objectives", help="additive vs multiplicative objectives")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--H", type=int, required=True)
+    p.add_argument("--H", type=_int, required=True)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=_cmd_calc_objectives)
 
     p = calc_sub.add_parser("gamma", help="per-segment information budget")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--delta2", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.set_defaults(func=_cmd_calc_gamma)
@@ -238,17 +251,17 @@ def _add_schedule_parsers(subparsers) -> None:
     sched_sub = sched.add_subparsers(dest="schedule_command", required=True)
 
     p = sched_sub.add_parser("uniform", help="minimax-uniform placement")
-    p.add_argument("--H", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--H", type=_int, required=True)
+    p.add_argument("--m", type=_int, required=True)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--delta2", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int, default=None)
     p.set_defaults(func=_cmd_schedule_uniform)
 
     p = sched_sub.add_parser("greedy", help="greedy information-distance placement")
     p.add_argument("--etas-file", dest="etas_file", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--delta2", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--eta-g", dest="eta_g", type=float, default=None)
@@ -266,7 +279,7 @@ def _add_experiment_parsers(subparsers) -> None:
     p = exp_sub.add_parser("run", help="run one experiment config to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.set_defaults(func=_cmd_experiment_run)
 
 
@@ -300,7 +313,8 @@ def main(argv: list[str] | None = None) -> int:
         print(_dumps({"infeasible": True, "reason": exc.reason, "step": exc.step}))
         return 2
     except (InvalidArgument, OSError, OverflowError) as exc:
-        # an OverflowError is an integer beyond float range
+        # an OverflowError is a number too large for the arithmetic, such as a
+        # count beyond 64 bits; integers beyond float range are refused earlier
         reason = f"a number is out of range: {exc}" if isinstance(exc, OverflowError) else exc
         print(f"error: {reason}", file=sys.stderr)
         return 1

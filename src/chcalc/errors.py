@@ -103,10 +103,10 @@ def from_json(cls, data, what: str):
     messages call ``what``.
 
     The JSON typing rule: unknown keys are refused, and a field without a
-    default must be present. An ``int`` field refuses bool, str, null and
-    float; a ``float`` field refuses bool, str, null, NaN and infinities and
-    stores a float; for a ``tuple[X, ...]`` field the list and each element
-    are checked; a dataclass field is built by its class's
+    default must be present. An ``int`` field refuses bool, str, null,
+    float and an integer beyond float range; a ``float`` field refuses bool,
+    str, null, NaN and infinities and stores a float; for a ``tuple[X, ...]``
+    field the list and each element are checked; a dataclass field is built by its class's
     ``from_json_dict``; ``X | None`` also admits null; an ``Any`` field is
     left to the class.
     """
@@ -145,6 +145,8 @@ def _json_value(value, hint, name: str):
         raise InvalidArgument(f"{name} must be {noun}, got {value!r}")
     try:
         result = hint(value)
+        if hint is int:
+            float(result)
     except OverflowError as exc:  # an integer beyond float range
         raise InvalidArgument(f"{name} is out of range, got {value!r}") from exc
     if hint is float and not math.isfinite(result):  # JSON NaN, Infinity, -Infinity

@@ -271,16 +271,56 @@ def _outcome_probs_by_distance(states: int, h: int, kernel: markov.Kernel) -> li
     return probs
 
 
+def _count_level(rng, counts, mult, n: int, q: float, q_next: float, log_fact: np.ndarray):
+    """Move a histogram of success counts #{u < q} over n uniforms per trial
+    up to the level q_next >= q: each of the mult[k] trials whose count is
+    counts[k] gains Bin(n - counts[k], (q_next - q) / (1 - q)), the
+    conditional-binomial construction of the multinomial. Returns the new
+    (counts, mult), occupied counts only, ascending.
+
+    The transition rows are binomial pmfs from the ln k! table ``log_fact``,
+    one row per occupied count, drawn in one multinomial call. Columns
+    farther than 20 sqrt(n - c) from a row's mean are left out: by Hoeffding
+    the pmf there is below e^-800, under the smallest positive double.
+    Equal levels (q values that coincide after underflow) draw nothing.
+    """
+    if q_next == q:
+        return counts, mult
+    rate = (q_next - q) / (1.0 - q)
+    m = n - counts
+    mean = counts + m * rate
+    spread = 20.0 * np.sqrt(m)
+    lo = int(max(counts[0], np.floor(mean - spread).min()))
+    hi = int(min(n, np.ceil(mean + spread).max()))
+    added = np.arange(lo, hi + 1) - counts[:, None]
+    i = np.maximum(added, 0)
+    mi = m[:, None] - i
+    log_pmf = (
+        log_fact[m][:, None] - log_fact[i] - log_fact[mi]
+        + i * math.log(rate) + mi * math.log1p(-rate)
+    )
+    rows = np.where(added >= 0, np.exp(log_pmf), 0.0)
+    rows /= rows.sum(axis=1, keepdims=True)
+    total = rng.multinomial(mult, rows).sum(axis=0)
+    occupied = np.flatnonzero(total)
+    return lo + occupied, total[occupied]
+
+
 def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     """Worst-case attribution error of competing inspection schedules.
 
     For each step t the hypotheses are (point mass on state 0, uniform) at
     t; the nearest downstream checkpoint emits one success-set membership
     bit per trajectory and the step's error is the summed type-I + type-II
-    rate of the midpoint-threshold test on n_per_test such bits. Draws are
-    shared across schedules (matched seeds), so refining a schedule never
-    increases its measured error. The reported theory column is the Le Cam
-    total error of a single checkpoint bit.
+    rate of the midpoint-threshold test on n_per_test such bits. The
+    reported theory column is the Le Cam total error of a single checkpoint
+    bit.
+
+    Only histograms of the trials' success counts are drawn, one level per
+    distinct downstream distance of the step, in ascending q0 (see
+    ``_count_level``). All schedules share a step's levels, so refining a
+    schedule never increases its measured error at n_per_test = 1, and a
+    (step, distance) error depends on which distances the schedules use.
     """
     p = cfg.params
     h, states, eta, epsilon = p.H, p.states, p.eta, p.epsilon
@@ -301,20 +341,26 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     # Le Cam total error of one checkpoint bit, by downstream distance
     bit = markov.ProbVec([1 - q1, q1])
     lecam = [divergence.lecam_total_error(markov.ProbVec([1 - q, q]), bit) for q in q_by_distance]
+    log_fact = np.fromiter(map(math.lgamma, range(1, n_per_test + 2)), float, n_per_test + 1)
+    # every trial at count 0, the level q = 0
+    start = (np.zeros(1, dtype=np.int64), np.array([trials], dtype=np.int64))
 
     def one_step(args):
         """Summed error at step t for each downstream distance the schedules use."""
         replicate, t = args
         rng = unit_rng(cfg.master_seed, "inspection", replicate, t)
-        u0 = rng.random((trials, n_per_test))
-        u1 = rng.random((trials, n_per_test))
-        x1 = (u1 < q1).sum(axis=1)
+        counts1, mult1 = _count_level(rng, *start, n_per_test, 0.0, q1, log_fact)
+        (counts0, mult0), q = start, 0.0
         errors = {}
-        for d in {ds[t] for ds in d_by_schedule.values()}:
+        for d in sorted({ds[t] for ds in d_by_schedule.values()}, key=q_by_distance.__getitem__):
             q0 = q_by_distance[d]
+            counts0, mult0 = _count_level(rng, counts0, mult0, n_per_test, q, q0, log_fact)
+            q = q0
             k_star = _midpoint_threshold(q0, q1, n_per_test)
-            x0 = (u0 < q0).sum(axis=1)
-            errors[d] = float(np.mean(x0 < k_star)) + float(np.mean(x1 >= k_star))
+            errors[d] = (
+                int(mult0[counts0 < k_star].sum()) / trials
+                + int(mult1[counts1 >= k_star].sum()) / trials
+            )
         return errors
 
     rows = []

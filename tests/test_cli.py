@@ -629,23 +629,55 @@ UNUSABLE_INPUTS = {
                                       Path("x.csv")], {"kind": "mismatch", "params": {"H": 10**400}}),
     "decay-config-out-of-range": (["experiment", "run", "--config", Path("input"), "--out",
                                    Path("x.csv")], {"kind": "decay", "params": {"H": 10**400}}),
+    "width-groups-out-of-range": (["experiment", "run", "--config", Path("input"), "--out",
+                                   Path("x.csv")], {"kind": "width", "params": {"groups": 10**400}}),
+    "mismatch-chains-out-of-range": (["experiment", "run", "--config", Path("input"), "--out",
+                                      Path("x.csv")], {"kind": "mismatch", "params": {"chains": 10**400}}),
+    "inspection-trials-out-of-range": (["experiment", "run", "--config", Path("input"), "--out",
+                                        Path("x.csv")], {"kind": "inspection", "params": {"trials": 10**400}}),
 }
+
+# How each out-of-range refusal above names its flag or field.
+OUT_OF_RANGE_MESSAGES = {
+    "width-W-out-of-range": "error: chcalc calc width: argument --W: out of range, got 1000",
+    "objectives-H-out-of-range": "error: chcalc calc objectives: argument --H: out of range, got 1000",
+    "horizon-gap-out-of-range": "error: chcalc calc horizon: argument --gap: out of range, got 1000",
+    "plan-n-out-of-range": "error: n is out of range, got 1000",
+    "width-config-out-of-range": "error: widths[0] is out of range, got 1000",
+    "mismatch-config-out-of-range": "error: H is out of range, got 1000",
+    "decay-config-out-of-range": "error: H is out of range, got 1000",
+    "width-groups-out-of-range": "error: groups is out of range, got 1000",
+    "mismatch-chains-out-of-range": "error: chains is out of range, got 1000",
+    "inspection-trials-out-of-range": "error: trials is out of range, got 1000",
+}
+
+
+def _run_with_input(capsys, tmp_path, argv, contents):
+    """Write ``contents`` to the file a Path("input") argument names, then run."""
+    path = tmp_path / "input"
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    elif contents is not None:
+        path.write_text(contents if isinstance(contents, str) else json.dumps(contents))
+    return run_cli(
+        capsys, *[str(tmp_path / arg) if isinstance(arg, Path) else arg for arg in argv]
+    )
 
 
 @pytest.mark.parametrize(
     "argv,contents", list(UNUSABLE_INPUTS.values()), ids=list(UNUSABLE_INPUTS),
 )
 def test_unusable_input_exits_1_with_one_error_line(capsys, tmp_path, argv, contents):
-    path = tmp_path / "input"
-    if isinstance(contents, bytes):
-        path.write_bytes(contents)
-    elif contents is not None:
-        path.write_text(contents if isinstance(contents, str) else json.dumps(contents))
-    code, out, err = run_cli(
-        capsys, *[str(tmp_path / arg) if isinstance(arg, Path) else arg for arg in argv]
-    )
+    code, out, err = _run_with_input(capsys, tmp_path, argv, contents)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_MESSAGES))
+def test_integer_beyond_float_range_names_its_field(capsys, tmp_path, case):
+    code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
+    assert code == 1
+    assert err.startswith(OUT_OF_RANGE_MESSAGES[case])
 
 
 # The closed-form commands and the schedulers need only math, and a JSON input

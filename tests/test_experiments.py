@@ -1,8 +1,11 @@
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from chcalc.errors import Infeasible, InvalidArgument
 from chcalc.experiments import (
@@ -13,6 +16,7 @@ from chcalc.experiments import (
     GOLDEN_WIDTH,
     ExperimentConfig,
     ResultTable,
+    _count_level,
     exact_two_point_accuracy,
     oracle_min_gap,
     oracle_min_inspections,
@@ -181,6 +185,42 @@ class TestRunInspection:
         ):
             assert measured == pytest.approx(exact, abs=0.02)
 
+    def test_measured_tracks_exact_tails_at_thirty_bits(self):
+        trials = 20_000
+        table = run_experiment(small(GOLDEN_INSPECTION, n_per_test=30, trials=trials))
+        p = table.metadata["config"]["params"]
+        h, states, eta, n = p["H"], p["states"], p["eta"], p["n_per_test"]
+        q1 = 1.0 / states
+        for schedule, measured in zip(table.column("schedule"), table.column("err_worst_measured")):
+            times = [int(t) for t in schedule.split(";")]
+            # exact error P(Bin(n, q0) < k*) + P(Bin(n, q1) >= k*) and its standard
+            # error at each downstream distance the schedule leaves
+            bands = []
+            for d in {next((u for u in times if u > t), h) - t for t in range(h)}:
+                q0 = q1 + (1 - q1) * eta**d
+                k_star = math.ceil(n * 0.5 * (q0 + q1) - 1e-12)
+                miss0, miss1 = stats.binom.cdf(k_star - 1, n, q0), stats.binom.sf(k_star - 1, n, q1)
+                se = math.sqrt((miss0 * (1 - miss0) + miss1 * (1 - miss1)) / trials)
+                bands.append((miss0 + miss1 - 5 * se, miss0 + miss1 + 5 * se))
+            # each step's sampled error lies within 5 standard errors of its exact
+            # value, so the worst step's lies between the largest ends
+            assert max(lo for lo, _ in bands) <= measured <= max(hi for _, hi in bands)
+
+    def test_work_does_not_grow_with_trials_times_bits(self):
+        # a per-bit draw would hold 2 x trials x n_per_test uniforms
+        n, trials = 200_000, 3
+        cfg = small(GOLDEN_INSPECTION, H=6, schedules=[[3], [2, 4]], n_per_test=n, trials=trials)
+        started = time.perf_counter()
+        run_experiment(cfg)
+        assert time.perf_counter() - started < 1.0
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * trials * n * 8
+
     def test_superset_schedule_never_worse(self):
         # matched draws make refinement exactly monotone at one bit per test
         cfg = small(
@@ -192,6 +232,103 @@ class TestRunInspection:
         errs = dict(zip(table.column("schedule"), table.column("err_worst_measured")))
         assert errs["5;10;15"] <= errs["5;15"] + 1e-12
         assert errs["2;5;10;15;17"] <= errs["5;10;15"] + 1e-12
+
+
+def _chi2_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
+    """Chi-squared fit, cells with expected count below 5 pooled into one;
+    a cell of probability 0 must stay empty."""
+    observed, expected = np.ravel(observed), np.ravel(expected)
+    possible = expected > 0
+    assert not observed[~possible].any()
+    observed, expected = observed[possible], expected[possible]
+    rare = expected < 5
+    if rare.any():
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    return stats.chisquare(observed, expected).pvalue
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    return special.gammaln(np.arange(1, n + 2))
+
+
+def _joint_by_levels(rng, n, q, q_next, trials, level=_count_level):
+    """Joint counts table[a, b] of a trial's success counts at q and q_next,
+    drawn as level histograms: the trials at each first-level count a move on
+    by themselves."""
+    log_fact = _log_factorials(n)
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    start = np.zeros(1, dtype=np.int64), np.array([trials])
+    for a, h in zip(*level(rng, *start, n, 0.0, q, log_fact)):
+        counts, mult = level(rng, np.array([a]), np.array([h]), n, q, q_next, log_fact)
+        table[a, counts] = mult
+    return table
+
+
+def _joint_by_bits(rng, n, q, q_next, trials):
+    """The per-bit reference, the inspection experiment's sampler before count
+    histograms: each trial's count at q is #{u < q} over its own n uniforms."""
+    u = rng.random((trials, n))
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    np.add.at(table, ((u < q).sum(axis=1), (u < q_next).sum(axis=1)), 1)
+    return table
+
+
+def _level_missing_the_rescale(rng, counts, mult, n, q, q_next, log_fact):
+    """A faulty level whose conditional rate is q_next - q, not (q_next - q) / (1 - q)."""
+    return _count_level(rng, counts, mult, n, 0.0, q_next - q, log_fact)
+
+
+def _joint_pmf(n, q, q_next):
+    """P(count a at q, count b at q_next): each uniform falls below q, in
+    [q, q_next), or above q_next."""
+    a, b = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    pmf = stats.multinomial.pmf(
+        np.stack([a, b - a, n - b], axis=-1), n, [q, q_next - q, 1 - q_next]
+    )
+    return np.where(b >= a, pmf, 0.0)
+
+
+class TestCountLevels:
+    JOINT_SAMPLERS = {
+        "levels": _joint_by_levels,
+        "per-bit": _joint_by_bits,
+        "missing-rescale": lambda *args: _joint_by_levels(*args, level=_level_missing_the_rescale),
+    }
+
+    @pytest.mark.parametrize("sampler", list(JOINT_SAMPLERS))
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_two_level_joint_fits_exact_law(self, sampler, n):
+        q, q_next, trials = 0.3, 0.55, 20_000
+        table = self.JOINT_SAMPLERS[sampler](np.random.default_rng(11), n, q, q_next, trials)
+        assert table.sum() == trials
+        pvalue = _chi2_pvalue(table, trials * _joint_pmf(n, q, q_next))
+        if sampler == "missing-rescale":
+            assert pvalue < 1e-3
+        else:
+            assert pvalue > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 30, 2000])
+    def test_each_level_fits_its_binomial(self, n):
+        # 2000 bits leave out the columns farther than 20 sqrt(n - c) from a row's mean
+        rng, trials, log_fact = np.random.default_rng(5), 20_000, _log_factorials(n)
+        (counts, mult), q = (np.zeros(1, dtype=np.int64), np.array([trials])), 0.0
+        for q_next in (0.5, 0.7, 0.7, 0.95):
+            counts, mult = _count_level(rng, counts, mult, n, q, q_next, log_fact)
+            q = q_next
+            assert np.all(np.diff(counts) > 0) and mult.sum() == trials
+            observed = np.zeros(n + 1, dtype=np.int64)
+            observed[counts] = mult
+            expected = trials * stats.binom.pmf(np.arange(n + 1), n, q)
+            assert _chi2_pvalue(observed, expected) > 1e-3
+
+    def test_equal_levels_draw_nothing(self):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        counts, mult = np.array([0, 2]), np.array([5, 7])
+        moved = _count_level(rng, counts, mult, 2, 0.4, 0.4, _log_factorials(2))
+        assert moved[0] is counts and moved[1] is mult
+        assert rng.bit_generator.state == state
 
 
 class TestRunHorizon:
