@@ -23,9 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import divergence, inspection, markov, objectives, width
-from .errors import Infeasible, InvalidArgument, check_min, check_range
+from .errors import Infeasible, InvalidArgument, check_range
 from .horizon import critical_horizon, critical_horizon_simplified, HorizonParams
 from .schema import (  # re-exported: the config and its params are declared in schema
+    HORIZON_MAX_OBS,
     KIND_IDS,
     ORACLE_MAX_HORIZON,
     DecayExperiment,
@@ -249,7 +250,7 @@ def exact_two_point_accuracy(q0: float, q1: float, n_obs: int) -> float:
     the hypothesis (q0 vs q1) is drawn uniformly."""
     if not (0 <= q1 <= q0 <= 1):
         raise InvalidArgument("need 0 <= q1 <= q0 <= 1")
-    check_min(n_obs, "n_obs", 1)
+    check_range(n_obs, "n_obs", 1, HORIZON_MAX_OBS, "[]")
     k_star = _midpoint_threshold(q0, q1, n_obs)
     correct0 = sum(
         math.comb(n_obs, k) * q0**k * (1 - q0) ** (n_obs - k) for k in range(k_star, n_obs + 1)

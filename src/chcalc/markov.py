@@ -11,47 +11,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, check_eta, check_min, check_positive, check_range, from_json
-from .schema import KernelFile, ProbVecFile
+from .errors import InvalidArgument, check_eta, check_min, check_positive, check_range
+from .schema import KernelFile
 
 # Constructors reject anything farther from stochastic than this; they
 # renormalize (rather than silently accept) anything closer.
 CONSTRUCTION_TOL = 1e-12
 
 
-def _as_float_vector(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidArgument("distribution entries must form a nonempty 1-d vector")
-    return arr
-
-
-def _check_nonnegative(arr: np.ndarray, what: str) -> None:
-    if not np.all(arr >= 0):  # NaN compares False, so it is refused here too
+def _stochastic(arr: np.ndarray, what: str) -> np.ndarray:
+    """The stochastic-array rule on the last axis of ``arr``, a ``what``
+    ("distribution" or "kernel"): entries nonnegative and not NaN, each sum
+    within CONSTRUCTION_TOL of 1. Returns ``arr`` divided by its sums, read-only."""
+    if not arr.min() >= 0:  # a NaN entry makes the min NaN, so it is refused here too
         problem = "must not be NaN" if np.isnan(arr).any() else "must be nonnegative"
         raise InvalidArgument(f"{what} entries {problem}")
+    with np.errstate(over="ignore"):  # a sum beyond float range is inf, refused below
+        sums = arr.sum(axis=-1, keepdims=True)
+    worst = abs(sums - 1.0).max()
+    if worst > CONSTRUCTION_TOL:
+        summed = "rows" if arr.ndim == 2 else "entries"
+        raise InvalidArgument(
+            f"{what} {summed} must sum to 1 within {CONSTRUCTION_TOL:g} "
+            f"(worst deviation {float(worst):g})"
+        )
+    arr = arr / sums
+    arr.flags.writeable = False
+    return arr
 
 
 class ProbVec:
     """Probability distribution over abstract states.
 
-    Entries must be nonnegative and sum to 1 within ``tol``; the stored
-    vector is renormalized to sum exactly to 1 and frozen.
+    Entries must be nonnegative and sum to 1 within CONSTRUCTION_TOL; the
+    stored vector is renormalized to sum exactly to 1 and frozen.
     """
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, *, tol: float = CONSTRUCTION_TOL):
-        arr = _as_float_vector(entries)
-        _check_nonnegative(arr, "distribution")
-        total = float(arr.sum())
-        if abs(total - 1.0) > tol:
-            raise InvalidArgument(
-                f"distribution entries must sum to 1 within {tol:g} (got {total!r})"
-            )
-        arr = arr / total
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+    def __init__(self, entries):
+        arr = np.asarray(entries, dtype=float)
+        if arr.ndim != 1 or arr.size == 0:
+            raise InvalidArgument("distribution entries must form a nonempty 1-d vector")
+        object.__setattr__(self, "entries", _stochastic(arr, "distribution"))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProbVec is immutable")
@@ -66,36 +68,20 @@ class ProbVec:
     def __repr__(self) -> str:
         return f"ProbVec({self.entries.tolist()!r})"
 
-    def to_json_dict(self) -> dict:
-        return {"entries": self.entries.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ProbVec":
-        return cls(from_json(ProbVecFile, data, "distribution").entries)
-
 
 class Kernel:
     """Row-stochastic transition matrix; rows[z, z'] = P(next = z' | current = z)."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows, *, tol: float = CONSTRUCTION_TOL):
+    def __init__(self, rows):
         try:
             arr = np.asarray(rows, dtype=float)
         except ValueError:  # ragged rows fail the shape check below
             arr = np.empty(0)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InvalidArgument("kernel rows must form a nonempty square matrix")
-        _check_nonnegative(arr, "kernel")
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > tol):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            raise InvalidArgument(
-                f"kernel rows must sum to 1 within {tol:g} (worst deviation {worst:g})"
-            )
-        arr = arr / sums[:, None]
-        arr.flags.writeable = False
-        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "rows", _stochastic(arr, "kernel"))
 
     def __setattr__(self, name, value):
         raise AttributeError("Kernel is immutable")

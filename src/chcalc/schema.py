@@ -1,5 +1,5 @@
 """The JSON inputs: the experiment config with its six per-kind params, and the
-kernel, distribution and etas file layouts.
+kernel and etas file layouts.
 
 Every declaration here loads through ``errors.from_json`` and needs no numpy,
 so a malformed input is refused before a command imports the numerical
@@ -29,6 +29,10 @@ KIND_IDS = {"decay": 0, "width": 1, "inspection": 2, "horizon": 3, "mismatch": 4
 
 # Exhaustive schedule enumeration is exponential in H.
 ORACLE_MAX_HORIZON = 14
+
+# The exact horizon accuracy multiplies comb(n, k) by a float; comb(n, n // 2)
+# first exceeds the largest float at n = 1030.
+HORIZON_MAX_OBS = 1029
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +110,7 @@ class HorizonExperiment:
         check_etas(self.etas)
         check_min(self.n, "n", 1)
         check_epsilon(self.epsilon)
-        check_min(self.obs_per_trial, "obs_per_trial", 1)
+        check_range(self.obs_per_trial, "obs_per_trial", 1, HORIZON_MAX_OBS, "[]")
         check_min(self.trials, "trials", 1)
 
 
@@ -197,13 +201,6 @@ class KernelFile:
     @classmethod
     def from_json_dict(cls, data: dict) -> "KernelFile":
         return from_json(cls, data, "kernel file")
-
-
-@dataclass(frozen=True)
-class ProbVecFile:
-    """A distribution {"entries": [...]}."""
-
-    entries: tuple[float, ...]
 
 
 @dataclass(frozen=True)

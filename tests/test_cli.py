@@ -141,6 +141,28 @@ class TestCalcContraction:
         assert (code, out) == (1, "")
         assert err == "error: seed must be at least 0, got -1\n"
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print more stderr lines
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"rows": [[1.1, -0.1], [0.5, 0.5]]}, "kernel entries must be nonnegative"),
+            ({"rows": [[0.6, 0.5], [0.5, 0.5]]},
+             "kernel rows must sum to 1 within 1e-12 (worst deviation 0.1)"),
+            ({"rows": [[1e308, 1e308], [0.5, 0.5]]},
+             "kernel rows must sum to 1 within 1e-12 (worst deviation inf)"),
+            ({"rows": [[0.5, 0.5]]}, "kernel rows must form a nonempty square matrix"),
+            ({"rows": [[1.0], [0.5, 0.5]]}, "kernel rows must form a nonempty square matrix"),
+            ({"states": 3, "rows": [[0.5, 0.5], [0.5, 0.5]]},
+             "kernel 'states' field (3) does not match matrix size (2)"),
+        ],
+        ids=["negative", "sum-1.1", "sum-overflows", "not-square", "ragged", "states-mismatch"],
+    )
+    def test_kernel_refusals_verbatim(self, capsys, tmp_path, data, message):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "calc", "contraction", "--kernel-file", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestCalcObjectives:
     def test_payload(self, capsys):
@@ -635,6 +657,10 @@ UNUSABLE_INPUTS = {
                                       Path("x.csv")], {"kind": "mismatch", "params": {"chains": 10**400}}),
     "inspection-trials-out-of-range": (["experiment", "run", "--config", Path("input"), "--out",
                                         Path("x.csv")], {"kind": "inspection", "params": {"trials": 10**400}}),
+    # the exact accuracy would weigh binomial coefficients beyond float range
+    "horizon-obs-out-of-range": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
+                                 {"kind": "horizon", "params": {"H": 1, "etas": [0.7],
+                                                                "obs_per_trial": 2000, "trials": 1}}),
 }
 
 # How each out-of-range refusal above names its flag or field.
@@ -649,6 +675,7 @@ OUT_OF_RANGE_MESSAGES = {
     "width-groups-out-of-range": "error: groups is out of range, got 1000",
     "mismatch-chains-out-of-range": "error: chains is out of range, got 1000",
     "inspection-trials-out-of-range": "error: trials is out of range, got 1000",
+    "horizon-obs-out-of-range": "error: obs_per_trial must lie in [1,1029], got 2000\n",
 }
 
 

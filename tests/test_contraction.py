@@ -118,8 +118,8 @@ def _reference_eta_lower(kernel, trials, seed):
         if denom <= 0.0:
             return 0.0
         try:
-            pushed_p = ProbVec(p.entries @ kernel.rows, tol=1e-10)
-            pushed_q = ProbVec(q.entries @ kernel.rows, tol=1e-10)
+            pushed_p = ProbVec(p.entries @ kernel.rows)
+            pushed_q = ProbVec(q.entries @ kernel.rows)
             return chi2(pushed_p, pushed_q) / denom
         except AbsoluteContinuityViolated:
             skipped += 1
@@ -136,7 +136,7 @@ def _reference_eta_lower(kernel, trials, seed):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
         p = point_mass(int(rng.integers(n)), n)
         draw = rng.dirichlet(np.ones(n))
-        best = max(best, ratio(p, ProbVec((draw + 1e-9) / (1.0 + n * 1e-9), tol=1e-9)))
+        best = max(best, ratio(p, ProbVec((draw + 1e-9) / (1.0 + n * 1e-9))))
     return min(1.0, best), skipped
 
 

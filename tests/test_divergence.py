@@ -178,8 +178,8 @@ def _reference_decay_values(spec, p, q, t):
     values = [(t, chi2(p, q))]
     for u in range(t, spec.horizon):
         rows = spec.kernel_at(u).rows
-        p = ProbVec(p.entries @ rows, tol=1e-10)
-        q = ProbVec(q.entries @ rows, tol=1e-10)
+        p = ProbVec(p.entries @ rows)
+        q = ProbVec(q.entries @ rows)
         values.append((u + 1, chi2(p, q)))
     return tuple(values)
 

@@ -360,6 +360,19 @@ class TestRunHorizon:
         assert markers["0.7"]["h_crit_simplified"] == pytest.approx(25.527, abs=1e-3)
         assert markers["0.8"]["h_crit_simplified"] == pytest.approx(40.803, abs=1e-3)
 
+    def test_largest_obs_per_trial_runs(self):
+        table = run_experiment(small(GOLDEN_HORIZON, H=1, etas=[0.7], obs_per_trial=1029, trials=1))
+        assert all(0.5 <= exact <= 1 + 1e-9 for exact in table.column("accuracy_exact"))
+
+    @pytest.mark.parametrize("obs", [2000, 10**8])
+    def test_larger_obs_per_trial_refused_at_once(self, obs):
+        # the exact accuracy's binomial coefficients pass float range beyond 1029
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgument) as refused:
+            small(GOLDEN_HORIZON, H=1, etas=[0.7], obs_per_trial=obs, trials=1)
+        assert time.perf_counter() - start < 1
+        assert str(refused.value) == f"obs_per_trial must lie in [1,1029], got {obs}"
+
 
 class TestExactTwoPointAccuracy:
     def test_single_observation_closed_form(self):
@@ -380,6 +393,11 @@ class TestExactTwoPointAccuracy:
 
     def test_degenerate_pair_is_chance(self):
         assert exact_two_point_accuracy(0.3, 0.3, 5) == pytest.approx(0.5, abs=0.3)
+
+    def test_observation_limit(self):
+        assert 0.5 <= exact_two_point_accuracy(0.9, 0.1, 1029) <= 1 + 1e-9
+        with pytest.raises(InvalidArgument, match=r"^n_obs must lie in \[1,1029\], got 1030$"):
+            exact_two_point_accuracy(0.9, 0.1, 1030)
 
 
 class TestRunMismatch:

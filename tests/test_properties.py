@@ -85,9 +85,9 @@ class TestSdpiMonotonicity:
         rng = np.random.default_rng(20260810)
         for _ in range(1000):
             size = int(rng.integers(2, 8))
-            p = ProbVec(rng.dirichlet(np.full(size, 0.8)) * 0.999 + 0.001 / size, tol=1e-6)
-            q = ProbVec(rng.dirichlet(np.full(size, 0.8)) * 0.999 + 0.001 / size, tol=1e-6)
-            kernel = Kernel(rng.dirichlet(np.full(size, 0.7), size=size), tol=1e-6)
+            p = ProbVec(rng.dirichlet(np.full(size, 0.8)) * 0.999 + 0.001 / size)
+            q = ProbVec(rng.dirichlet(np.full(size, 0.8)) * 0.999 + 0.001 / size)
+            kernel = Kernel(rng.dirichlet(np.full(size, 0.7), size=size))
             before = chi2(p, q)
             after = chi2(propagate(p, kernel), propagate(q, kernel))
             assert after <= before + 1e-12 * max(1.0, before)
@@ -98,7 +98,7 @@ class TestSdpiMonotonicity:
             reference = uniform_dist(10)
             rng = np.random.default_rng(4)
             for _ in range(20):
-                p = ProbVec(rng.dirichlet(np.ones(10)), tol=1e-6)
+                p = ProbVec(rng.dirichlet(np.ones(10)))
                 before = chi2(p, reference)
                 after = chi2(propagate(p, kernel), reference)
                 assert after == pytest.approx(eta * before, rel=1e-9)
@@ -135,14 +135,14 @@ class TestDecayCurveShape:
             size = int(rng.integers(2, 6))
             mix = rng.dirichlet(np.ones(4))
             perms = [np.eye(size)[rng.permutation(size)] for _ in range(4)]
-            kernel = Kernel(sum(w * p for w, p in zip(mix, perms)), tol=1e-9)
+            kernel = Kernel(sum(w * p for w, p in zip(mix, perms)))
             spec = ChainSpec(
                 horizon=8,
                 kernels=kernel,
                 success_set=frozenset({0}),
                 initial=uniform_dist(size),
             )
-            start = ProbVec(rng.dirichlet(np.ones(size)) * 0.99 + 0.01 / size, tol=1e-6)
+            start = ProbVec(rng.dirichlet(np.ones(size)) * 0.99 + 0.01 / size)
             curve = decay_curve(spec, start, uniform_dist(size), 0)
             values = [v for _, v in curve.values]
             for a, b in zip(values, values[1:]):
@@ -154,7 +154,7 @@ class TestContractionOrdering:
         rng = np.random.default_rng(31)
         for _ in range(30):
             size = int(rng.integers(2, 6))
-            kernel = Kernel(rng.dirichlet(np.full(size, 0.6), size=size), tol=1e-6)
+            kernel = Kernel(rng.dirichlet(np.full(size, 0.6), size=size))
             lower = empirical_eta_lower(kernel, trials=60, seed=int(rng.integers(2**31)))
             assert lower <= dobrushin_bound(kernel) + 1e-9
             assert lower <= diversity_bound(kernel) + 1e-9
@@ -206,7 +206,7 @@ class TestSoftmaxInvariance:
     def test_per_state_shift_leaves_kernel_unchanged(self, states, actions, seed):
         rng = np.random.default_rng(seed)
         logits = rng.normal(size=(states, actions)) * 5
-        kernels = tuple(Kernel(rng.dirichlet(np.ones(states), size=states), tol=1e-9) for _ in range(actions))
+        kernels = tuple(Kernel(rng.dirichlet(np.ones(states), size=states)) for _ in range(actions))
         base = softmax_policy_kernel(
             SoftmaxPolicyInput(logits=logits, action_kernels=kernels, temperature=0.9)
         )
