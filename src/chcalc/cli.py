@@ -78,11 +78,7 @@ def _cmd_calc_horizon(args) -> str:
         gaps["requested_gap"] = args.gap
     for label, gap in gaps.items():
         bound = horizon.sample_lb(params, gap)
-        payload["sample_lb_at"][label] = {
-            "gap": gap,
-            "bound": bound.bound,
-            "regime": bound.regime,
-        }
+        payload["sample_lb_at"][label] = {"gap": gap, "bound": bound.bound, "regime": bound.regime}
     if args.eta_g is not None:
         payload["h_crit_noisy_outcome"] = horizon.noisy_outcome_adjust(params, args.eta_g)
     return _dumps(payload)
@@ -166,10 +162,13 @@ def _cmd_schedule_greedy(args) -> str:
     from .schema import EtasFile
 
     etas = from_json(EtasFile, _load_json(args.etas_file), "etas file").etas
-    plan = inspection.design_procedure(
-        horizon=len(etas), n=args.n, delta2=args.delta2, epsilon=args.epsilon,
-        etas=etas, inspection_fidelity=args.eta_g,
-    ).to_json_dict()
+    try:
+        plan = inspection.design_procedure(
+            horizon=len(etas), n=args.n, delta2=args.delta2, epsilon=args.epsilon,
+            etas=etas, inspection_fidelity=args.eta_g,
+        ).to_json_dict()
+    except InvalidArgument as exc:  # refused in the plan's order, under the flag's name
+        raise InvalidArgument(str(exc).replace("inspection_fidelity", "eta_g")) from None
     keys = ("times", "max_gap", "segments", "worst_sample_lb", "feasible", "gamma")
     payload = {key: plan[key] for key in keys}
     if args.eta_g is not None:

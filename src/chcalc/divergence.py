@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AbsoluteContinuityViolated, InvalidArgument, check_min, check_range
+from .horizon import _tensorized  # numpy-free, so that minimax_error_lb shares it
 from .markov import ChainSpec, ProbVec, step
 
 # Entries below this are treated as zero for support purposes; propagation
@@ -70,10 +71,7 @@ def tensorize_chi2(chi2_single: float, n: int) -> float:
     """
     check_min(chi2_single, "chi2", 0)
     check_min(n, "n", 1)
-    exponent = n * math.log1p(chi2_single)
-    if exponent > 700.0:
-        return math.inf
-    return math.expm1(exponent)
+    return _tensorized(chi2_single, n)
 
 
 def tv_upper_from_chi2(chi2_value: float) -> float:

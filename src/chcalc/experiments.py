@@ -67,9 +67,7 @@ class ResultTable:
 
 
 def _format_cell(cell) -> str:
-    if isinstance(cell, bool):
-        return str(int(cell))
-    if isinstance(cell, (int, np.integer)):
+    if isinstance(cell, (int, np.integer)):  # bool included
         return str(int(cell))
     if isinstance(cell, (float, np.floating)):
         return format(float(cell), ".17g")

@@ -57,18 +57,21 @@ class SampleBound:
 
 def bound_from_log(log_bound: float) -> float:
     """exp(log_bound), or +inf where that overflows a float."""
-    if log_bound > _LOG_FLOAT_MAX:
-        return math.inf
-    return math.exp(log_bound)
+    return math.inf if log_bound > _LOG_FLOAT_MAX else math.exp(log_bound)
+
+
+def _log_sample_lb(info: float, delta2: float, epsilon: float) -> float:
+    """ln((1-eps)^2 * e^info / delta2), the sample bound at information distance info."""
+    return 2.0 * math.log1p(-epsilon) + info - math.log(delta2)
 
 
 def sample_lb(params: HorizonParams, gap: int) -> SampleBound:
     """Lower bound (1-eps)^2 / (eta^gap * delta2) on the samples needed to
     test a hypothesis pair ``gap`` steps upstream of the observation."""
     check_min(gap, "gap", 0)
-    log_attenuated = gap * math.log(params.eta) + math.log(params.delta2)
-    regime = REGIME_DECAYED if log_attenuated <= 0 else REGIME_SEPARATED
-    log_bound = 2.0 * math.log1p(-params.epsilon) - log_attenuated
+    info = gap * math.log(1.0 / params.eta)
+    regime = REGIME_DECAYED if info >= math.log(params.delta2) else REGIME_SEPARATED
+    log_bound = _log_sample_lb(info, params.delta2, params.epsilon)
     return SampleBound(bound=bound_from_log(log_bound), regime=regime, log_bound=log_bound)
 
 
@@ -107,11 +110,13 @@ def minimax_error_lb(params: HorizonParams, gap: int) -> float:
     (1 - sqrt(((1 + eta^gap*delta2)^n - 1) / 2)) / 2, clamped to [0, 1/2]."""
     check_min(gap, "gap", 0)
     attenuated = math.exp(gap * math.log(params.eta) + math.log(params.delta2))
-    exponent = params.n * math.log1p(attenuated)
-    if exponent > _LOG_FLOAT_MAX:
-        return 0.0
-    tensorized = math.expm1(exponent)
-    return max(0.0, 0.5 * (1.0 - math.sqrt(tensorized / 2.0)))
+    return max(0.0, 0.5 * (1.0 - math.sqrt(_tensorized(attenuated, params.n) / 2.0)))
+
+
+def _tensorized(chi2_single: float, n: int) -> float:
+    """(1 + chi2)^n - 1 as expm1(n * log1p(chi2)), or +inf where that overflows."""
+    exponent = n * math.log1p(chi2_single)
+    return math.inf if exponent > _LOG_FLOAT_MAX else math.expm1(exponent)
 
 
 def sample_cap_for_error(params: HorizonParams, gap: int) -> float:

@@ -23,8 +23,8 @@ from .errors import (
     from_json,
 )
 from .horizon import (
-    HorizonParams, bound_from_log, critical_horizon, feasibility_threshold, noisy_outcome_adjust,
-    sample_lb,
+    HorizonParams, _log_sample_lb, bound_from_log, critical_horizon, feasibility_threshold,
+    noisy_outcome_adjust, sample_lb,
 )
 
 
@@ -289,9 +289,7 @@ def _summaries(
             length=b - a,
             info_distance=info,
             attenuation=math.exp(-info),
-            worst_step_sample_lb=bound_from_log(
-                2.0 * math.log1p(-epsilon) + info - math.log(delta2)
-            ),
+            worst_step_sample_lb=bound_from_log(_log_sample_lb(info, delta2, epsilon)),
         )
         for (a, b), info in zip(bounds, infos)
     ]
@@ -357,7 +355,7 @@ def budget_optimize(
         gap = min_gap_value(horizon, m)
         if gap == 1:
             break
-        m = -(-horizon // (gap - 1)) - 1  # the smallest m with a shorter gap
+        m = min_inspections_sufficient(horizon, gap - 1)  # the smallest m with a shorter gap
     m_rule = None
     budget_rule = None
     if n is not None:
@@ -473,8 +471,7 @@ class PlanConfig:
             segments = segment_report(schedule, self.eta, self.delta2, self.epsilon)
         else:
             # greedy_schedule and segment_report on one checked list of distances
-            budget = segment_budget(gamma, self.inspection_fidelity)
-            schedule = _greedy_placement(weights, budget)
+            schedule = _greedy_placement(weights, segment_budget(gamma, self.inspection_fidelity))
             segments = _summaries(
                 schedule.segments(), _segment_infos(schedule, weights), self.delta2, self.epsilon
             )

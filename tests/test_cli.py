@@ -325,6 +325,34 @@ class TestScheduleGreedy:
         assert len(tight["times"]) >= len(loose["times"])
         assert tight["effective_gamma"] < tight["gamma"]
 
+    def test_eta_g_refused_as_calc_horizon_refuses_it(self, capsys, tmp_path):
+        path = self._etas_file(tmp_path, [0.9, 0.8, 0.95])
+        greedy = ["schedule", "greedy", "--etas-file", path, "--delta2", "0.3", "--epsilon", "0.1"]
+        horizon = ["calc", "horizon", "--eta", "0.9", "--delta2", "0.3", "--n", "1000",
+                   "--epsilon", "0.1"]
+        message = "error: eta_g must lie in (0,1], got 7.0\n"
+        assert run_cli(capsys, *horizon, "--eta-g", "7") == (1, "", message)
+        assert run_cli(capsys, *greedy, "--n", "1000", "--eta-g", "7") == (1, "", message)
+        # the plan's fields are still refused first, in their declared order
+        assert run_cli(capsys, *greedy, "--n", "0", "--eta-g", "7") == (
+            1, "", "error: n must be at least 1, got 0\n"
+        )
+
+
+class TestOneSampleBound:
+    def test_calc_horizon_gap_matches_uniform_segment(self, capsys):
+        horizon = run_json(
+            capsys,
+            "calc", "horizon", "--eta", "0.9", "--delta2", "0.1",
+            "--n", "1000000", "--epsilon", "0.1", "--gap", "7",
+        )
+        uniform = run_json(
+            capsys,
+            "schedule", "uniform", "--H", "7", "--m", "0",
+            "--eta", "0.9", "--delta2", "0.1", "--epsilon", "0.1",
+        )
+        assert horizon["sample_lb_at"]["requested_gap"]["bound"] == uniform["segments"][0]["sample_lb"]
+
 
 class TestSchedulePlan:
     def test_semiconductor(self, capsys, tmp_path):
@@ -603,7 +631,7 @@ FIELDS_BEFORE_GAMMA = {
     "plan-fidelity": ("plan", {"eta": 0.9, "H": 5, "n": 1, "inspection_fidelity": 7}, (),
                       "inspection_fidelity"),
     "greedy-etas": ("greedy", {"etas": [1.5, 0.8, 0.95]}, (), "etas[0]"),
-    "greedy-eta-g": ("greedy", {"etas": [0.9, 0.8, 0.95]}, ("--eta-g", "7"), "inspection_fidelity"),
+    "greedy-eta-g": ("greedy", {"etas": [0.9, 0.8, 0.95]}, ("--eta-g", "7"), "eta_g"),
 }
 
 

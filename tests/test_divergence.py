@@ -102,6 +102,14 @@ class TestTensorize:
     def test_overflow_returns_inf(self):
         assert tensorize_chi2(1.0, 10**9) == math.inf
 
+    def test_finite_up_to_log_float_max(self):
+        # 1015 ln 2 = 703.6 lies below ln(float max) = 709.78: the value is 3.5e305
+        assert tensorize_chi2(1.0, 1015) == math.expm1(1015 * math.log1p(1.0))
+
+    def test_inf_past_log_float_max(self):
+        # 1025 ln 2 = 710.5
+        assert tensorize_chi2(1.0, 1025) == math.inf
+
 
 class TestTvUpper:
     def test_zero(self):

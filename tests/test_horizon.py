@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import pytest
 
@@ -128,6 +130,27 @@ class TestMinimaxErrorLb:
             for n in (1, 10, 100, 1000)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @staticmethod
+    def _inline_reference(p, gap):
+        """The bound with its tensorization written out in place."""
+        attenuated = math.exp(gap * math.log(p.eta) + math.log(p.delta2))
+        exponent = p.n * math.log1p(attenuated)
+        if exponent > math.log(sys.float_info.max):
+            return 0.0
+        return max(0.0, 0.5 * (1.0 - math.sqrt(math.expm1(exponent) / 2.0)))
+
+    def test_bits_equal_inline_reference(self):
+        rng = random.Random(14)
+        cases = [
+            (params(n=rng.randint(1, 10**9), delta2=10 ** rng.uniform(-6, 2),
+                    epsilon=0.1, eta=rng.uniform(0.05, 0.99)), rng.randint(0, 300))
+            for _ in range(3000)
+        ]
+        # n * ln 2 crosses ln(float max) between n = 1024 and 1025
+        cases += [(params(n=n, delta2=1.0, epsilon=0.1, eta=0.5), 0) for n in range(1015, 1035)]
+        for p, gap in cases:
+            assert minimax_error_lb(p, gap) == self._inline_reference(p, gap)
 
 
 class TestSampleCap:

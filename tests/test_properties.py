@@ -5,7 +5,7 @@ import itertools
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from chcalc.contraction import (
     attenuation,
@@ -14,8 +14,17 @@ from chcalc.contraction import (
     empirical_eta_lower,
 )
 from chcalc.divergence import chi2, decay_curve, tensorize_chi2, tv, tv_upper_from_chi2
-from chcalc.errors import check_eta, check_etas, check_min
-from chcalc.inspection import Schedule, segment_report, worst_case_sample_lb
+from chcalc.errors import Infeasible, check_eta, check_etas, check_min
+from chcalc.horizon import HorizonParams, sample_lb
+from chcalc.inspection import (
+    BudgetParams,
+    Schedule,
+    budget_lb,
+    design_procedure,
+    segment_report,
+    uniform_schedule,
+    worst_case_sample_lb,
+)
 from chcalc.markov import (
     ChainSpec,
     Kernel,
@@ -198,6 +207,50 @@ class TestScheduleRefinement:
             assert bound_refined == max(seg.worst_step_sample_lb for seg in segments)
             worst_info = max(seg.info_distance for seg in segments)
             assert step_refined == min(seg.start for seg in segments if seg.info_distance == worst_info)
+
+
+epsilons = st.floats(min_value=1e-4, max_value=0.49)
+
+
+class TestOneSampleBound:
+    """``calc horizon``, the schedulers and the budget bound share one formula,
+    so the same gap gets the same bits everywhere."""
+
+    @settings(max_examples=300)
+    @given(
+        st.floats(min_value=0.05, max_value=0.999),
+        st.floats(min_value=1e-3, max_value=100.0),
+        epsilons,
+        st.integers(min_value=1, max_value=10_000),
+    )
+    @example(eta=0.31, delta2=2.73, epsilon=0.15, gap=39)
+    def test_sample_lb_is_the_segment_bound(self, eta, delta2, epsilon, gap):
+        bound = sample_lb(HorizonParams(n=1, delta2=delta2, epsilon=epsilon, eta=eta), gap).bound
+        segment = segment_report(uniform_schedule(gap, 0), eta, delta2, epsilon)[0]
+        assert bound == segment.worst_step_sample_lb
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(min_value=1, max_value=500),
+        st.integers(min_value=100, max_value=10**9),
+        st.floats(min_value=0.3, max_value=0.999),
+        st.floats(min_value=0.01, max_value=10.0),
+        epsilons,
+        st.floats(min_value=0.1, max_value=100.0),
+        st.floats(min_value=0.0, max_value=100.0),
+        st.none() | st.floats(min_value=0.2, max_value=1.0),
+    )
+    @example(50, 1000, 0.9, 0.3, 0.1, 10.0, 50.0, None)
+    def test_plan_budget_is_budget_lb(self, h, n, eta, delta2, epsilon, c_out, c_insp, fidelity):
+        budget = BudgetParams(c_out=c_out, c_insp=c_insp)
+        try:
+            plan = design_procedure(
+                horizon=h, n=n, delta2=delta2, epsilon=epsilon, eta=eta, budget=budget,
+                inspection_fidelity=fidelity,
+            )
+        except Infeasible:
+            assume(False)
+        assert plan.budget_required == budget_lb(budget, plan.schedule.m, h, eta, delta2, epsilon)
 
 
 class TestSoftmaxInvariance:
