@@ -8,6 +8,7 @@ lower bound.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -24,6 +25,19 @@ SMOOTHING = 1e-6
 # Pairs and trials are evaluated this many at a time, so the working arrays
 # stay _BLOCK x n whatever the trial count.
 _BLOCK = 256
+
+# Trial t's stream is SeedSequence([seed, t]); _seed_words needs t to be one
+# 32-bit word.
+MAX_TRIALS = 2**32
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
+# _POOL words filled by hashmix/mix, then read out by the output hash.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 
 def dobrushin_alpha(kernel: Kernel) -> float:
@@ -91,6 +105,64 @@ def _block_max(p: np.ndarray, pk: np.ndarray, q: np.ndarray, qk: np.ndarray) -> 
     return best
 
 
+def _hasher(init: int, mult: int):
+    """One of SeedSequence's two word hashes; each call advances its constant."""
+    const = init
+
+    def hash_word(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hash_word
+
+
+def _seed_words(seed: int, first: int, size: int) -> np.ndarray:
+    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for each t in
+    first..first+size-1, one row per t; every t must be below 2**32.
+
+    The entropy is seed's little-endian 32-bit words, then t; each step of
+    the hash runs on the column of all t at once, in uint32 arithmetic.
+    """
+    seed = operator.index(seed)
+    entropy = [np.full(size, seed & _MASK32, dtype=np.uint32)]
+    while seed > _MASK32:
+        seed >>= 32
+        entropy.append(np.full(size, seed & _MASK32, dtype=np.uint32))
+    entropy.append(np.arange(first, first + size, dtype=np.uint32))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(size, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    output = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([output(pool[i % _POOL]) for i in range(2 * _POOL)], axis=-1)
+    # Pairs of words form little-endian uint64s, as in generate_state.
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _PrecomputedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands a bit generator precomputed state words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     """Randomized lower bound on the chi-squared contraction coefficient.
 
@@ -98,14 +170,22 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     ordered point-mass pairs (with the reference side smoothed toward
     uniform by SMOOTHING) plus ``trials`` random pairs of a point mass
     against a Dirichlet(1,...,1) interior point. Deterministic given the
-    seed; trial t always uses the rng derived from (seed, t), so the result
-    does not depend on evaluation order.
+    seed; trial t always uses ``Generator(PCG64(SeedSequence([seed, t])))``,
+    so the result does not depend on evaluation order.
 
-    Only the draws and each trial's product with the kernel run one trial at
-    a time; nudging, normalization and both divergences run over blocks of
-    rows and give the bits of the per-pair evaluation.
+    The seed words of a block of trials are hashed together by
+    ``_seed_words``, and each trial's PCG64 is seeded from its row, which
+    gives the generator SeedSequence([seed, t]) would. Dirichlet(1,...,1)
+    is drawn as numpy draws it: a standard exponential per entry, each
+    scaled by 1 / their left-to-right sum. The sum is a cumsum, which is
+    sequential; ``.sum()`` adds pairwise from 8 entries up and would change
+    the bits. Only the draws and each trial's product with the kernel run
+    one trial at a time; nudging, normalization and both divergences run
+    over blocks of rows and give the bits of the per-pair evaluation.
     """
     check_min(trials, "trials", 1)
+    if trials > MAX_TRIALS:
+        raise InvalidArgument(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     check_min(seed, "seed", 0)
     n, rows = kernel.size, kernel.rows
     masses = np.eye(n)
@@ -114,7 +194,6 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     refs /= refs.sum(axis=-1, keepdims=True)
     pushed_refs = np.array([step(ref, rows) for ref in refs])
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    alpha = np.ones(n)
     best = 0.0
     for s in range(0, len(i), _BLOCK):
         pi, pj = i[s : s + _BLOCK], j[s : s + _BLOCK]
@@ -123,10 +202,11 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
         size = min(_BLOCK, trials - s)
         picks = np.empty(size, dtype=np.intp)
         draws = np.empty((size, n))
-        for k in range(size):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, s + k])))
+        for k, words in enumerate(_seed_words(seed, s, size)):
+            rng = np.random.Generator(np.random.PCG64(_PrecomputedSeed(words)))
             picks[k] = rng.integers(n)
-            draws[k] = rng.dirichlet(alpha)
+            rng.standard_exponential(out=draws[k])
+        draws *= (1.0 / np.cumsum(draws, axis=-1)[:, -1])[:, None]
         # Nudge the draws strictly inside the simplex so the denominator
         # divergence is always finite.
         q = (draws + 1e-9) / (1.0 + n * 1e-9)

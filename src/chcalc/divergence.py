@@ -16,6 +16,10 @@ from .markov import ChainSpec, ProbVec, step
 # leaves denormal dust that must not masquerade as real mass.
 SUPPORT_EPS = 1e-15
 
+# Decay curves propagate this many steps before measuring them together, so
+# the working arrays stay _STEPS x n whatever the horizon.
+_STEPS = 1024
+
 
 def _check_dims(p: ProbVec, q: ProbVec) -> None:
     if p.size != q.size:
@@ -134,6 +138,18 @@ class DecayCurve:
         return rows
 
 
+def _chi2_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``chi2_arrays`` of each row pair. Rows whose reference has full support
+    are evaluated together; the rest go one at a time through chi2_arrays,
+    which owns the absolute-continuity refusal."""
+    full = q.min(axis=-1) >= SUPPORT_EPS
+    chi = np.empty(len(q))
+    chi[full] = chi2_full_support(p[full], q[full])
+    for k in np.flatnonzero(~full):
+        chi[k] = chi2_arrays(p[k], q[k])
+    return chi
+
+
 def decay_curve(spec: ChainSpec, p_t: ProbVec, q_t: ProbVec, t: int) -> DecayCurve:
     """Exact chi-squared at every step from t to the horizon.
 
@@ -143,14 +159,20 @@ def decay_curve(spec: ChainSpec, p_t: ProbVec, q_t: ProbVec, t: int) -> DecayCur
     check_range(t, "t", 0, spec.horizon, "[]")
     if p_t.size != spec.states or q_t.size != spec.states:
         raise InvalidArgument("distribution dimensions must match the chain")
-    p, q = p_t.entries, q_t.entries
-    values = [(t, chi2_arrays(p, q))]
     if spec.homogeneous:
         per_step = itertools.repeat(spec.kernels.rows, spec.horizon - t)
     else:
         per_step = (kernel.rows for kernel in spec.kernels[t:])
-    for u, rows in enumerate(per_step, start=t):
-        p = step(p, rows)
-        q = step(q, rows)
-        values.append((u + 1, chi2_arrays(p, q)))
-    return DecayCurve(start_step=t, horizon=spec.horizon, values=tuple(values))
+    p = np.empty((min(_STEPS, spec.horizon - t) + 1, spec.states))
+    q = np.empty_like(p)
+    p[0], q[0] = p_t.entries, q_t.entries
+    chi = [_chi2_rows(p[:1], q[:1])]
+    while block := list(itertools.islice(per_step, len(p) - 1)):
+        for k, rows in enumerate(block, start=1):
+            p[k] = step(p[k - 1], rows)
+            q[k] = step(q[k - 1], rows)
+        end = len(block)
+        chi.append(_chi2_rows(p[1 : end + 1], q[1 : end + 1]))
+        p[0], q[0] = p[end], q[end]
+    values = tuple(zip(range(t, spec.horizon + 1), np.concatenate(chi).tolist()))
+    return DecayCurve(start_step=t, horizon=spec.horizon, values=values)

@@ -141,6 +141,15 @@ class TestCalcContraction:
         assert (code, out) == (1, "")
         assert err == "error: seed must be at least 0, got -1\n"
 
+    def test_trials_above_limit_refused(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"rows": [[0.9, 0.1], [0.3, 0.7]]}))
+        code, out, err = run_cli(
+            capsys, "calc", "contraction", "--kernel-file", str(path), "--trials", "4294967297"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: trials must be at most 4294967296, got 4294967297\n"
+
     @pytest.mark.filterwarnings("error")  # a numpy warning would print more stderr lines
     @pytest.mark.parametrize(
         "data,message",

@@ -10,7 +10,9 @@ import pytest
 import chcalc
 from chcalc import contraction
 from chcalc.contraction import (
+    MAX_TRIALS,
     _contraction_ratio,
+    _seed_words,
     attenuation,
     contraction_report,
     diversity_bound,
@@ -104,6 +106,32 @@ class TestEmpiricalLower:
         b = empirical_eta_lower(MANUFACTURING, trials=200, seed=5)
         assert a == b
 
+    def test_trials_above_limit_refused(self):
+        with pytest.raises(InvalidArgument, match=f"^trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}$"):
+            empirical_eta_lower(MANUFACTURING, trials=MAX_TRIALS + 1, seed=0)
+
+
+class TestTrialStreams:
+    """The block forms of each trial's seeding and Dirichlet draw give numpy's bits."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
+    @pytest.mark.parametrize("first", [0, contraction._BLOCK - 3, 2**32 - 6])
+    def test_seed_words_match_seed_sequence(self, seed, first):
+        # the middle block crosses a block boundary, the last ends at t = 2**32 - 1
+        expected = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in range(first, first + 6)]
+        words = _seed_words(seed, first, 6)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 30, 120])
+    def test_normalized_exponentials_are_dirichlet_ones(self, n):
+        # from 8 entries a pairwise .sum() would differ from dirichlet's running sum
+        for seed in range(5):
+            expected = np.random.default_rng(seed).dirichlet(np.ones(n), size=40)
+            draws = np.random.default_rng(seed).standard_exponential((40, n))
+            draws *= (1.0 / np.cumsum(draws, axis=-1)[:, -1])[:, None]
+            assert np.array_equal(draws, expected)
+
 
 def _reference_eta_lower(kernel, trials, seed):
     """The estimator with a checked ProbVec per point mass, smoothed reference,
@@ -190,6 +218,13 @@ class TestEmpiricalLowerReference:
         kernel = Kernel(np.random.default_rng(states).dirichlet(np.ones(states), size=states))
         for seed in (0, 3):
             assert empirical_eta_lower(kernel, 100, seed) == _reference_eta_lower(kernel, 100, seed)[0]
+
+    @pytest.mark.parametrize("seed", [2**40 + 1, 2**100 + 3])
+    def test_multi_word_seeds(self, seed):
+        # a seed of two or four 32-bit words moves the trial counter's word
+        # within the entropy; from four words on, it is mixed in after the pool
+        for kernel in (mixture_kernel(0.8, 5), Kernel(np.random.default_rng(6).dirichlet(np.ones(9), size=9))):
+            assert empirical_eta_lower(kernel, 200, seed) == _reference_eta_lower(kernel, 200, seed)[0]
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_trials_spanning_blocks(self, monkeypatch, block):

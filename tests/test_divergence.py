@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chcalc import divergence
 from chcalc.divergence import (
     SUPPORT_EPS,
     chi2,
@@ -205,3 +206,23 @@ class TestDecayCurveReference:
         spec = ChainSpec(horizon=30, kernels=kernels, success_set=frozenset({1}), initial=uniform_dist(6))
         p, q = ProbVec(rng.dirichlet(np.ones(6))), ProbVec(rng.dirichlet(np.ones(6)))
         assert decay_curve(spec, p, q, 4).values == _reference_decay_values(spec, p, q, 4)
+
+    @pytest.mark.parametrize("steps", [1, 5, 1024])
+    def test_null_reference_entries_match_reference(self, monkeypatch, steps):
+        # a zero column keeps Q's entry 2 null at every step; the mixture
+        # kernel fills Q's null entry 3 after the first step
+        monkeypatch.setattr(divergence, "_STEPS", steps)
+        rng = np.random.default_rng(9)
+        rows = rng.dirichlet(np.ones(6), size=6)
+        rows[:, 2] = 0.0
+        kernels = [Kernel(rows / rows.sum(axis=1, keepdims=True))] * 12
+        spec = ChainSpec(horizon=12, kernels=kernels, success_set=frozenset({1}), initial=uniform_dist(6))
+        p, q = ProbVec([0.1, 0.5, 0.0, 0.1, 0.2, 0.1]), ProbVec([0.3, 0.2, 0.0, 0.1, 0.25, 0.15])
+        assert decay_curve(spec, p, q, 0).values == _reference_decay_values(spec, p, q, 0)
+        spec = _spec(0.8, states=6, horizon=12)
+        p, q = ProbVec([0.1, 0.5, 0.2, 0.0, 0.1, 0.1]), ProbVec([0.3, 0.2, 0.2, 0.0, 0.15, 0.15])
+        assert decay_curve(spec, p, q, 0).values == _reference_decay_values(spec, p, q, 0)
+
+    def test_mass_on_null_reference_entry_refused(self):
+        with pytest.raises(AbsoluteContinuityViolated):
+            decay_curve(_spec(0.8, horizon=5), point_mass(0, 10), point_mass(1, 10), 0)
