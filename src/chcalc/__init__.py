@@ -31,9 +31,8 @@ _EXPORTS = {
         "noisy_outcome_adjust", "sample_cap_for_error", "sample_lb",
     ),
     "width": (
-        "WidthParams", "correlated_variance", "effective_width", "equicorrelated_outcomes",
-        "estimator_variance_iid", "hoeffding_halfwidth", "width_horizon",
-        "width_insufficiency_threshold",
+        "WidthParams", "correlated_variance", "effective_width", "estimator_variance_iid",
+        "hoeffding_halfwidth", "width_horizon", "width_insufficiency_threshold",
     ),
     "inspection": (
         "BudgetParams", "DesignPlan", "Schedule", "budget_lb", "budget_optimize",

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .divergence import SUPPORT_EPS, chi2_arrays, chi2_full_support
-from .errors import AbsoluteContinuityViolated, InvalidArgument, check_eta, check_min, check_range
+from .errors import AbsoluteContinuityViolated, InvalidArgument, check_eta, check_max, check_min, check_range
 from .markov import Kernel, step
 
 # Point-mass reference distributions violate absolute continuity; the
@@ -184,8 +184,7 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     over blocks of rows and give the bits of the per-pair evaluation.
     """
     check_min(trials, "trials", 1)
-    if trials > MAX_TRIALS:
-        raise InvalidArgument(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
+    check_max(trials, "trials", MAX_TRIALS)
     check_min(seed, "seed", 0)
     n, rows = kernel.size, kernel.rows
     masses = np.eye(n)

@@ -57,6 +57,12 @@ def check_min(value, name: str, lo: int) -> None:
         raise InvalidArgument(f"{name} must be at least {lo}, got {value!r}")
 
 
+def check_max(value, name: str, hi: int) -> None:
+    """Refuse ``value`` above hi (the work limits on counts)."""
+    if not value <= hi:
+        raise InvalidArgument(f"{name} must be at most {hi}, got {value!r}")
+
+
 def check_positive(value, name: str) -> None:
     """Refuse ``value`` unless 0 < value < inf; a huge int such as 10**400 passes."""
     if not value > 0:

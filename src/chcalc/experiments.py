@@ -180,29 +180,52 @@ def run_decay(cfg: ExperimentConfig) -> ResultTable:
     )
 
 
+def _width_histogram(value: float, w: int, rho: float, groups: int, rng):
+    """Histogram (sums, mult) of the outcome sums of ``groups`` groups of w
+    outcomes: mult[k] groups sum to sums[k]. Each outcome copies its group's
+    coin C ~ Bernoulli(value) with probability lam = sqrt(rho), else draws
+    its own Bernoulli(value), so outcomes correlate at rho. Given C a sum is
+    Bin(w, p_C), p_1 = lam + (1 - lam) value, p_0 = (1 - lam) value: after
+    G_1 ~ Bin(groups, value), each side is one ``_count_level`` draw, in
+    O(sqrt(w)) whatever ``groups``. Sums of the two sides may repeat.
+    """
+    lam = math.sqrt(rho)
+    g1 = int(rng.binomial(groups, value))
+    parts = [
+        _count_level(rng, np.zeros(1, dtype=np.int64), np.array([g]), w, 0.0, p, _log_factorials)
+        for g, p in ((g1, lam + (1.0 - lam) * value), (groups - g1, (1.0 - lam) * value))
+        if g > 0
+    ]
+    return np.concatenate([s for s, _ in parts]), np.concatenate([m for _, m in parts])
+
+
 def run_width(cfg: ExperimentConfig) -> ResultTable:
     """Empirical effective width of equicorrelated rollout groups.
 
     The measured value is the ratio of the empirical single-outcome
     variance to the variance of the group means, i.e. how many independent
     rollouts the group average is worth; inf when the group means happen not
-    to vary. Only the group sums are sampled: for 0/1 outcomes the
-    single-outcome variance follows from the pooled mean.
+    to vary. Only a histogram of the group sums is drawn
+    (``_width_histogram``): for 0/1 outcomes the single-outcome variance
+    follows from the pooled mean. Its lookup ``_log_factorials`` evaluates
+    ln k! on the ~40 sqrt(W) columns a draw keeps, not a (W + 1)-entry
+    table. Moments are summed over float means, as int64 wraps at 2^62 groups.
     """
     rho, value, groups = cfg.params.rho, cfg.params.value, cfg.params.groups
 
     def one_unit(args):
         replicate, unit, w = args
         rng = unit_rng(cfg.master_seed, "width", replicate, unit)
-        sums = width.equicorrelated_group_sums(value, w, rho, groups, rng)
+        sums, mult = _width_histogram(value, w, rho, groups, rng)
+        means = sums / w
+        pooled = float(mult @ means) / groups
         n = groups * w
-        pooled = float(sums.sum()) / n
         var_single = n * pooled * (1.0 - pooled) / (n - 1)
         if w == 1:
             w_eff_emp = 1.0
             var_mean = var_single
         else:
-            var_mean = float((sums / w).var(ddof=1))
+            var_mean = float(mult @ (means - pooled) ** 2) / (groups - 1)
             w_eff_emp = var_single / var_mean if var_mean > 0 else math.inf
         return [
             replicate,
@@ -270,21 +293,30 @@ def _outcome_probs_by_distance(states: int, h: int, kernel: markov.Kernel) -> li
     return probs
 
 
-def _count_level(rng, counts, mult, n: int, q: float, q_next: float, log_fact: np.ndarray):
+def _log_factorials(k: np.ndarray) -> np.ndarray:
+    """ln k! of each entry of the int array k, by ``math.lgamma``."""
+    return np.fromiter(map(math.lgamma, (k + 1.0).ravel().tolist()), float, k.size).reshape(k.shape)
+
+
+def _count_level(rng, counts, mult, n: int, q: float, q_next: float, log_fact):
     """Move a histogram of success counts #{u < q} over n uniforms per trial
     up to the level q_next >= q: each of the mult[k] trials whose count is
     counts[k] gains Bin(n - counts[k], (q_next - q) / (1 - q)), the
     conditional-binomial construction of the multinomial. Returns the new
     (counts, mult), occupied counts only, ascending.
 
-    The transition rows are binomial pmfs from the ln k! table ``log_fact``,
-    one row per occupied count, drawn in one multinomial call. Columns
-    farther than 20 sqrt(n - c) from a row's mean are left out: by Hoeffding
-    the pmf there is below e^-800, under the smallest positive double.
-    Equal levels (q values that coincide after underflow) draw nothing.
+    The transition rows are binomial pmfs, one row per occupied count,
+    drawn in one multinomial call; ``log_fact`` maps an int array to ln k!
+    of each entry (a table's ``__getitem__``, or ``_log_factorials``).
+    Columns farther than 20 sqrt(n - c) from a row's mean are left out: by
+    Hoeffding the pmf there is below e^-800, under the smallest positive
+    double. Equal levels (q values that coincide after underflow) draw
+    nothing; at q_next = 1 every count is n.
     """
     if q_next == q:
         return counts, mult
+    if q_next == 1.0:
+        return np.array([n]), np.array([mult.sum()])
     rate = (q_next - q) / (1.0 - q)
     m = n - counts
     mean = counts + m * rate
@@ -295,7 +327,7 @@ def _count_level(rng, counts, mult, n: int, q: float, q_next: float, log_fact: n
     i = np.maximum(added, 0)
     mi = m[:, None] - i
     log_pmf = (
-        log_fact[m][:, None] - log_fact[i] - log_fact[mi]
+        log_fact(m)[:, None] - log_fact(i) - log_fact(mi)
         + i * math.log(rate) + mi * math.log1p(-rate)
     )
     rows = np.where(added >= 0, np.exp(log_pmf), 0.0)
@@ -340,7 +372,8 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     # Le Cam total error of one checkpoint bit, by downstream distance
     bit = markov.ProbVec([1 - q1, q1])
     lecam = [divergence.lecam_total_error(markov.ProbVec([1 - q, q]), bit) for q in q_by_distance]
-    log_fact = np.fromiter(map(math.lgamma, range(1, n_per_test + 2)), float, n_per_test + 1)
+    table = np.fromiter(map(math.lgamma, range(1, n_per_test + 2)), float, n_per_test + 1)
+    log_fact = table.__getitem__  # ln k! for k = 0..n_per_test
     # every trial at count 0, the level q = 0
     start = (np.zeros(1, dtype=np.int64), np.array([trials], dtype=np.int64))
 

@@ -17,6 +17,7 @@ from .errors import (
     check_epsilon,
     check_eta,
     check_etas,
+    check_max,
     check_min,
     check_range,
     from_json,
@@ -33,6 +34,11 @@ ORACLE_MAX_HORIZON = 14
 # The exact horizon accuracy multiplies comb(n, k) by a float; comb(n, n // 2)
 # first exceeds the largest float at n = 1030.
 HORIZON_MAX_OBS = 1029
+
+# A width unit costs O(sqrt(W)), 2-3 s at W = 2**32, whatever the group
+# count; groups stay inside numpy's int64 draws.
+WIDTH_MAX_W = 2**32
+WIDTH_MAX_GROUPS = 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +70,11 @@ class WidthExperiment:
 
         check_min(len(self.widths), "number of widths", 1)
         check_range(self.value, "value", 0, 1)  # at 0 or 1 no outcome varies
-        for w in self.widths:
+        for i, w in enumerate(self.widths):
             WidthParams(W=w, rho=self.rho, value=self.value)
+            check_max(w, f"widths[{i}]", WIDTH_MAX_W)
         check_min(self.groups, "groups", 2)
+        check_max(self.groups, "groups", WIDTH_MAX_GROUPS)
 
 
 @dataclass(frozen=True)

@@ -72,51 +72,3 @@ def width_insufficiency_threshold(n: int, delta2: float, rho: float, eta: float)
     check_positive(delta2, "delta2")
     check_eta(eta)
     return (math.log(n) + math.log(delta2) - math.log(rho)) / math.log(1.0 / eta)
-
-
-def equicorrelated_outcomes(
-    value: float,
-    w: int,
-    rho: float,
-    groups: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Binary outcome groups with marginal mean ``value`` and exact pairwise
-    correlation ``rho`` inside each group.
-
-    Construction: R_j = I_j * C + (1 - I_j) * X_j with I_j ~ Bernoulli(sqrt(rho))
-    i.i.d., C a per-group shared Bernoulli(value), X_j i.i.d. Bernoulli(value).
-    Cov(R_i, R_j) = rho * value * (1 - value), so the correlation hits rho for
-    any value. Returns a (groups x w) float array of 0/1 outcomes.
-    """
-    import numpy as np  # only here, so that the closed forms start without numpy
-
-    WidthParams(W=w, rho=rho, value=value)
-    check_min(groups, "groups", 1)
-    lam = math.sqrt(rho)
-    shared = (rng.random((groups, 1)) < value).astype(float)
-    private = (rng.random((groups, w)) < value).astype(float)
-    use_shared = rng.random((groups, w)) < lam
-    return np.where(use_shared, shared, private)
-
-
-def equicorrelated_group_sums(
-    value: float,
-    w: int,
-    rho: float,
-    groups: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Row sums of ``equicorrelated_outcomes``, drawn without the outcomes.
-
-    Per group, k ~ Binomial(w, sqrt(rho)) outcomes copy the shared
-    C ~ Bernoulli(value) and the other w - k are i.i.d. Bernoulli(value), so
-    S = k * C + Binomial(w - k, value) has exactly the law of a row sum.
-    Costs three draws per group instead of 2w + 1. Returns a length-``groups``
-    integer array.
-    """
-    WidthParams(W=w, rho=rho, value=value)
-    check_min(groups, "groups", 1)
-    k = rng.binomial(w, math.sqrt(rho), size=groups)
-    shared = rng.random(groups) < value
-    return k * shared + rng.binomial(w - k, value)

@@ -694,6 +694,12 @@ UNUSABLE_INPUTS = {
                                       Path("x.csv")], {"kind": "mismatch", "params": {"chains": 10**400}}),
     "inspection-trials-out-of-range": (["experiment", "run", "--config", Path("input"), "--out",
                                         Path("x.csv")], {"kind": "inspection", "params": {"trials": 10**400}}),
+    "width-groups-above-limit": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
+                                 {"kind": "width", "params": {"groups": 2**63 - 1}}),
+    "width-groups-beyond-int64": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
+                                  {"kind": "width", "params": {"groups": 10**30}}),
+    "width-W-above-limit": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
+                            {"kind": "width", "params": {"widths": [4, 2**32 + 1]}}),
     # the exact accuracy would weigh binomial coefficients beyond float range
     "horizon-obs-out-of-range": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
                                  {"kind": "horizon", "params": {"H": 1, "etas": [0.7],
@@ -713,6 +719,14 @@ OUT_OF_RANGE_MESSAGES = {
     "mismatch-chains-out-of-range": "error: chains is out of range, got 1000",
     "inspection-trials-out-of-range": "error: trials is out of range, got 1000",
     "horizon-obs-out-of-range": "error: obs_per_trial must lie in [1,1029], got 2000\n",
+}
+
+
+# How each width work-limit refusal above names the field, the value and the limit.
+WORK_LIMIT_MESSAGES = {
+    "width-groups-above-limit": f"error: groups must be at most {2**62}, got {2**63 - 1}\n",
+    "width-groups-beyond-int64": f"error: groups must be at most {2**62}, got {10**30}\n",
+    "width-W-above-limit": f"error: widths[1] must be at most {2**32}, got {2**32 + 1}\n",
 }
 
 
@@ -742,6 +756,12 @@ def test_integer_beyond_float_range_names_its_field(capsys, tmp_path, case):
     code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
     assert code == 1
     assert err.startswith(OUT_OF_RANGE_MESSAGES[case])
+
+
+@pytest.mark.parametrize("case", list(WORK_LIMIT_MESSAGES))
+def test_width_work_limit_names_field_value_and_limit(capsys, tmp_path, case):
+    code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
+    assert (code, err) == (1, WORK_LIMIT_MESSAGES[case])
 
 
 # The closed-form commands and the schedulers need only math, and a JSON input

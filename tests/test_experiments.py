@@ -17,6 +17,8 @@ from chcalc.experiments import (
     ExperimentConfig,
     ResultTable,
     _count_level,
+    _log_factorials,
+    _width_histogram,
     exact_two_point_accuracy,
     oracle_min_gap,
     oracle_min_inspections,
@@ -24,6 +26,7 @@ from chcalc.experiments import (
     unit_rng,
 )
 from chcalc.inspection import greedy_schedule, min_gap_value, step_info_distances
+from chcalc.schema import WIDTH_MAX_GROUPS
 
 
 def small(config: dict, **param_overrides) -> ExperimentConfig:
@@ -164,6 +167,42 @@ class TestRunWidth:
         table = run_experiment(small(GOLDEN_WIDTH, rho=0.0, widths=[64], groups=50_000))
         assert table.column("w_eff_empirical")[0] == pytest.approx(64, rel=0.05)
 
+    def test_variances_are_the_moments_of_the_drawn_histogram(self):
+        cfg = small(GOLDEN_WIDTH, rho=0.3, value=0.2, widths=[1, 3, 100], groups=5000)
+        table = run_experiment(cfg)
+        for unit, w in enumerate(cfg.params.widths):
+            rng = unit_rng(cfg.master_seed, "width", 0, unit)
+            sums = np.repeat(*_width_histogram(0.2, w, 0.3, 5000, rng))
+            n = 5000 * w
+            pooled = sums.sum() / n
+            var_single = n * pooled * (1 - pooled) / (n - 1)
+            var_mean = var_single if w == 1 else np.var(sums / w, ddof=1)
+            assert table.column("var_single_empirical")[unit] == pytest.approx(var_single, rel=1e-12)
+            assert table.column("var_group_mean_empirical")[unit] == pytest.approx(var_mean, rel=1e-12)
+
+    def test_csv_is_the_same_at_one_and_two_threads(self, monkeypatch):
+        cfg = ExperimentConfig.from_json_dict(
+            {**GOLDEN_WIDTH, "replicates": 2,
+             "params": {**GOLDEN_WIDTH["params"], "widths": [1, 4, 16, 64, 256, 10**5]}}
+        )
+        csvs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CH_THREADS", threads)
+            csvs.append(run_experiment(cfg).to_csv_string())
+        assert csvs[0] == csvs[1]
+
+    def test_group_limit_gives_finite_positive_variances(self):
+        table = run_experiment(small(GOLDEN_WIDTH, widths=[1, 4, 16], groups=WIDTH_MAX_GROUPS))
+        for name in ("var_single_empirical", "var_group_mean_empirical", "w_eff_empirical"):
+            assert all(0 < v < math.inf for v in table.column(name))
+        for emp, theory in zip(table.column("w_eff_empirical"), table.column("w_eff_theory")):
+            assert emp == pytest.approx(theory, rel=1e-6)
+
+    def test_work_does_not_grow_with_groups(self):
+        started = time.perf_counter()
+        run_experiment(small(GOLDEN_WIDTH, widths=[64, 10**4], groups=10**11))
+        assert time.perf_counter() - started < 1.0
+
 
 class TestRunInspection:
     def test_golden_ordering_and_worst_steps(self):
@@ -248,15 +287,16 @@ def _chi2_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
     return stats.chisquare(observed, expected).pvalue
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    return special.gammaln(np.arange(1, n + 2))
+def _log_factorial_table(n: int):
+    """ln k! for k = 0..n, as the lookup ``_count_level`` takes."""
+    return special.gammaln(np.arange(1, n + 2)).__getitem__
 
 
 def _joint_by_levels(rng, n, q, q_next, trials, level=_count_level):
     """Joint counts table[a, b] of a trial's success counts at q and q_next,
     drawn as level histograms: the trials at each first-level count a move on
     by themselves."""
-    log_fact = _log_factorials(n)
+    log_fact = _log_factorial_table(n)
     table = np.zeros((n + 1, n + 1), dtype=np.int64)
     start = np.zeros(1, dtype=np.int64), np.array([trials])
     for a, h in zip(*level(rng, *start, n, 0.0, q, log_fact)):
@@ -311,7 +351,7 @@ class TestCountLevels:
     @pytest.mark.parametrize("n", [1, 30, 2000])
     def test_each_level_fits_its_binomial(self, n):
         # 2000 bits leave out the columns farther than 20 sqrt(n - c) from a row's mean
-        rng, trials, log_fact = np.random.default_rng(5), 20_000, _log_factorials(n)
+        rng, trials, log_fact = np.random.default_rng(5), 20_000, _log_factorial_table(n)
         (counts, mult), q = (np.zeros(1, dtype=np.int64), np.array([trials])), 0.0
         for q_next in (0.5, 0.7, 0.7, 0.95):
             counts, mult = _count_level(rng, counts, mult, n, q, q_next, log_fact)
@@ -322,11 +362,25 @@ class TestCountLevels:
             expected = trials * stats.binom.pmf(np.arange(n + 1), n, q)
             assert _chi2_pvalue(observed, expected) > 1e-3
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 60])
+    def test_table_and_window_lookups_draw_the_same_counts(self, n):
+        # the inspection experiment's table against the width experiment's lookup
+        table = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1).__getitem__
+        drawn = []
+        for lookup in (table, _log_factorials):
+            rng = np.random.default_rng(n)
+            counts, mult, q = np.zeros(1, dtype=np.int64), np.array([5000]), 0.0
+            for q_next in (0.1, 0.35, 0.8, 0.99):
+                counts, mult = _count_level(rng, counts, mult, n, q, q_next, lookup)
+                drawn.append((counts.tolist(), mult.tolist()))
+                q = q_next
+        assert drawn[:4] == drawn[4:]
+
     def test_equal_levels_draw_nothing(self):
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
         counts, mult = np.array([0, 2]), np.array([5, 7])
-        moved = _count_level(rng, counts, mult, 2, 0.4, 0.4, _log_factorials(2))
+        moved = _count_level(rng, counts, mult, 2, 0.4, 0.4, _log_factorial_table(2))
         assert moved[0] is counts and moved[1] is mult
         assert rng.bit_generator.state == state
 

@@ -31,9 +31,8 @@ EXPORTED = {
         "noisy_outcome_adjust", "sample_cap_for_error", "sample_lb",
     ],
     "width": [
-        "WidthParams", "correlated_variance", "effective_width", "equicorrelated_outcomes",
-        "estimator_variance_iid", "hoeffding_halfwidth", "width_horizon",
-        "width_insufficiency_threshold",
+        "WidthParams", "correlated_variance", "effective_width", "estimator_variance_iid",
+        "hoeffding_halfwidth", "width_horizon", "width_insufficiency_threshold",
     ],
     "inspection": [
         "BudgetParams", "DesignPlan", "Schedule", "budget_lb", "budget_optimize",
@@ -55,7 +54,7 @@ OWNER = {name: module for module, names in EXPORTED.items() for name in names}
 
 
 def test_all_is_the_exported_names():
-    assert len(OWNER) == 79
+    assert len(OWNER) == 78
     assert sorted(chcalc.__all__) == sorted(OWNER)
 
 

@@ -5,12 +5,11 @@ import pytest
 from scipy import stats
 
 from chcalc.errors import InvalidArgument
+from chcalc.experiments import _width_histogram
 from chcalc.width import (
     WidthParams,
     correlated_variance,
     effective_width,
-    equicorrelated_group_sums,
-    equicorrelated_outcomes,
     estimator_variance_iid,
     hoeffding_halfwidth,
     width_horizon,
@@ -148,6 +147,21 @@ class TestParams:
             WidthParams(W=4, rho=0.2, value=1.5)
 
 
+def equicorrelated_outcomes(value, w, rho, groups, rng):
+    """The per-outcome reference: binary outcome groups with marginal mean
+    ``value`` and exact pairwise correlation ``rho`` inside each group.
+
+    R_j = I_j * C + (1 - I_j) * X_j with I_j ~ Bernoulli(sqrt(rho)) i.i.d.,
+    C a per-group shared Bernoulli(value), X_j i.i.d. Bernoulli(value), so
+    Cov(R_i, R_j) = rho * value * (1 - value). Returns a (groups x w) float
+    array of 0/1 outcomes.
+    """
+    shared = (rng.random((groups, 1)) < value).astype(float)
+    private = (rng.random((groups, w)) < value).astype(float)
+    use_shared = rng.random((groups, w)) < math.sqrt(rho)
+    return np.where(use_shared, shared, private)
+
+
 class TestEquicorrelatedSampler:
     def test_marginal_mean_and_pairwise_correlation(self):
         rng = np.random.default_rng(42)
@@ -197,29 +211,45 @@ def _sum_by_draw(value, w, rho, groups, rng):
     return equicorrelated_outcomes(value, w, rho, groups, rng).sum(axis=1)
 
 
+def equicorrelated_group_sums(value, w, rho, groups, rng):
+    """The width experiment's group sums: its histogram, one entry per group."""
+    return np.repeat(*_width_histogram(value, w, rho, groups, rng))
+
+
+def _fits_group_sum_pmf(sums, value, w, rho) -> bool:
+    observed = np.bincount(sums.astype(int), minlength=w + 1)
+    expected = len(sums) * group_sum_pmf(value, w, rho)
+    rare = expected < 5  # pooled into one cell, as the chi-squared law needs
+    if rare.any():
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    return stats.chisquare(observed, expected).pvalue > 1e-3
+
+
 class TestGroupSums:
     @pytest.mark.parametrize("sampler", [equicorrelated_group_sums, _sum_by_draw])
-    @pytest.mark.parametrize("w", [1, 4, 16])
+    @pytest.mark.parametrize("w", [1, 4, 16, 256])
     @pytest.mark.parametrize("rho", [0.0, 0.15, 0.6])
     def test_chi_squared_fit_to_exact_pmf(self, sampler, w, rho):
         value, groups = 0.3, 20_000
         sums = np.asarray(sampler(value, w, rho, groups, np.random.default_rng(11)))
         assert sums.shape == (groups,)
-        observed = np.bincount(sums.astype(int), minlength=w + 1)
-        expected = groups * group_sum_pmf(value, w, rho)
-        rare = expected < 5  # pooled into one cell, as the chi-squared law needs
-        if rare.any():
-            observed = np.append(observed[~rare], observed[rare].sum())
-            expected = np.append(expected[~rare], expected[rare].sum())
-        assert stats.chisquare(observed, expected).pvalue > 1e-3
+        assert _fits_group_sum_pmf(sums, value, w, rho)
+
+    def test_histogram_fits_exact_pmf_at_a_million_outcomes_per_group(self):
+        value, w, rho, groups = 0.3, 10**6, 0.15, 20_000
+        sums, mult = _width_histogram(value, w, rho, groups, np.random.default_rng(11))
+        assert mult.sum() == groups
+        assert _fits_group_sum_pmf(np.repeat(sums, mult), value, w, rho)
 
     def test_deterministic_per_seed(self):
-        a = equicorrelated_group_sums(0.4, 4, 0.1, 100, np.random.default_rng(3))
-        b = equicorrelated_group_sums(0.4, 4, 0.1, 100, np.random.default_rng(3))
-        np.testing.assert_array_equal(a, b)
+        a = _width_histogram(0.4, 4, 0.1, 100, np.random.default_rng(3))
+        b = _width_histogram(0.4, 4, 0.1, 100, np.random.default_rng(3))
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
-    def test_rejects_bad_arguments(self):
-        rng = np.random.default_rng(0)
-        for args in ((1.5, 4, 0.1, 10), (0.5, 0, 0.1, 10), (0.5, 4, 1.0, 10), (0.5, 4, 0.1, 0)):
-            with pytest.raises(InvalidArgument):
-                equicorrelated_group_sums(*args, rng)
+    def test_value_rounding_to_a_sure_success_still_draws(self):
+        # p_1 = lam + (1 - lam) * value rounds to 1.0 here
+        value = 1 - 2**-53
+        sums, mult = _width_histogram(value, 8, 0.25, 1000, np.random.default_rng(0))
+        assert mult.sum() == 1000 and sums.max() == 8
