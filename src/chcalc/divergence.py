@@ -118,25 +118,6 @@ class DecayCurve:
         check_range(k, "k", 0, len(self.values), "[)")
         return self.values[k][1]
 
-    def csv_rows(self, eta: float | None = None) -> list[dict]:
-        """Rows step / distance_to_end / chi2_measured / chi2_theory.
-
-        The theory column is eta^(u - start_step) * initial chi2 when a
-        homogeneous contraction rate is supplied, blank otherwise.
-        """
-        rows = []
-        for u, value in self.values:
-            theory = eta ** (u - self.start_step) * self.initial_chi2 if eta is not None else ""
-            rows.append(
-                {
-                    "step": u,
-                    "distance_to_end": self.horizon - u,
-                    "chi2_measured": value,
-                    "chi2_theory": theory,
-                }
-            )
-        return rows
-
 
 def _chi2_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``chi2_arrays`` of each row pair. Rows whose reference has full support

@@ -17,7 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,28 +41,28 @@ from .schema import (  # re-exported: the config and its params are declared in 
 
 @dataclass
 class ResultTable:
-    """Rectangular results plus run metadata (metadata goes to the JSON
-    sidecar, never into the CSV)."""
+    """Rows of one row dataclass plus run metadata (metadata goes to the JSON
+    sidecar, never into the CSV). The CSV columns are the row type's fields,
+    in declaration order."""
 
-    columns: list[str]
-    rows: list[list]
+    row_type: type
+    rows: list
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise InvalidArgument("every row must match the column count")
+    @property
+    def columns(self) -> list[str]:
+        return [f.name for f in fields(self.row_type)]
 
     def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+        return [getattr(row, name) for row in self.rows]
 
     def to_csv_string(self) -> str:
         """Header plus rows; reals at 17 significant digits (round-trip exact),
         LF line endings. Cell values must not contain commas."""
-        lines = [",".join(self.columns)]
+        columns = self.columns
+        lines = [",".join(columns)]
         for row in self.rows:
-            lines.append(",".join(_format_cell(cell) for cell in row))
+            lines.append(",".join(_format_cell(getattr(row, name)) for name in columns))
         return "\n".join(lines) + "\n"
 
 
@@ -138,6 +138,15 @@ def _fit_loglinear(distances: np.ndarray, values: np.ndarray) -> tuple[float, fl
     return float(slope), r2
 
 
+@dataclass(frozen=True, kw_only=True)
+class DecayRow:
+    step: int
+    distance_to_end: int
+    eta: float
+    chi2_measured: float
+    chi2_theory: float
+
+
 def run_decay(cfg: ExperimentConfig) -> ResultTable:
     """Exact divergence decay curves, one per contraction rate.
 
@@ -160,24 +169,20 @@ def run_decay(cfg: ExperimentConfig) -> ResultTable:
         curve = divergence.decay_curve(
             spec, markov.point_mass(0, states), markov.uniform_dist(states), 0
         )
-        # u = perturbation step, read at d = H - u propagation steps
-        by_distance = curve.csv_rows(eta=eta)[::-1]
+        # step u = H - d is the perturbation step, read after d propagation steps
         rows = [
-            [u, h - u, eta, row["chi2_measured"], row["chi2_theory"]]
-            for u, row in enumerate(by_distance)
+            DecayRow(step=h - d, distance_to_end=d, eta=eta,
+                     chi2_measured=value, chi2_theory=eta**d * curve.initial_chi2)
+            for d, value in reversed(curve.values)
         ]
-        measured = np.array([row[3] for row in rows])
+        measured = np.array([row.chi2_measured for row in rows])
         slope, r2 = _fit_loglinear(np.arange(h, -1, -1, dtype=float), measured)
         return rows, {"slope": slope, "r2": r2}
 
     results = _map_units(one_eta, list(etas))
     rows = [row for unit_rows, _ in results for row in unit_rows]
     fits = {repr(eta): fit for eta, (_, fit) in zip(etas, results)}
-    return ResultTable(
-        columns=["step", "distance_to_end", "eta", "chi2_measured", "chi2_theory"],
-        rows=rows,
-        metadata={"fits": fits},
-    )
+    return ResultTable(DecayRow, rows, metadata={"fits": fits})
 
 
 def _width_histogram(value: float, w: int, rho: float, groups: int, rng):
@@ -197,6 +202,18 @@ def _width_histogram(value: float, w: int, rho: float, groups: int, rng):
         if g > 0
     ]
     return np.concatenate([s for s, _ in parts]), np.concatenate([m for _, m in parts])
+
+
+@dataclass(frozen=True, kw_only=True)
+class WidthRow:
+    replicate: int
+    W: int
+    groups: int
+    w_eff_empirical: float
+    w_eff_theory: float
+    var_single_empirical: float
+    var_group_mean_empirical: float
+    var_theory: float
 
 
 def run_width(cfg: ExperimentConfig) -> ResultTable:
@@ -227,36 +244,19 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
         else:
             var_mean = float(mult @ (means - pooled) ** 2) / (groups - 1)
             w_eff_emp = var_single / var_mean if var_mean > 0 else math.inf
-        return [
-            replicate,
-            w,
-            groups,
-            w_eff_emp,
-            width.effective_width(w, rho),
-            var_single,
-            var_mean,
-            width.correlated_variance(value, w, rho),
-        ]
+        return WidthRow(
+            replicate=replicate, W=w, groups=groups,
+            w_eff_empirical=w_eff_emp, w_eff_theory=width.effective_width(w, rho),
+            var_single_empirical=var_single, var_group_mean_empirical=var_mean,
+            var_theory=width.correlated_variance(value, w, rho),
+        )
 
     units = [
         (replicate, unit, w)
         for replicate in range(cfg.replicates)
         for unit, w in enumerate(cfg.params.widths)
     ]
-    rows = _map_units(one_unit, units)
-    return ResultTable(
-        columns=[
-            "replicate",
-            "W",
-            "groups",
-            "w_eff_empirical",
-            "w_eff_theory",
-            "var_single_empirical",
-            "var_group_mean_empirical",
-            "var_theory",
-        ],
-        rows=rows,
-    )
+    return ResultTable(WidthRow, _map_units(one_unit, units))
 
 
 def _midpoint_threshold(q0: float, q1: float, n_obs: int) -> int:
@@ -337,6 +337,17 @@ def _count_level(rng, counts, mult, n: int, q: float, q_next: float, log_fact):
     return lo + occupied, total[occupied]
 
 
+@dataclass(frozen=True, kw_only=True)
+class InspectionRow:
+    replicate: int
+    schedule: str
+    worst_step: int
+    max_gap: int
+    err_worst_measured: float
+    err_worst_lecam: float
+    sample_lb_worst: float
+
+
 def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     """Worst-case attribution error of competing inspection schedules.
 
@@ -404,29 +415,26 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
                 sched, eta_chi2, delta2, epsilon
             )
             rows.append(
-                [
-                    replicate,
-                    ";".join(str(t) for t in sched.times),
-                    worst_step,
-                    inspection.maximal_gap(sched),
-                    max(errors[d] for errors, d in zip(step_errors, ds)),
-                    max(lecam[d] for d in ds),
-                    worst_bound,
-                ]
+                InspectionRow(
+                    replicate=replicate, schedule=";".join(str(t) for t in sched.times),
+                    worst_step=worst_step, max_gap=inspection.maximal_gap(sched),
+                    err_worst_measured=max(errors[d] for errors, d in zip(step_errors, ds)),
+                    err_worst_lecam=max(lecam[d] for d in ds), sample_lb_worst=worst_bound,
+                )
             )
-    return ResultTable(
-        columns=[
-            "replicate",
-            "schedule",
-            "worst_step",
-            "max_gap",
-            "err_worst_measured",
-            "err_worst_lecam",
-            "sample_lb_worst",
-        ],
-        rows=rows,
-        metadata={"eta_chi2": eta_chi2, "delta2": delta2},
-    )
+    return ResultTable(InspectionRow, rows, metadata={"eta_chi2": eta_chi2, "delta2": delta2})
+
+
+@dataclass(frozen=True, kw_only=True)
+class HorizonRow:
+    replicate: int
+    eta: float
+    distance: int
+    q0: float
+    q1: float
+    accuracy_measured: float
+    accuracy_exact: float
+    h_crit_marker: float
 
 
 def run_horizon(cfg: ExperimentConfig) -> ResultTable:
@@ -465,16 +473,11 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
         correct1 = np.count_nonzero(rng.binomial(obs, q1, size=n1) < k_star)
         correct0 = np.count_nonzero(rng.binomial(obs, q0, size=trials - n1) >= k_star)
         accuracy = (correct0 + correct1) / trials
-        return [
-            replicate,
-            eta,
-            d,
-            q0,
-            q1,
-            accuracy,
-            exact_two_point_accuracy(q0, q1, obs),
-            markers[repr(eta)]["h_crit_simplified"],
-        ]
+        return HorizonRow(
+            replicate=replicate, eta=eta, distance=d, q0=q0, q1=q1,
+            accuracy_measured=accuracy, accuracy_exact=exact_two_point_accuracy(q0, q1, obs),
+            h_crit_marker=markers[repr(eta)]["h_crit_simplified"],
+        )
 
     units = [
         (replicate, unit, eta, d)
@@ -482,20 +485,19 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
         for unit, (eta, d) in enumerate(itertools.product(etas, range(h + 1)))
     ]
     rows = _map_units(one_unit, units)
-    return ResultTable(
-        columns=[
-            "replicate",
-            "eta",
-            "distance",
-            "q0",
-            "q1",
-            "accuracy_measured",
-            "accuracy_exact",
-            "h_crit_marker",
-        ],
-        rows=rows,
-        metadata={"markers": markers, "delta2": delta2},
-    )
+    return ResultTable(HorizonRow, rows, metadata={"markers": markers, "delta2": delta2})
+
+
+@dataclass(frozen=True, kw_only=True)
+class MismatchRow:
+    replicate: int
+    chains: int
+    H: int
+    p: float
+    threshold: float
+    fraction_sampled: float
+    fraction_exact: float
+    standard_error: float
 
 
 def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
@@ -508,24 +510,13 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
         rng = unit_rng(cfg.master_seed, "mismatch", replicate, 0)
         counts = rng.binomial(h, p, size=chains)  # correct steps per chain
         hits = (counts >= math.ceil(threshold * h)) & (counts < h)
-        sampled = float(np.mean(hits))
-        se = math.sqrt(max(exact * (1 - exact), 1e-300) / chains)
-        return [replicate, chains, h, p, threshold, sampled, exact, se]
+        return MismatchRow(
+            replicate=replicate, chains=chains, H=h, p=p, threshold=threshold,
+            fraction_sampled=float(np.mean(hits)), fraction_exact=exact,
+            standard_error=math.sqrt(max(exact * (1 - exact), 1e-300) / chains),
+        )
 
-    rows = _map_units(one_replicate, list(range(cfg.replicates)))
-    return ResultTable(
-        columns=[
-            "replicate",
-            "chains",
-            "H",
-            "p",
-            "threshold",
-            "fraction_sampled",
-            "fraction_exact",
-            "standard_error",
-        ],
-        rows=rows,
-    )
+    return ResultTable(MismatchRow, _map_units(one_replicate, list(range(cfg.replicates))))
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +565,17 @@ def oracle_min_inspections(
     return horizon - 1
 
 
+@dataclass(frozen=True, kw_only=True)
+class OracleRow:
+    check: str
+    H: int
+    m: int
+    param: float
+    oracle_value: int
+    computed_value: int
+    match: int
+
+
 def run_oracle(cfg: ExperimentConfig) -> ResultTable:
     """Cross-check the closed-form gap minimum and the greedy scheduler
     against exhaustive enumeration on small horizons."""
@@ -585,8 +587,10 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
             oracle_value = oracle_min_gap(h, m)
             formula_value = inspection.min_gap_value(h, m)
             rows.append(
-                ["min_gap", h, m, float(m), oracle_value, formula_value,
-                 int(oracle_value == formula_value)]
+                OracleRow(
+                    check="min_gap", H=h, m=m, param=float(m), oracle_value=oracle_value,
+                    computed_value=formula_value, match=int(oracle_value == formula_value),
+                )
             )
 
     def one_case(case: int):
@@ -596,13 +600,13 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
         gamma = max(inspection.step_info_distances(etas)) * float(rng.uniform(1.05, 3.0))
         greedy_m = inspection.greedy_schedule(etas, gamma).m
         oracle_m = oracle_min_inspections(etas, gamma)
-        return ["greedy", h, greedy_m, gamma, oracle_m, greedy_m, int(oracle_m == greedy_m)]
+        return OracleRow(
+            check="greedy", H=h, m=greedy_m, param=gamma, oracle_value=oracle_m,
+            computed_value=greedy_m, match=int(oracle_m == greedy_m),
+        )
 
     rows.extend(_map_units(one_case, list(range(greedy_cases))))
-    return ResultTable(
-        columns=["check", "H", "m", "param", "oracle_value", "computed_value", "match"],
-        rows=rows,
-    )
+    return ResultTable(OracleRow, rows)
 
 
 # kind -> runner; schema.ExperimentConfig resolves each kind's params
@@ -626,6 +630,6 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         "master_seed": cfg.master_seed,
         "kind": cfg.kind,
         "wall_time_s": time.perf_counter() - start,
-        **{k: v for k, v in table.metadata.items()},
+        **table.metadata,
     }
     return table

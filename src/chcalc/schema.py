@@ -26,8 +26,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .inspection import Schedule
 
-KIND_IDS = {"decay": 0, "width": 1, "inspection": 2, "horizon": 3, "mismatch": 4, "oracle": 5}
-
 # Exhaustive schedule enumeration is exponential in H.
 ORACLE_MAX_HORIZON = 14
 
@@ -35,10 +33,11 @@ ORACLE_MAX_HORIZON = 14
 # first exceeds the largest float at n = 1030.
 HORIZON_MAX_OBS = 1029
 
-# A width unit costs O(sqrt(W)), 2-3 s at W = 2**32, whatever the group
-# count; groups stay inside numpy's int64 draws.
+# A width unit costs O(sqrt(W)), 2-3 s at W = 2**32.
 WIDTH_MAX_W = 2**32
-WIDTH_MAX_GROUPS = 2**62
+# The two histogram counts, width groups and inspection trials, do not set a
+# unit's cost; the limit keeps them inside numpy's int64 draws.
+MAX_HISTOGRAM_COUNT = 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,7 @@ class WidthExperiment:
             WidthParams(W=w, rho=self.rho, value=self.value)
             check_max(w, f"widths[{i}]", WIDTH_MAX_W)
         check_min(self.groups, "groups", 2)
-        check_max(self.groups, "groups", WIDTH_MAX_GROUPS)
+        check_max(self.groups, "groups", MAX_HISTOGRAM_COUNT)
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,7 @@ class InspectionExperiment:
         self.schedule_objects()  # each schedule must fit inside the horizon
         check_min(self.n_per_test, "n_per_test", 1)
         check_min(self.trials, "trials", 1)
+        check_max(self.trials, "trials", MAX_HISTOGRAM_COUNT)
 
     def schedule_objects(self) -> list[Schedule]:
         from .inspection import Schedule
@@ -148,7 +148,7 @@ class OracleExperiment:
         check_min(self.greedy_cases, "greedy_cases", 0)
 
 
-# kind -> params dataclass
+# kind -> params dataclass; a kind's position is its id in the RNG streams
 _PARAMS = {
     "decay": DecayExperiment,
     "width": WidthExperiment,
@@ -157,6 +157,7 @@ _PARAMS = {
     "mismatch": MismatchExperiment,
     "oracle": OracleExperiment,
 }
+KIND_IDS = {kind: i for i, kind in enumerate(_PARAMS)}
 
 
 @dataclass(frozen=True)

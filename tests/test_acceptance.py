@@ -45,9 +45,9 @@ def test_criterion_01_signal_decay():
     started = time.perf_counter()
     table = run_experiment(ExperimentConfig.from_json_dict(GOLDEN_DECAY))
     worst = 0.0
-    for step, distance, eta, measured, _theory in table.rows:
-        expected = eta**distance * 9.0
-        worst = max(worst, abs(measured - expected))
+    for row in table.rows:
+        expected = row.eta**row.distance_to_end * 9.0
+        worst = max(worst, abs(row.chi2_measured - expected))
     assert worst < 1e-9
     r2_values = [fit["r2"] for fit in table.metadata["fits"].values()]
     assert min(r2_values) > 0.999
@@ -62,9 +62,9 @@ def test_criterion_01_signal_decay():
 def test_criterion_02_effective_width_saturation():
     started = time.perf_counter()
     table = run_experiment(ExperimentConfig.from_json_dict(GOLDEN_WIDTH))
-    row = {w: dict(zip(table.columns, r)) for w, r in zip(table.column("W"), table.rows)}
-    measured = row[256]["w_eff_empirical"]
-    theory = row[256]["w_eff_theory"]
+    row = {r.W: r for r in table.rows}
+    measured = row[256].w_eff_empirical
+    theory = row[256].w_eff_theory
     assert 6.2 <= measured <= 6.9
     assert theory == pytest.approx(6.5223, abs=5e-4)
     assert 1 / 0.15 == pytest.approx(6.667, abs=5e-4)  # saturation cap
@@ -108,18 +108,17 @@ def test_criterion_04_critical_horizon_calculators():
 def test_criterion_05_phase_transition():
     started = time.perf_counter()
     table = run_experiment(ExperimentConfig.from_json_dict(GOLDEN_HORIZON))
-    rows = [dict(zip(table.columns, r)) for r in table.rows]
     by_eta = {
-        eta: sorted((r for r in rows if r["eta"] == eta), key=lambda r: r["distance"])
+        eta: sorted((r for r in table.rows if r.eta == eta), key=lambda r: r.distance)
         for eta in (0.7, 0.8)
     }
     trials = GOLDEN_HORIZON["params"]["trials"]
 
-    acc_d1 = by_eta[0.7][1]["accuracy_measured"]
+    acc_d1 = by_eta[0.7][1].accuracy_measured
     assert 0.84 <= acc_d1 <= 0.94
 
-    crossing = next(r["distance"] for r in by_eta[0.7] if r["accuracy_measured"] <= 0.55)
-    marker = by_eta[0.7][0]["h_crit_marker"]
+    crossing = next(r.distance for r in by_eta[0.7] if r.accuracy_measured <= 0.55)
+    marker = by_eta[0.7][0].h_crit_marker
     assert crossing <= 26
     assert marker == pytest.approx(25.527, abs=1e-2)
 
@@ -127,10 +126,10 @@ def test_criterion_05_phase_transition():
     # horizon; measured accuracy must agree with the exact classifier
     # accuracy to Monte Carlo precision at every distance.
     for r in by_eta[0.8][1:]:
-        assert r["accuracy_exact"] > 0.5
-        se = math.sqrt(r["accuracy_exact"] * (1 - r["accuracy_exact"]) / trials)
-        assert abs(r["accuracy_measured"] - r["accuracy_exact"]) <= 4 * se + 1e-9
-    floor_08 = min(r["accuracy_measured"] for r in by_eta[0.8][1:])
+        assert r.accuracy_exact > 0.5
+        se = math.sqrt(r.accuracy_exact * (1 - r.accuracy_exact) / trials)
+        assert abs(r.accuracy_measured - r.accuracy_exact) <= 4 * se + 1e-9
+    floor_08 = min(r.accuracy_measured for r in by_eta[0.8][1:])
 
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
@@ -218,8 +217,8 @@ def test_criterion_09_objective_mismatch():
     assert 0.0062 <= attenuated <= 0.0063
 
     table = run_experiment(ExperimentConfig.from_json_dict(GOLDEN_MISMATCH))
-    row = dict(zip(table.columns, table.rows[0]))
-    z = abs(row["fraction_sampled"] - row["fraction_exact"]) / row["standard_error"]
+    row = table.rows[0]
+    z = abs(row.fraction_sampled - row.fraction_exact) / row.standard_error
     assert z <= 3.0
 
     h_fd = 1e-6

@@ -700,6 +700,10 @@ UNUSABLE_INPUTS = {
                                   {"kind": "width", "params": {"groups": 10**30}}),
     "width-W-above-limit": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
                             {"kind": "width", "params": {"widths": [4, 2**32 + 1]}}),
+    "inspection-trials-above-limit": (["experiment", "run", "--config", Path("input"), "--out",
+                                       Path("x.csv")], {"kind": "inspection", "params": {"trials": 2**63 - 1}}),
+    "inspection-trials-beyond-int64": (["experiment", "run", "--config", Path("input"), "--out",
+                                        Path("x.csv")], {"kind": "inspection", "params": {"trials": 10**30}}),
     # the exact accuracy would weigh binomial coefficients beyond float range
     "horizon-obs-out-of-range": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
                                  {"kind": "horizon", "params": {"H": 1, "etas": [0.7],
@@ -727,6 +731,13 @@ WORK_LIMIT_MESSAGES = {
     "width-groups-above-limit": f"error: groups must be at most {2**62}, got {2**63 - 1}\n",
     "width-groups-beyond-int64": f"error: groups must be at most {2**62}, got {10**30}\n",
     "width-W-above-limit": f"error: widths[1] must be at most {2**32}, got {2**32 + 1}\n",
+}
+
+# Inspection trials share the width groups' histogram-count limit, 2**62.
+TRIALS_LIMIT_MESSAGES = {
+    "inspection-trials-above-limit": f"error: trials must be at most 4611686018427387904, got {2**63 - 1}\n",
+    "inspection-trials-beyond-int64": "error: trials must be at most 4611686018427387904, got 1000"
+                                      + "0" * 27 + "\n",
 }
 
 
@@ -762,6 +773,12 @@ def test_integer_beyond_float_range_names_its_field(capsys, tmp_path, case):
 def test_width_work_limit_names_field_value_and_limit(capsys, tmp_path, case):
     code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
     assert (code, err) == (1, WORK_LIMIT_MESSAGES[case])
+
+
+@pytest.mark.parametrize("case", list(TRIALS_LIMIT_MESSAGES))
+def test_inspection_trials_limit_names_field_value_and_limit(capsys, tmp_path, case):
+    code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
+    assert (code, err) == (1, TRIALS_LIMIT_MESSAGES[case])
 
 
 # The closed-form commands and the schedulers need only math, and a JSON input

@@ -165,17 +165,6 @@ class TestDecayCurve:
         assert curve.values[-1][0] == 6
         assert curve.terminal_chi2 == pytest.approx(0.8**4 * 9.0, abs=1e-12)
 
-    def test_csv_rows_theory_column(self):
-        curve = decay_curve(_spec(0.8, horizon=4), point_mass(0, 10), uniform_dist(10), 0)
-        rows = curve.csv_rows(eta=0.8)
-        assert [r["step"] for r in rows] == [0, 1, 2, 3, 4]
-        assert [r["distance_to_end"] for r in rows] == [4, 3, 2, 1, 0]
-        for k, row in enumerate(rows):
-            assert row["chi2_theory"] == pytest.approx(0.8**k * 9.0)
-        assert decay_curve(_spec(0.8, horizon=4), point_mass(0, 10), uniform_dist(10), 0).csv_rows()[0][
-            "chi2_theory"
-        ] == ""
-
     def test_bad_range(self):
         with pytest.raises(InvalidArgument):
             decay_curve(_spec(0.8, horizon=4), point_mass(0, 10), uniform_dist(10), 5)

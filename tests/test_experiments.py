@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from chcalc import experiments
 from chcalc.errors import Infeasible, InvalidArgument
 from chcalc.experiments import (
     GOLDEN_DECAY,
@@ -26,7 +28,7 @@ from chcalc.experiments import (
     unit_rng,
 )
 from chcalc.inspection import greedy_schedule, min_gap_value, step_info_distances
-from chcalc.schema import WIDTH_MAX_GROUPS
+from chcalc.schema import KIND_IDS, MAX_HISTOGRAM_COUNT
 
 
 def small(config: dict, **param_overrides) -> ExperimentConfig:
@@ -83,6 +85,14 @@ class TestConfig:
 
 
 class TestSeedDerivation:
+    def test_kind_ids_are_pinned(self):
+        # Each kind's id enters every seed of its runs, so reordering the kinds
+        # in schema would move every stream.
+        assert KIND_IDS == {
+            "decay": 0, "width": 1, "inspection": 2, "horizon": 3, "mismatch": 4, "oracle": 5
+        }
+        assert list(experiments._RUNNERS) == list(KIND_IDS)
+
     def test_distinct_units_distinct_streams(self):
         a = unit_rng(7, "width", 0, 0).random(4)
         b = unit_rng(7, "width", 0, 1).random(4)
@@ -108,36 +118,74 @@ class TestSeedDerivation:
         assert rows3[: len(rows1)] == rows1
 
 
-class TestResultTable:
-    def test_rectangular_enforced(self):
-        with pytest.raises(InvalidArgument):
-            ResultTable(columns=["a", "b"], rows=[[1]])
+@dataclasses.dataclass(frozen=True)
+class PairRow:
+    a: object
+    b: object = 0
 
+
+class TestResultTable:
     def test_csv_header_only_for_empty(self):
-        table = ResultTable(columns=["a", "b"], rows=[])
+        table = ResultTable(PairRow, [])
         assert table.to_csv_string() == "a,b\n"
 
     def test_csv_floats_round_trip(self):
-        table = ResultTable(columns=["x"], rows=[[0.41], [1 / 3], [9.0]])
+        table = ResultTable(PairRow, [PairRow(a=0.41), PairRow(a=1 / 3), PairRow(a=9.0)])
         lines = table.to_csv_string().strip().splitlines()[1:]
-        assert [float(s) for s in lines] == [0.41, 1 / 3, 9.0]
+        assert [float(s.split(",")[0]) for s in lines] == [0.41, 1 / 3, 9.0]
 
     def test_csv_rejects_commas_in_cells(self):
         with pytest.raises(InvalidArgument):
-            ResultTable(columns=["s"], rows=[["5,10"]]).to_csv_string()
+            ResultTable(PairRow, [PairRow(a="5,10")]).to_csv_string()
 
     def test_lf_endings(self):
-        table = ResultTable(columns=["a"], rows=[[1]])
+        table = ResultTable(PairRow, [PairRow(a=1)])
         assert "\r" not in table.to_csv_string()
+
+
+# Each kind's CSV header, pinned: the columns are the fields of its row type.
+HEADERS = {
+    "decay": "step,distance_to_end,eta,chi2_measured,chi2_theory",
+    "width": "replicate,W,groups,w_eff_empirical,w_eff_theory,var_single_empirical,"
+             "var_group_mean_empirical,var_theory",
+    "inspection": "replicate,schedule,worst_step,max_gap,err_worst_measured,err_worst_lecam,"
+                  "sample_lb_worst",
+    "horizon": "replicate,eta,distance,q0,q1,accuracy_measured,accuracy_exact,h_crit_marker",
+    "mismatch": "replicate,chains,H,p,threshold,fraction_sampled,fraction_exact,standard_error",
+    "oracle": "check,H,m,param,oracle_value,computed_value,match",
+}
+SMALL_PARAMS = {
+    "decay": {"H": 3},
+    "width": {"widths": [1, 4], "groups": 100},
+    "inspection": {"H": 4, "schedules": [[2]], "trials": 100},
+    "horizon": {"H": 2, "trials": 100},
+    "mismatch": {"chains": 100},
+    "oracle": {"max_H": 4, "greedy_cases": 2},
+}
+
+
+@pytest.mark.parametrize("kind", list(HEADERS))
+def test_csv_header_is_pinned(kind):
+    table = run_experiment(ExperimentConfig(kind, params=SMALL_PARAMS[kind]))
+    assert table.to_csv_string().splitlines()[0] == HEADERS[kind]
 
 
 class TestRunDecay:
     def test_golden_matches_theory_to_1e9(self):
         table = run_experiment(ExperimentConfig.from_json_dict(GOLDEN_DECAY))
-        assert table.columns == ["step", "distance_to_end", "eta", "chi2_measured", "chi2_theory"]
         measured = table.column("chi2_measured")
         theory = table.column("chi2_theory")
         assert max(abs(m - t) for m, t in zip(measured, theory)) < 1e-9
+
+    def test_theory_is_eta_power_times_initial_chi2(self):
+        table = run_experiment(small(GOLDEN_DECAY, H=4))
+        for eta in GOLDEN_DECAY["params"]["etas"]:
+            rows = [row for row in table.rows if row.eta == eta]
+            initial = next(row.chi2_measured for row in rows if row.distance_to_end == 0)
+            assert [row.step for row in rows] == [0, 1, 2, 3, 4]
+            assert [row.distance_to_end for row in rows] == [4, 3, 2, 1, 0]
+            for row in rows:
+                assert row.chi2_theory == eta**row.distance_to_end * initial
 
     def test_fits_in_metadata(self):
         table = run_experiment(ExperimentConfig.from_json_dict(GOLDEN_DECAY))
@@ -192,7 +240,7 @@ class TestRunWidth:
         assert csvs[0] == csvs[1]
 
     def test_group_limit_gives_finite_positive_variances(self):
-        table = run_experiment(small(GOLDEN_WIDTH, widths=[1, 4, 16], groups=WIDTH_MAX_GROUPS))
+        table = run_experiment(small(GOLDEN_WIDTH, widths=[1, 4, 16], groups=MAX_HISTOGRAM_COUNT))
         for name in ("var_single_empirical", "var_group_mean_empirical", "w_eff_empirical"):
             assert all(0 < v < math.inf for v in table.column(name))
         for emp, theory in zip(table.column("w_eff_empirical"), table.column("w_eff_theory")):
@@ -205,6 +253,14 @@ class TestRunWidth:
 
 
 class TestRunInspection:
+    def test_work_does_not_grow_with_trials(self):
+        started = time.perf_counter()
+        table = run_experiment(small(GOLDEN_INSPECTION, trials=MAX_HISTOGRAM_COUNT))
+        assert time.perf_counter() - started < 1.0
+        # one checkpoint bit per test: the measured error is the Le Cam error
+        for measured, lecam in zip(table.column("err_worst_measured"), table.column("err_worst_lecam")):
+            assert measured == pytest.approx(lecam, abs=1e-8)
+
     def test_golden_ordering_and_worst_steps(self):
         table = run_experiment(small(GOLDEN_INSPECTION, trials=4000))
         by_schedule = dict(zip(table.column("schedule"), table.column("err_worst_measured")))
@@ -457,15 +513,15 @@ class TestExactTwoPointAccuracy:
 class TestRunMismatch:
     def test_sampled_within_three_se(self):
         table = run_experiment(ExperimentConfig.from_json_dict(GOLDEN_MISMATCH))
-        row = dict(zip(table.columns, table.rows[0]))
-        assert abs(row["fraction_sampled"] - row["fraction_exact"]) <= 3 * row["standard_error"]
+        row = table.rows[0]
+        assert abs(row.fraction_sampled - row.fraction_exact) <= 3 * row.standard_error
 
     @pytest.mark.parametrize("p,h,threshold", [(0.995, 2000, 0.99), (0.9, 20, 0.5), (0.6, 7, 0.5)])
     def test_hit_count_within_five_se(self, p, h, threshold):
         chains = 20_000
         table = run_experiment(small(GOLDEN_MISMATCH, p=p, H=h, threshold=threshold, chains=chains))
-        row = dict(zip(table.columns, table.rows[0]))
-        count, exact = row["fraction_sampled"] * chains, row["fraction_exact"]
+        row = table.rows[0]
+        count, exact = row.fraction_sampled * chains, row.fraction_exact
         assert count == pytest.approx(round(count), abs=1e-6)
         assert abs(count - chains * exact) <= 5 * math.sqrt(chains * exact * (1 - exact))
 
