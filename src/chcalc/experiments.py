@@ -298,26 +298,21 @@ def _log_factorials(k: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, (k + 1.0).ravel().tolist()), float, k.size).reshape(k.shape)
 
 
-def _count_level(rng, counts, mult, n: int, q: float, q_next: float, log_fact):
-    """Move a histogram of success counts #{u < q} over n uniforms per trial
-    up to the level q_next >= q: each of the mult[k] trials whose count is
-    counts[k] gains Bin(n - counts[k], (q_next - q) / (1 - q)), the
-    conditional-binomial construction of the multinomial. Returns the new
-    (counts, mult), occupied counts only, ascending.
+def _log_factorial_table(n: int):
+    """ln k! for k = 0..n as a lookup on int arrays: the table's ``__getitem__``."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1).__getitem__
 
-    The transition rows are binomial pmfs, one row per occupied count,
-    drawn in one multinomial call; ``log_fact`` maps an int array to ln k!
-    of each entry (a table's ``__getitem__``, or ``_log_factorials``).
-    Columns farther than 20 sqrt(n - c) from a row's mean are left out: by
-    Hoeffding the pmf there is below e^-800, under the smallest positive
-    double. Equal levels (q values that coincide after underflow) draw
-    nothing; at q_next = 1 every count is n.
+
+def _binomial_rows(counts, n: int, rate: float, log_fact):
+    """The pmf of counts[j] + Bin(n - counts[j], rate), one row per entry of
+    counts, over the columns lo, lo + 1, ...; returns (lo, rows). ``log_fact``
+    maps an int array to ln k! of each entry (``_log_factorial_table``'s
+    lookup, or ``_log_factorials``). Columns farther than 20 sqrt(n - c) from
+    a row's mean are left out: by Hoeffding the pmf there is below e^-800,
+    under the smallest positive double. At rate 1 every row is the point n.
     """
-    if q_next == q:
-        return counts, mult
-    if q_next == 1.0:
-        return np.array([n]), np.array([mult.sum()])
-    rate = (q_next - q) / (1.0 - q)
+    if rate == 1.0:
+        return n, np.ones((counts.size, 1))
     m = n - counts
     mean = counts + m * rate
     spread = 20.0 * np.sqrt(m)
@@ -331,7 +326,24 @@ def _count_level(rng, counts, mult, n: int, q: float, q_next: float, log_fact):
         + i * math.log(rate) + mi * math.log1p(-rate)
     )
     rows = np.where(added >= 0, np.exp(log_pmf), 0.0)
-    rows /= rows.sum(axis=1, keepdims=True)
+    return lo, rows / rows.sum(axis=1, keepdims=True)
+
+
+def _count_level(rng, counts, mult, n: int, q: float, q_next: float, log_fact):
+    """Move a histogram of success counts #{u < q} over n uniforms per trial
+    up to the level q_next >= q: each of the mult[k] trials whose count is
+    counts[k] gains Bin(n - counts[k], (q_next - q) / (1 - q)), the
+    conditional-binomial construction of the multinomial. Returns the new
+    (counts, mult), occupied counts only, ascending.
+
+    The transition rows are ``_binomial_rows``, drawn in one multinomial
+    call. Equal levels (q values that coincide after underflow) draw
+    nothing; at q_next = 1 every count is n, drawn over one column, which
+    takes nothing from rng.
+    """
+    if q_next == q:
+        return counts, mult
+    lo, rows = _binomial_rows(counts, n, (q_next - q) / (1.0 - q), log_fact)
     total = rng.multinomial(mult, rows).sum(axis=0)
     occupied = np.flatnonzero(total)
     return lo + occupied, total[occupied]
@@ -383,8 +395,7 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     # Le Cam total error of one checkpoint bit, by downstream distance
     bit = markov.ProbVec([1 - q1, q1])
     lecam = [divergence.lecam_total_error(markov.ProbVec([1 - q, q]), bit) for q in q_by_distance]
-    table = np.fromiter(map(math.lgamma, range(1, n_per_test + 2)), float, n_per_test + 1)
-    log_fact = table.__getitem__  # ln k! for k = 0..n_per_test
+    log_fact = _log_factorial_table(n_per_test)
     # every trial at count 0, the level q = 0
     start = (np.zeros(1, dtype=np.int64), np.array([trials], dtype=np.int64))
 
@@ -437,14 +448,30 @@ class HorizonRow:
     h_crit_marker: float
 
 
+def _correct_by_side(rng, trials: int, k_star: int, side1, side0) -> tuple[int, int]:
+    """Correctly classified trials under H1 and under H0 of ``trials`` trials
+    whose hypothesis is drawn uniformly. A side is the one-row
+    ``_binomial_rows`` (lo, rows) of its trials' success counts; they draw
+    one histogram over it, and a count classifies H0 iff it is >= k_star."""
+    n1 = int(rng.binomial(trials, 0.5))
+    (lo1, rows1), (lo0, rows0) = side1, side0
+    correct1 = rng.multinomial(n1, rows1[0])[: max(0, k_star - lo1)].sum()
+    correct0 = rng.multinomial(trials - n1, rows0[0])[max(0, k_star - lo0):].sum()
+    return int(correct1), int(correct0)
+
+
 def run_horizon(cfg: ExperimentConfig) -> ResultTable:
     """Attribution accuracy against distance from the outcome.
 
     Per trial the hypothesis is drawn uniformly, the corresponding initial
     distribution (point mass vs. uniform) is propagated d steps, and
     obs_per_trial Bernoulli outcome bits are classified by the nearer of
-    the two exact outcome probabilities. Critical-horizon markers for the
-    configured sample budget n come from the horizon module.
+    the two exact outcome probabilities. Only counts are drawn: the trials
+    per hypothesis, then the histogram of each side's success counts over
+    its Bin(obs_per_trial, q) pmf row (``_correct_by_side``), so a unit's
+    cost does not grow with trials. The rows and the exact accuracy are
+    computed once per (eta, d), for all replicates. Critical-horizon
+    markers for the configured sample budget n come from the horizon module.
     """
     p = cfg.params
     h, states, etas, n, epsilon = p.H, p.states, p.etas, p.n, p.epsilon
@@ -462,29 +489,30 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
         }
         for eta in etas
     }
+    log_fact = _log_factorial_table(obs)
+    start = np.zeros(1, dtype=np.int64)  # every trial at count 0
+    side1 = _binomial_rows(start, obs, q1, log_fact)
 
-    def one_unit(args):
-        replicate, unit, eta, d = args
-        rng = unit_rng(cfg.master_seed, "horizon", replicate, unit)
+    def one_level(args):
+        """Every replicate's row at one (eta, d); replicate r draws from stream (r, unit)."""
+        unit, (eta, d) = args
         q0 = probs[eta][d]
         k_star = _midpoint_threshold(q0, q1, obs)
-        # Only counts matter: split the trials by hypothesis, then draw each side's.
-        n1 = int(rng.binomial(trials, 0.5))
-        correct1 = np.count_nonzero(rng.binomial(obs, q1, size=n1) < k_star)
-        correct0 = np.count_nonzero(rng.binomial(obs, q0, size=trials - n1) >= k_star)
-        accuracy = (correct0 + correct1) / trials
-        return HorizonRow(
-            replicate=replicate, eta=eta, distance=d, q0=q0, q1=q1,
-            accuracy_measured=accuracy, accuracy_exact=exact_two_point_accuracy(q0, q1, obs),
-            h_crit_marker=markers[repr(eta)]["h_crit_simplified"],
-        )
+        side0 = _binomial_rows(start, obs, q0, log_fact)
+        exact = exact_two_point_accuracy(q0, q1, obs)
+        return [
+            HorizonRow(
+                replicate=replicate, eta=eta, distance=d, q0=q0, q1=q1,
+                accuracy_measured=sum(_correct_by_side(
+                    unit_rng(cfg.master_seed, "horizon", replicate, unit), trials, k_star, side1, side0
+                )) / trials,
+                accuracy_exact=exact, h_crit_marker=markers[repr(eta)]["h_crit_simplified"],
+            )
+            for replicate in range(cfg.replicates)
+        ]
 
-    units = [
-        (replicate, unit, eta, d)
-        for replicate in range(cfg.replicates)
-        for unit, (eta, d) in enumerate(itertools.product(etas, range(h + 1)))
-    ]
-    rows = _map_units(one_unit, units)
+    by_level = _map_units(one_level, list(enumerate(itertools.product(etas, range(h + 1)))))
+    rows = [level_rows[r] for r in range(cfg.replicates) for level_rows in by_level]
     return ResultTable(HorizonRow, rows, metadata={"markers": markers, "delta2": delta2})
 
 

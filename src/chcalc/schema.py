@@ -35,8 +35,8 @@ HORIZON_MAX_OBS = 1029
 
 # A width unit costs O(sqrt(W)), 2-3 s at W = 2**32.
 WIDTH_MAX_W = 2**32
-# The two histogram counts, width groups and inspection trials, do not set a
-# unit's cost; the limit keeps them inside numpy's int64 draws.
+# The histogram counts, width groups and inspection and horizon trials, do not
+# set a unit's cost; the limit keeps them inside numpy's int64 draws.
 MAX_HISTOGRAM_COUNT = 2**62
 
 
@@ -120,6 +120,7 @@ class HorizonExperiment:
         check_epsilon(self.epsilon)
         check_range(self.obs_per_trial, "obs_per_trial", 1, HORIZON_MAX_OBS, "[]")
         check_min(self.trials, "trials", 1)
+        check_max(self.trials, "trials", MAX_HISTOGRAM_COUNT)
 
 
 @dataclass(frozen=True)

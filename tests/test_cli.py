@@ -704,6 +704,10 @@ UNUSABLE_INPUTS = {
                                        Path("x.csv")], {"kind": "inspection", "params": {"trials": 2**63 - 1}}),
     "inspection-trials-beyond-int64": (["experiment", "run", "--config", Path("input"), "--out",
                                         Path("x.csv")], {"kind": "inspection", "params": {"trials": 10**30}}),
+    "horizon-trials-above-limit": (["experiment", "run", "--config", Path("input"), "--out",
+                                    Path("x.csv")], {"kind": "horizon", "params": {"H": 2, "trials": 2**63 - 1}}),
+    "horizon-trials-beyond-int64": (["experiment", "run", "--config", Path("input"), "--out",
+                                     Path("x.csv")], {"kind": "horizon", "params": {"H": 2, "trials": 10**30}}),
     # the exact accuracy would weigh binomial coefficients beyond float range
     "horizon-obs-out-of-range": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
                                  {"kind": "horizon", "params": {"H": 1, "etas": [0.7],
@@ -738,6 +742,12 @@ TRIALS_LIMIT_MESSAGES = {
     "inspection-trials-above-limit": f"error: trials must be at most 4611686018427387904, got {2**63 - 1}\n",
     "inspection-trials-beyond-int64": "error: trials must be at most 4611686018427387904, got 1000"
                                       + "0" * 27 + "\n",
+}
+
+# Horizon trials share the same limit.
+HORIZON_TRIALS_LIMIT_MESSAGES = {
+    "horizon-trials-above-limit": f"error: trials must be at most {2**62}, got {2**63 - 1}\n",
+    "horizon-trials-beyond-int64": f"error: trials must be at most {2**62}, got {10**30}\n",
 }
 
 
@@ -779,6 +789,12 @@ def test_width_work_limit_names_field_value_and_limit(capsys, tmp_path, case):
 def test_inspection_trials_limit_names_field_value_and_limit(capsys, tmp_path, case):
     code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
     assert (code, err) == (1, TRIALS_LIMIT_MESSAGES[case])
+
+
+@pytest.mark.parametrize("case", list(HORIZON_TRIALS_LIMIT_MESSAGES))
+def test_horizon_trials_limit_names_field_value_and_limit(capsys, tmp_path, case):
+    code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
+    assert (code, err) == (1, HORIZON_TRIALS_LIMIT_MESSAGES[case])
 
 
 # The closed-form commands and the schedulers need only math, and a JSON input

@@ -18,8 +18,12 @@ from chcalc.experiments import (
     GOLDEN_WIDTH,
     ExperimentConfig,
     ResultTable,
+    _binomial_rows,
+    _correct_by_side,
     _count_level,
+    _log_factorial_table,
     _log_factorials,
+    _midpoint_threshold,
     _width_histogram,
     exact_two_point_accuracy,
     oracle_min_gap,
@@ -343,8 +347,8 @@ def _chi2_pvalue(observed: np.ndarray, expected: np.ndarray) -> float:
     return stats.chisquare(observed, expected).pvalue
 
 
-def _log_factorial_table(n: int):
-    """ln k! for k = 0..n, as the lookup ``_count_level`` takes."""
+def _gammaln_table(n: int):
+    """ln k! for k = 0..n by scipy, as the lookup ``_count_level`` takes."""
     return special.gammaln(np.arange(1, n + 2)).__getitem__
 
 
@@ -352,7 +356,7 @@ def _joint_by_levels(rng, n, q, q_next, trials, level=_count_level):
     """Joint counts table[a, b] of a trial's success counts at q and q_next,
     drawn as level histograms: the trials at each first-level count a move on
     by themselves."""
-    log_fact = _log_factorial_table(n)
+    log_fact = _gammaln_table(n)
     table = np.zeros((n + 1, n + 1), dtype=np.int64)
     start = np.zeros(1, dtype=np.int64), np.array([trials])
     for a, h in zip(*level(rng, *start, n, 0.0, q, log_fact)):
@@ -407,7 +411,7 @@ class TestCountLevels:
     @pytest.mark.parametrize("n", [1, 30, 2000])
     def test_each_level_fits_its_binomial(self, n):
         # 2000 bits leave out the columns farther than 20 sqrt(n - c) from a row's mean
-        rng, trials, log_fact = np.random.default_rng(5), 20_000, _log_factorial_table(n)
+        rng, trials, log_fact = np.random.default_rng(5), 20_000, _gammaln_table(n)
         (counts, mult), q = (np.zeros(1, dtype=np.int64), np.array([trials])), 0.0
         for q_next in (0.5, 0.7, 0.7, 0.95):
             counts, mult = _count_level(rng, counts, mult, n, q, q_next, log_fact)
@@ -421,9 +425,8 @@ class TestCountLevels:
     @pytest.mark.parametrize("n", [1, 2, 7, 30, 60])
     def test_table_and_window_lookups_draw_the_same_counts(self, n):
         # the inspection experiment's table against the width experiment's lookup
-        table = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1).__getitem__
         drawn = []
-        for lookup in (table, _log_factorials):
+        for lookup in (_log_factorial_table(n), _log_factorials):
             rng = np.random.default_rng(n)
             counts, mult, q = np.zeros(1, dtype=np.int64), np.array([5000]), 0.0
             for q_next in (0.1, 0.35, 0.8, 0.99):
@@ -436,9 +439,99 @@ class TestCountLevels:
         rng = np.random.default_rng(2)
         state = rng.bit_generator.state
         counts, mult = np.array([0, 2]), np.array([5, 7])
-        moved = _count_level(rng, counts, mult, 2, 0.4, 0.4, _log_factorial_table(2))
+        moved = _count_level(rng, counts, mult, 2, 0.4, 0.4, _gammaln_table(2))
         assert moved[0] is counts and moved[1] is mult
         assert rng.bit_generator.state == state
+
+    def test_level_one_moves_every_count_to_n_without_drawing(self):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        counts, mult = _count_level(rng, np.array([0, 2]), np.array([5, 7]), 3, 0.4, 1.0, _gammaln_table(3))
+        assert (counts.tolist(), mult.tolist()) == ([3], [12])
+        assert rng.bit_generator.state == state
+
+
+def _correct_by_trial(rng, trials, q0, q1, obs):
+    """The reference sampler, the horizon experiment's unit before count
+    histograms: one Bin(obs, q) success count per trial, thresholded at k*."""
+    k_star = _midpoint_threshold(q0, q1, obs)
+    n1 = int(rng.binomial(trials, 0.5))
+    correct1 = np.count_nonzero(rng.binomial(obs, q1, size=n1) < k_star)
+    correct0 = np.count_nonzero(rng.binomial(obs, q0, size=trials - n1) >= k_star)
+    return correct1, correct0
+
+
+def _pmf_row(q, obs):
+    """(lo, rows): the one Bin(obs, q) pmf row a horizon unit draws over."""
+    return _binomial_rows(np.zeros(1, dtype=np.int64), obs, q, _log_factorial_table(obs))
+
+
+def _homogeneity_pvalue(a, b):
+    """Chi-squared test that two samples of counts share one law; values seen
+    fewer than 10 times in the two samples together are pooled into one cell."""
+    values, cell = np.unique(np.concatenate([a, b]), return_inverse=True)
+    table = np.zeros((2, values.size))
+    np.add.at(table, (np.repeat([0, 1], [len(a), len(b)]), cell.ravel()), 1)
+    common = table.sum(axis=0) >= 10
+    table = np.column_stack([table[:, common], table[:, ~common].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    return 1.0 if table.shape[1] < 2 else stats.chi2_contingency(table, correction=False).pvalue
+
+
+class TestCorrectBySide:
+    """The horizon unit's per-side correct counts, drawn as one histogram per
+    side, against the per-trial reference sampler. Each case compares 3000
+    units per sampler and side; a sampler of the same law fails a comparison
+    with probability 1e-3, and the seeds are fixed."""
+
+    # (q0, q1, obs_per_trial, trials)
+    CASES = {
+        "one-bit": (0.853, 0.1, 1, 40),
+        "three-bits": (0.4, 0.15, 3, 40),
+        "close-pair-thirty-bits": (0.55, 0.5, 30, 40),
+        "distance-zero-q0-is-one": (1.0, 0.1, 4, 40),
+        # q0 of a chain reaches q1 = 1/states after underflow (eta 0.3, 10 states, d >= 64)
+        "q0-equals-q1": (0.1, 0.1, 5, 40),
+        "largest-obs-one-trial": (0.5, 0.48, 1029, 1),
+    }
+    UNITS = 3000
+
+    def _by_histogram(self, q0, q1, obs, trials, seed, shift=0):
+        k_star = _midpoint_threshold(q0, q1, obs) + shift
+        side1, side0 = _pmf_row(q1, obs), _pmf_row(q0, obs)
+        rng = np.random.default_rng(seed)
+        return np.array([_correct_by_side(rng, trials, k_star, side1, side0) for _ in range(self.UNITS)])
+
+    def _by_trial(self, q0, q1, obs, trials, seed):
+        rng = np.random.default_rng(seed)
+        return np.array([_correct_by_trial(rng, trials, q0, q1, obs) for _ in range(self.UNITS)])
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_per_side_counts_follow_the_reference_law(self, case):
+        q0, q1, obs, trials = self.CASES[case]
+        drawn = self._by_histogram(q0, q1, obs, trials, seed=17)
+        reference = self._by_trial(q0, q1, obs, trials, seed=18)
+        for side in (0, 1):
+            assert _homogeneity_pvalue(drawn[:, side], reference[:, side]) > 1e-3
+
+    def test_a_threshold_one_count_too_high_is_detected(self):
+        q0, q1, obs, trials = self.CASES["three-bits"]
+        drawn = self._by_histogram(q0, q1, obs, trials, seed=17, shift=1)
+        reference = self._by_trial(q0, q1, obs, trials, seed=18)
+        assert min(_homogeneity_pvalue(drawn[:, s], reference[:, s]) for s in (0, 1)) < 1e-3
+
+    def test_a_side_with_no_trials_counts_none(self):
+        q0, q1, obs = 0.55, 0.1, 2
+        k_star = _midpoint_threshold(q0, q1, obs)
+        sizes = set()
+        for seed in range(20):
+            n1 = int(np.random.default_rng(seed).binomial(1, 0.5))  # the unit's first draw
+            correct1, correct0 = _correct_by_side(
+                np.random.default_rng(seed), 1, k_star, _pmf_row(q1, obs), _pmf_row(q0, obs)
+            )
+            assert correct1 <= n1 and correct0 <= 1 - n1
+            sizes.add(n1)
+        assert sizes == {0, 1}
 
 
 class TestRunHorizon:
@@ -473,6 +566,45 @@ class TestRunHorizon:
     def test_largest_obs_per_trial_runs(self):
         table = run_experiment(small(GOLDEN_HORIZON, H=1, etas=[0.7], obs_per_trial=1029, trials=1))
         assert all(0.5 <= exact <= 1 + 1e-9 for exact in table.column("accuracy_exact"))
+        assert set(table.column("accuracy_measured")) <= {0.0, 1.0}
+
+    def test_work_does_not_grow_with_trials(self):
+        started = time.perf_counter()
+        table = run_experiment(small(GOLDEN_HORIZON, trials=MAX_HISTOGRAM_COUNT))
+        assert time.perf_counter() - started < 1.0
+        for measured, exact in zip(table.column("accuracy_measured"), table.column("accuracy_exact")):
+            assert measured == pytest.approx(exact, abs=1e-8)
+
+    def test_distance_zero_separates_with_q0_one(self):
+        trials = 4000
+        table = run_experiment(small(GOLDEN_HORIZON, H=2, etas=[0.7], trials=trials))
+        row = table.rows[0]
+        assert (row.distance, row.q0) == (0, 1.0)
+        se = math.sqrt(row.accuracy_exact * (1 - row.accuracy_exact) / trials)
+        assert abs(row.accuracy_measured - row.accuracy_exact) <= 5 * se
+
+    def test_levels_equal_after_underflow_are_chance(self):
+        trials = 4000
+        table = run_experiment(small(GOLDEN_HORIZON, H=80, etas=[0.3], trials=trials))
+        equal = [row for row in table.rows if row.q0 == row.q1]
+        assert [row.distance for row in equal] == list(range(64, 81))
+        for row in equal:
+            assert row.accuracy_exact == pytest.approx(0.5, abs=1e-12)
+            assert abs(row.accuracy_measured - 0.5) <= 5 * math.sqrt(0.25 / trials)
+
+    def test_csv_is_the_same_at_one_and_eight_threads(self, monkeypatch):
+        cfg = small({**GOLDEN_HORIZON, "replicates": 3}, H=12, trials=500)
+        csvs = []
+        for threads in ("1", "8"):
+            monkeypatch.setenv("CH_THREADS", threads)
+            csvs.append(run_experiment(cfg).to_csv_string())
+        assert csvs[0] == csvs[1]
+
+    def test_adding_replicates_keeps_earlier_rows(self):
+        one = run_experiment(small(GOLDEN_HORIZON, H=5, trials=300))
+        three = run_experiment(small({**GOLDEN_HORIZON, "replicates": 3}, H=5, trials=300))
+        assert three.rows[: len(one.rows)] == one.rows
+        assert three.column("replicate") == [r for r in range(3) for _ in one.rows]
 
     @pytest.mark.parametrize("obs", [2000, 10**8])
     def test_larger_obs_per_trial_refused_at_once(self, obs):
