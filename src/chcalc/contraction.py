@@ -179,19 +179,20 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     is drawn as numpy draws it: a standard exponential per entry, each
     scaled by 1 / their left-to-right sum. The sum is a cumsum, which is
     sequential; ``.sum()`` adds pairwise from 8 entries up and would change
-    the bits. Only the draws and each trial's product with the kernel run
-    one trial at a time; nudging, normalization and both divergences run
-    over blocks of rows and give the bits of the per-pair evaluation.
+    the bits. Only the draws run one trial at a time. The point masses, the
+    smoothed references and each block's trials go through the kernel as one
+    ``step`` on a stack; that, nudging, normalization and both divergences
+    run over blocks of rows and give the bits of the per-pair evaluation.
     """
     check_min(trials, "trials", 1)
     check_max(trials, "trials", MAX_TRIALS)
     check_min(seed, "seed", 0)
     n, rows = kernel.size, kernel.rows
     masses = np.eye(n)
-    pushed = np.array([step(mass, rows) for mass in masses])
+    pushed = step(masses[:, None], rows)[:, 0]
     refs = (1.0 - SMOOTHING) * masses + SMOOTHING / n
     refs /= refs.sum(axis=-1, keepdims=True)
-    pushed_refs = np.array([step(ref, rows) for ref in refs])
+    pushed_refs = step(refs[:, None], rows)[:, 0]
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     best = 0.0
     for s in range(0, len(i), _BLOCK):
@@ -210,10 +211,9 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
         # divergence is always finite.
         q = (draws + 1e-9) / (1.0 + n * 1e-9)
         q /= q.sum(axis=-1, keepdims=True)
-        # One vector-matrix product per trial: a block product would take
-        # another BLAS path and need not give the same bits.
-        qk = np.array([row @ rows for row in q])
-        qk /= qk.sum(axis=-1, keepdims=True)
+        # As a (size, 1, n) stack each trial keeps the vector-matrix BLAS path
+        # of its own step; a (size, n) block product would not (see ``step``).
+        qk = step(q[:, None], rows)[:, 0]
         best = max(best, _block_max(masses[picks], pushed[picks], q, qk))
     return min(1.0, best)
 

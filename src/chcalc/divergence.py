@@ -144,16 +144,16 @@ def decay_curve(spec: ChainSpec, p_t: ProbVec, q_t: ProbVec, t: int) -> DecayCur
         per_step = itertools.repeat(spec.kernels.rows, spec.horizon - t)
     else:
         per_step = (kernel.rows for kernel in spec.kernels[t:])
-    p = np.empty((min(_STEPS, spec.horizon - t) + 1, spec.states))
-    q = np.empty_like(p)
-    p[0], q[0] = p_t.entries, q_t.entries
+    # Row k holds P and Q after k steps as one (2, 1, n) stack: one step pushes both.
+    pairs = np.empty((min(_STEPS, spec.horizon - t) + 1, 2, 1, spec.states))
+    pairs[0, :, 0] = p_t.entries, q_t.entries
+    p, q = pairs[:, 0, 0], pairs[:, 1, 0]
     chi = [_chi2_rows(p[:1], q[:1])]
-    while block := list(itertools.islice(per_step, len(p) - 1)):
+    while block := list(itertools.islice(per_step, len(pairs) - 1)):
         for k, rows in enumerate(block, start=1):
-            p[k] = step(p[k - 1], rows)
-            q[k] = step(q[k - 1], rows)
+            step(pairs[k - 1], rows, out=pairs[k])
         end = len(block)
         chi.append(_chi2_rows(p[1 : end + 1], q[1 : end + 1]))
-        p[0], q[0] = p[end], q[end]
+        pairs[0] = pairs[end]
     values = tuple(zip(range(t, spec.horizon + 1), np.concatenate(chi).tolist()))
     return DecayCurve(start_step=t, horizon=spec.horizon, values=values)

@@ -199,13 +199,13 @@ def greedy_schedule(
 def _greedy_placement(weights: list[float], budget: float) -> Schedule:
     """``greedy_schedule`` on checked per-step distances and a resolved budget."""
     horizon = len(weights)
-    for t, w in enumerate(weights):
-        if w > budget:
-            raise Infeasible(
-                f"step {t} alone carries information distance {w:.6g} above the "
-                f"effective per-segment budget {budget:.6g}",
-                step=t,
-            )
+    if max(weights) > budget:
+        t = next(t for t, w in enumerate(weights) if w > budget)
+        raise Infeasible(
+            f"step {t} alone carries information distance {weights[t]:.6g} above the "
+            f"effective per-segment budget {budget:.6g}",
+            step=t,
+        )
     times = []
     start = 0
     while start < horizon:

@@ -232,11 +232,15 @@ def two_state_kernel(p: float) -> Kernel:
     return Kernel([[1.0 - p, p], [p, 1.0 - p]])
 
 
-def step(entries: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """entries @ rows divided by its sum: the arithmetic of ``ProbVec`` without its
-    checks, which cannot fail for a validated distribution and kernel of one size."""
-    pushed = entries @ rows
-    return pushed / pushed.sum()
+def step(entries: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """entries @ rows divided by its sum along the last axis, into ``out`` if
+    given: ``ProbVec``'s arithmetic without its checks, which cannot fail for a
+    validated distribution and kernel of one size. numpy's matmul runs a
+    ``(k, 1, n)`` stack as k vector-matrix products, the BLAS path of a 1-D
+    step, so each row gets its own step's bits; a ``(k, n)`` block need not."""
+    pushed = np.matmul(entries, rows, out=out)
+    pushed /= pushed.sum(axis=-1, keepdims=True)
+    return pushed
 
 
 def propagate(dist: ProbVec, kernel: Kernel) -> ProbVec:

@@ -237,16 +237,21 @@ _REPORT_PROBE = """
 import json, sys
 import numpy as np
 from chcalc.contraction import contraction_report
-from chcalc.markov import Kernel, mixture_kernel
+from chcalc.divergence import decay_curve
+from chcalc.markov import ChainSpec, Kernel, ProbVec, mixture_kernel, uniform_dist
 kernels = [mixture_kernel(0.8, 10)]
 kernels += [Kernel(np.random.default_rng(5).dirichlet(np.ones(s), size=s)) for s in (10, 120)]
-print(json.dumps([contraction_report(k).to_json_dict() for k in kernels]))
+spec = ChainSpec(horizon=300, kernels=kernels[2], success_set=frozenset({0}), initial=uniform_dist(120))
+p, q = (ProbVec(np.random.default_rng(s).dirichlet(np.ones(120))) for s in (6, 7))
+reports = [contraction_report(k).to_json_dict() for k in kernels]
+print(json.dumps({"reports": reports, "decay": decay_curve(spec, p, q, 0).values}))
 """
 
 
 def test_report_independent_of_blas_threads():
     # 120 states is above OpenBLAS's size threshold for a threaded
-    # vector-matrix product, so the two runs take different BLAS paths
+    # vector-matrix product, so the two runs take different BLAS paths;
+    # the 120-state decay curve pushes its pair as one stacked product per step
     src = str(Path(chcalc.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -257,7 +262,9 @@ def test_report_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
-    assert len(json.loads(outputs[0])) == 3
+    probe = json.loads(outputs[0])
+    assert len(probe["reports"]) == 3
+    assert len(probe["decay"]) == 301
 
 
 class TestReport:

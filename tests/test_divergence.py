@@ -212,6 +212,17 @@ class TestDecayCurveReference:
         p, q = ProbVec([0.1, 0.5, 0.2, 0.0, 0.1, 0.1]), ProbVec([0.3, 0.2, 0.2, 0.0, 0.15, 0.15])
         assert decay_curve(spec, p, q, 0).values == _reference_decay_values(spec, p, q, 0)
 
+    @pytest.mark.parametrize("states", [2, 6, 120])
+    @pytest.mark.parametrize("steps", [1, 3, 7])
+    def test_heterogeneous_across_block_boundaries(self, monkeypatch, steps, states):
+        monkeypatch.setattr(divergence, "_STEPS", steps)
+        rng = np.random.default_rng([steps, states])
+        kernels = [Kernel(rng.dirichlet(np.ones(states), size=states)) for _ in range(40)]
+        spec = ChainSpec(horizon=40, kernels=kernels, success_set=frozenset({1}), initial=uniform_dist(states))
+        p, q = ProbVec(rng.dirichlet(np.ones(states))), ProbVec(rng.dirichlet(np.ones(states)))
+        for t in (0, 5, 39, 40):
+            assert decay_curve(spec, p, q, t).values == _reference_decay_values(spec, p, q, t)
+
     def test_mass_on_null_reference_entry_refused(self):
         with pytest.raises(AbsoluteContinuityViolated):
             decay_curve(_spec(0.8, horizon=5), point_mass(0, 10), point_mass(1, 10), 0)

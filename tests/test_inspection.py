@@ -199,6 +199,14 @@ class TestGreedySchedule:
             greedy_schedule(etas, 2.0)
         assert excinfo.value.step == 5
 
+    def test_first_of_several_wide_steps_named(self):
+        # steps 1, 3 and 4 each exceed the budget; step 3 exceeds it most
+        etas = [0.9, 1e-3, 0.9, 1e-5, 1e-4, 0.9]
+        message = "^step 1 alone carries information distance 6.90776 above the effective per-segment budget 2$"
+        with pytest.raises(Infeasible, match=message) as excinfo:
+            greedy_schedule(etas, 2.0)
+        assert excinfo.value.step == 1
+
     def test_fidelity_penalty_shrinks_budget(self):
         eta = 0.85
         gamma = 3.3 * math.log(1 / eta)
@@ -414,6 +422,14 @@ class TestDesignProcedure:
         monkeypatch.setattr(inspection, "check_etas", lambda *a: calls.append(a) or original(*a))
         design_procedure(horizon=50, n=1000, delta2=0.3, epsilon=0.1, etas=SERVICE_ETAS)
         assert len(calls) == 1
+
+    def test_heterogeneous_plan_names_first_of_several_wide_steps(self):
+        # Gamma = ln(1000 * 0.3 / 0.9**2) = 5.9145; steps 1, 3 and 4 exceed it, step 3 most
+        etas = [0.9, 1e-3, 0.9, 1e-5, 1e-4, 0.9]
+        message = "^step 1 alone carries information distance 6.90776 above the effective per-segment budget 5.9145$"
+        with pytest.raises(Infeasible, match=message) as excinfo:
+            design_procedure(horizon=6, n=1000, delta2=0.3, epsilon=0.1, etas=etas)
+        assert excinfo.value.step == 1
 
     def test_infeasible_propagates(self):
         with pytest.raises(Infeasible):

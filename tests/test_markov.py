@@ -13,6 +13,7 @@ from chcalc.markov import (
     propagate,
     propagate_chain,
     softmax_policy_kernel,
+    step,
     two_state_kernel,
     uniform_dist,
 )
@@ -162,6 +163,30 @@ class TestPropagation:
             result = propagate(p, kernel)
             assert np.array_equal(result.entries, reference.entries)
             assert not result.entries.flags.writeable
+
+
+class TestStep:
+    # 120 states is above OpenBLAS's size threshold for a threaded vector-matrix product
+    @pytest.mark.parametrize("n", [2, 10, 120])
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_stack_matches_row_by_row_bit_for_bit(self, n, batch):
+        rng = np.random.default_rng([n, batch])
+        rows = Kernel(rng.dirichlet(np.ones(n), size=n)).rows
+        stack = rng.dirichlet(np.ones(n), size=batch)
+        expected = np.array([step(row, rows) for row in stack])
+        assert np.array_equal(step(stack[:, None], rows)[:, 0], expected)
+        out = np.empty((batch, 1, n))
+        assert step(stack[:, None], rows, out=out) is out
+        assert np.array_equal(out[:, 0], expected)
+
+    @pytest.mark.parametrize("n", [2, 10, 120])
+    def test_single_step_is_the_normalized_product(self, n):
+        # the former formulation: the product divided by its scalar sum
+        rng = np.random.default_rng(n)
+        rows = Kernel(rng.dirichlet(np.ones(n), size=n)).rows
+        for entries in rng.dirichlet(np.ones(n), size=50):
+            pushed = entries @ rows
+            assert np.array_equal(step(entries, rows), pushed / pushed.sum())
 
 
 def _spec(horizon=10, eta=0.81, states=10):
