@@ -8,7 +8,6 @@ lower bound.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -17,6 +16,7 @@ import numpy as np
 from .divergence import SUPPORT_EPS, chi2_arrays, chi2_full_support
 from .errors import AbsoluteContinuityViolated, InvalidArgument, check_eta, check_max, check_min, check_range
 from .markov import Kernel, step
+from .streams import _generator, _seed_words
 
 # Point-mass reference distributions violate absolute continuity; the
 # empirical estimator mixes in this much uniform mass before dividing.
@@ -29,15 +29,6 @@ _BLOCK = 256
 # Trial t's stream is SeedSequence([seed, t]); _seed_words needs t to be one
 # 32-bit word.
 MAX_TRIALS = 2**32
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
-# _POOL words filled by hashmix/mix, then read out by the output hash.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
 
 
 def dobrushin_alpha(kernel: Kernel) -> float:
@@ -105,64 +96,6 @@ def _block_max(p: np.ndarray, pk: np.ndarray, q: np.ndarray, qk: np.ndarray) -> 
     return best
 
 
-def _hasher(init: int, mult: int):
-    """One of SeedSequence's two word hashes; each call advances its constant."""
-    const = init
-
-    def hash_word(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    return hash_word
-
-
-def _seed_words(seed: int, first: int, size: int) -> np.ndarray:
-    """``SeedSequence([seed, t]).generate_state(4, np.uint64)`` for each t in
-    first..first+size-1, one row per t; every t must be below 2**32.
-
-    The entropy is seed's little-endian 32-bit words, then t; each step of
-    the hash runs on the column of all t at once, in uint32 arithmetic.
-    """
-    seed = operator.index(seed)
-    entropy = [np.full(size, seed & _MASK32, dtype=np.uint32)]
-    while seed > _MASK32:
-        seed >>= 32
-        entropy.append(np.full(size, seed & _MASK32, dtype=np.uint32))
-    entropy.append(np.arange(first, first + size, dtype=np.uint32))
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(size, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    output = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([output(pool[i % _POOL]) for i in range(2 * _POOL)], axis=-1)
-    # Pairs of words form little-endian uint64s, as in generate_state.
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _PrecomputedSeed(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands a bit generator precomputed state words."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
 def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     """Randomized lower bound on the chi-squared contraction coefficient.
 
@@ -173,16 +106,15 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     seed; trial t always uses ``Generator(PCG64(SeedSequence([seed, t])))``,
     so the result does not depend on evaluation order.
 
-    The seed words of a block of trials are hashed together by
-    ``_seed_words``, and each trial's PCG64 is seeded from its row, which
-    gives the generator SeedSequence([seed, t]) would. Dirichlet(1,...,1)
-    is drawn as numpy draws it: a standard exponential per entry, each
-    scaled by 1 / their left-to-right sum. The sum is a cumsum, which is
-    sequential; ``.sum()`` adds pairwise from 8 entries up and would change
-    the bits. Only the draws run one trial at a time. The point masses, the
-    smoothed references and each block's trials go through the kernel as one
-    ``step`` on a stack; that, nudging, normalization and both divergences
-    run over blocks of rows and give the bits of the per-pair evaluation.
+    The seed words of a block of trials are hashed together
+    (``streams._seed_words``). Dirichlet(1,...,1) is drawn as numpy draws
+    it: a standard exponential per entry, each scaled by 1 / their
+    left-to-right sum. The sum is a cumsum, which is sequential; ``.sum()``
+    adds pairwise from 8 entries up and would change the bits. Only the
+    draws run one trial at a time. The point masses, the smoothed references
+    and each block's trials go through the kernel as one ``step`` on a
+    stack; that, nudging, normalization and both divergences run over
+    blocks of rows and give the bits of the per-pair evaluation.
     """
     check_min(trials, "trials", 1)
     check_max(trials, "trials", MAX_TRIALS)
@@ -202,8 +134,8 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
         size = min(_BLOCK, trials - s)
         picks = np.empty(size, dtype=np.intp)
         draws = np.empty((size, n))
-        for k, words in enumerate(_seed_words(seed, s, size)):
-            rng = np.random.Generator(np.random.PCG64(_PrecomputedSeed(words)))
+        for k, words in enumerate(_seed_words([seed, np.arange(s, s + size, dtype=np.uint32)])):
+            rng = _generator(words)
             picks[k] = rng.integers(n)
             rng.standard_exponential(out=draws[k])
         draws *= (1.0 / np.cumsum(draws, axis=-1)[:, -1])[:, None]

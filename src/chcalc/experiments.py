@@ -4,7 +4,9 @@ Every experiment is deterministic given (config, master_seed): the random
 stream for replicate r, unit u is derived counter-style from
 SeedSequence([master_seed, kind_id, r, u]), so results are independent of
 worker-thread count and adding replicates never perturbs earlier ones.
-Thread count is capped by the CH_THREADS environment variable (default 1).
+Runners hash their units' seed words a block at a time (``streams``). Units
+go to a pool of at most CH_THREADS threads (default 1) only when the first
+one, run inline, took at least _POOL_MIN_UNIT_S.
 
 Theory columns always come from the calculator modules; nothing is
 re-derived inline.
@@ -25,6 +27,7 @@ import numpy as np
 from . import divergence, inspection, markov, objectives, width
 from .errors import Infeasible, InvalidArgument, check_range
 from .horizon import critical_horizon, critical_horizon_simplified, HorizonParams
+from .streams import _generator, _seed_words
 from .schema import (  # re-exported: the config and its params are declared in schema
     HORIZON_MAX_OBS,
     KIND_IDS,
@@ -78,28 +81,38 @@ def _format_cell(cell) -> str:
 
 
 def unit_rng(master_seed: int, kind: str, replicate: int, unit: int) -> np.random.Generator:
-    """Deterministic per-unit generator; see module docstring."""
-    seq = np.random.SeedSequence([master_seed, KIND_IDS[kind], replicate, unit])
-    return np.random.Generator(np.random.PCG64(seq))
+    """Generator(PCG64(SeedSequence([master_seed, kind_id, replicate, unit]))),
+    built through the runners' block hasher; see module docstring."""
+    return _generator(_unit_words(master_seed, kind, replicate, unit)[0])
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CH_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise InvalidArgument(f"CH_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, count)
+def _unit_words(master_seed: int, kind: str, replicate, unit) -> np.ndarray:
+    """Seed words of unit streams, one row of 4 each; replicate and unit may
+    be uint32 arrays, which broadcast together."""
+    return _seed_words([master_seed, KIND_IDS[kind], replicate, unit])
+
+
+# The first unit must take this long before the rest go to a thread pool: on
+# a 2-core host two threads lost below 1 ms a unit and tied or won from 3 ms.
+_POOL_MIN_UNIT_S = 3e-3
 
 
 def _map_units(fn: Callable, units: Sequence) -> list:
-    """Apply fn to units, optionally across threads; output order is the
-    input order regardless of completion order."""
-    workers = _worker_count()
-    if workers <= 1 or len(units) <= 1:
-        return [fn(u) for u in units]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, units))
+    """Apply fn to units; output order is the input order. The first unit
+    runs inline, and the rest go to a pool of CH_THREADS threads only if it
+    took at least _POOL_MIN_UNIT_S: cheaper units would only contend for the
+    GIL."""
+    raw = os.environ.get("CH_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise InvalidArgument(f"CH_THREADS must be an integer, got {raw!r}") from exc
+    start = time.perf_counter()
+    head = [fn(u) for u in units[:1]]
+    if workers > 1 and len(units) > 1 and time.perf_counter() - start >= _POOL_MIN_UNIT_S:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return head + list(pool.map(fn, units[1:]))
+    return head + [fn(u) for u in units[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +244,8 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
     rho, value, groups = cfg.params.rho, cfg.params.value, cfg.params.groups
 
     def one_unit(args):
-        replicate, unit, w = args
-        rng = unit_rng(cfg.master_seed, "width", replicate, unit)
-        sums, mult = _width_histogram(value, w, rho, groups, rng)
+        replicate, w, words = args
+        sums, mult = _width_histogram(value, w, rho, groups, _generator(words))
         means = sums / w
         pooled = float(mult @ means) / groups
         n = groups * w
@@ -251,10 +263,11 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
             var_theory=width.correlated_variance(value, w, rho),
         )
 
+    column = np.arange(len(cfg.params.widths), dtype=np.uint32)
     units = [
-        (replicate, unit, w)
+        (replicate, w, words)
         for replicate in range(cfg.replicates)
-        for unit, w in enumerate(cfg.params.widths)
+        for w, words in zip(cfg.params.widths, _unit_words(cfg.master_seed, "width", replicate, column))
     ]
     return ResultTable(WidthRow, _map_units(one_unit, units))
 
@@ -401,8 +414,8 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
 
     def one_step(args):
         """Summed error at step t for each downstream distance the schedules use."""
-        replicate, t = args
-        rng = unit_rng(cfg.master_seed, "inspection", replicate, t)
+        t, words = args
+        rng = _generator(words)
         counts1, mult1 = _count_level(rng, *start, n_per_test, 0.0, q1, log_fact)
         (counts0, mult0), q = start, 0.0
         errors = {}
@@ -419,7 +432,8 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
 
     rows = []
     for replicate in range(cfg.replicates):
-        step_errors = _map_units(one_step, [(replicate, t) for t in range(h)])
+        words = _unit_words(cfg.master_seed, "inspection", replicate, np.arange(h, dtype=np.uint32))
+        step_errors = _map_units(one_step, list(enumerate(words)))
         for sched in schedules:
             ds = d_by_schedule[sched.times]
             worst_step, worst_bound = inspection.worst_case_sample_lb(
@@ -494,8 +508,8 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
     side1 = _binomial_rows(start, obs, q1, log_fact)
 
     def one_level(args):
-        """Every replicate's row at one (eta, d); replicate r draws from stream (r, unit)."""
-        unit, (eta, d) = args
+        """Every replicate's row at one (eta, d); replicate r draws from row r of words."""
+        (eta, d), words = args
         q0 = probs[eta][d]
         k_star = _midpoint_threshold(q0, q1, obs)
         side0 = _binomial_rows(start, obs, q0, log_fact)
@@ -504,14 +518,18 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
             HorizonRow(
                 replicate=replicate, eta=eta, distance=d, q0=q0, q1=q1,
                 accuracy_measured=sum(_correct_by_side(
-                    unit_rng(cfg.master_seed, "horizon", replicate, unit), trials, k_star, side1, side0
+                    _generator(replicate_words), trials, k_star, side1, side0
                 )) / trials,
                 accuracy_exact=exact, h_crit_marker=markers[repr(eta)]["h_crit_simplified"],
             )
-            for replicate in range(cfg.replicates)
+            for replicate, replicate_words in enumerate(words)
         ]
 
-    by_level = _map_units(one_level, list(enumerate(itertools.product(etas, range(h + 1)))))
+    levels = list(itertools.product(etas, range(h + 1)))
+    # words[level, replicate]: the level index is the unit
+    units = np.arange(len(levels), dtype=np.uint32)[:, None]
+    words = _unit_words(cfg.master_seed, "horizon", np.arange(cfg.replicates, dtype=np.uint32), units)
+    by_level = _map_units(one_level, list(zip(levels, words)))
     rows = [level_rows[r] for r in range(cfg.replicates) for level_rows in by_level]
     return ResultTable(HorizonRow, rows, metadata={"markers": markers, "delta2": delta2})
 
@@ -534,9 +552,9 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
     p, h, threshold, chains = cfg.params.p, cfg.params.H, cfg.params.threshold, cfg.params.chains
     exact = objectives.mostly_correct_but_wrong_prob(p, h, threshold)
 
-    def one_replicate(replicate: int):
-        rng = unit_rng(cfg.master_seed, "mismatch", replicate, 0)
-        counts = rng.binomial(h, p, size=chains)  # correct steps per chain
+    def one_replicate(args):
+        replicate, words = args
+        counts = _generator(words).binomial(h, p, size=chains)  # correct steps per chain
         hits = (counts >= math.ceil(threshold * h)) & (counts < h)
         return MismatchRow(
             replicate=replicate, chains=chains, H=h, p=p, threshold=threshold,
@@ -544,7 +562,9 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
             standard_error=math.sqrt(max(exact * (1 - exact), 1e-300) / chains),
         )
 
-    return ResultTable(MismatchRow, _map_units(one_replicate, list(range(cfg.replicates))))
+    column = np.arange(cfg.replicates, dtype=np.uint32)
+    units = list(enumerate(_unit_words(cfg.master_seed, "mismatch", column, 0)))
+    return ResultTable(MismatchRow, _map_units(one_replicate, units))
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +641,8 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
                 )
             )
 
-    def one_case(case: int):
-        rng = unit_rng(cfg.master_seed, "oracle", 0, case)
+    def one_case(words):
+        rng = _generator(words)
         h = int(rng.integers(3, max_h + 1))
         etas = rng.uniform(0.35, 0.99, size=h)
         gamma = max(inspection.step_info_distances(etas)) * float(rng.uniform(1.05, 3.0))
@@ -633,7 +653,8 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
             computed_value=greedy_m, match=int(oracle_m == greedy_m),
         )
 
-    rows.extend(_map_units(one_case, list(range(greedy_cases))))
+    column = np.arange(greedy_cases, dtype=np.uint32)
+    rows.extend(_map_units(one_case, list(_unit_words(cfg.master_seed, "oracle", 0, column))))
     return ResultTable(OracleRow, rows)
 
 

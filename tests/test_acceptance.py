@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from chcalc import experiments
 from chcalc.contraction import dobrushin_alpha, dobrushin_bound, diversity_bound, two_state_exact
 from chcalc.experiments import (
     GOLDEN_DECAY,
@@ -272,6 +273,8 @@ def test_criterion_10_property_suites(monkeypatch):
     test_properties.TestScheduleRefinement().test_worst_case_bound_monotone_under_refinement()
 
     # determinism: every experiment kind, 1 vs 8 worker threads, identical CSV
+    # (pooled however cheap the units)
+    monkeypatch.setattr(experiments, "_POOL_MIN_UNIT_S", 0.0)
     for data in _small_configs():
         cfg = ExperimentConfig.from_json_dict(data)
         monkeypatch.setenv("CH_THREADS", "1")

@@ -12,7 +12,6 @@ from chcalc import contraction
 from chcalc.contraction import (
     MAX_TRIALS,
     _contraction_ratio,
-    _seed_words,
     attenuation,
     contraction_report,
     diversity_bound,
@@ -24,6 +23,7 @@ from chcalc.contraction import (
 from chcalc.divergence import chi2
 from chcalc.errors import AbsoluteContinuityViolated, InvalidArgument
 from chcalc.markov import Kernel, ProbVec, mixture_kernel, point_mass, two_state_kernel
+from chcalc.streams import _seed_words
 
 MANUFACTURING = Kernel([[0.85, 0.14, 0.01], [0.55, 0.35, 0.10], [0.20, 0.30, 0.50]])
 REASONING = Kernel([[0.7, 0.2, 0.1], [0.3, 0.4, 0.3], [0.1, 0.2, 0.7]])
@@ -119,7 +119,7 @@ class TestTrialStreams:
     def test_seed_words_match_seed_sequence(self, seed, first):
         # the middle block crosses a block boundary, the last ends at t = 2**32 - 1
         expected = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in range(first, first + 6)]
-        words = _seed_words(seed, first, 6)
+        words = _seed_words([seed, np.arange(first, first + 6, dtype=np.uint32)])
         assert words.dtype == np.uint64
         assert np.array_equal(words, expected)
 

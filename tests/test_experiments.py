@@ -23,7 +23,9 @@ from chcalc.experiments import (
     _count_level,
     _log_factorial_table,
     _log_factorials,
+    _map_units,
     _midpoint_threshold,
+    _unit_words,
     _width_histogram,
     exact_two_point_accuracy,
     oracle_min_gap,
@@ -33,6 +35,7 @@ from chcalc.experiments import (
 )
 from chcalc.inspection import greedy_schedule, min_gap_value, step_info_distances
 from chcalc.schema import KIND_IDS, MAX_HISTOGRAM_COUNT
+from chcalc.streams import _generator
 
 
 def small(config: dict, **param_overrides) -> ExperimentConfig:
@@ -112,6 +115,40 @@ class TestSeedDerivation:
         assert not np.allclose(base, unit_rng(7, "horizon", 0, 0).random(4))
         assert not np.allclose(base, unit_rng(7, "width", 1, 0).random(4))
 
+    # (replicate, unit) as each runner hashes them: one is a uint32 column
+    @pytest.mark.parametrize("kind, column_is_unit", [
+        ("width", True), ("inspection", True), ("horizon", True), ("mismatch", False), ("oracle", True),
+    ])
+    # 2**32 and up take 5 entropy words, past SeedSequence's pool of 4
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    # the second column crosses 256, the contraction estimator's block size
+    @pytest.mark.parametrize("first", [0, 250])
+    def test_block_words_give_seed_sequence_streams(self, kind, column_is_unit, master_seed, first):
+        column = np.arange(first, first + 12, dtype=np.uint32)
+        fixed = 0 if kind in ("mismatch", "oracle") else 3
+        words = _unit_words(master_seed, kind, *((fixed, column) if column_is_unit else (column, fixed)))
+        assert words.shape == (12, 4)
+        for row, c in zip(words, column.tolist()):
+            replicate, unit = (fixed, c) if column_is_unit else (c, fixed)
+            seq = np.random.SeedSequence([master_seed, KIND_IDS[kind], replicate, unit])
+            expected = np.random.Generator(np.random.PCG64(seq)).random(8)
+            np.testing.assert_array_equal(_generator(row).random(8), expected)
+            np.testing.assert_array_equal(unit_rng(master_seed, kind, replicate, unit).random(8), expected)
+
+    @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+    def test_level_by_replicate_table_gives_seed_sequence_streams(self, master_seed):
+        # run_horizon hashes every (level, replicate) at once
+        units = np.arange(250, 262, dtype=np.uint32)[:, None]
+        words = _unit_words(master_seed, "horizon", np.arange(3, dtype=np.uint32), units)
+        assert words.shape == (12, 3, 4)
+        for (level, replicate), row in np.ndenumerate(words[..., 0]):
+            seq = np.random.SeedSequence([master_seed, KIND_IDS["horizon"], replicate, 250 + level])
+            assert np.array_equal(words[level, replicate], seq.generate_state(4, np.uint64))
+
+    def test_negative_entropy_refused(self):
+        with pytest.raises(InvalidArgument, match="^seed entropy must be at least 0, got -1$"):
+            unit_rng(-1, "width", 0, 0)
+
     def test_adding_replicates_preserves_earlier_rows(self):
         cfg1 = small(GOLDEN_MISMATCH, chains=2000)
         cfg3 = ExperimentConfig.from_json_dict(
@@ -120,6 +157,63 @@ class TestSeedDerivation:
         rows1 = run_experiment(cfg1).rows
         rows3 = run_experiment(cfg3).rows
         assert rows3[: len(rows1)] == rows1
+
+
+class TestMapUnits:
+    """The first unit runs inline; a pool starts only after a unit that took
+    at least _POOL_MIN_UNIT_S, and never at CH_THREADS=1."""
+
+    @staticmethod
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    @staticmethod
+    def sleepy(unit):
+        time.sleep(unit * experiments._POOL_MIN_UNIT_S)
+        return unit
+
+    def test_cheap_units_never_start_a_pool(self, monkeypatch):
+        monkeypatch.setenv("CH_THREADS", "2")
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", self.no_pool)
+        assert _map_units(lambda u: u * u, list(range(50))) == [u * u for u in range(50)]
+
+    def test_heavy_units_start_a_pool_in_input_order(self, monkeypatch):
+        started = []
+
+        class Recording(experiments.ThreadPoolExecutor):
+            def __init__(self, **kwargs):
+                started.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setenv("CH_THREADS", "2")
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+        # later units finish first: the sleeps shrink from 3 to 1 threshold
+        units = [3, 2, 2, 1, 1]
+        assert _map_units(self.sleepy, units) == units
+        assert started == [{"max_workers": 2}]
+
+    def test_one_thread_never_pools(self, monkeypatch):
+        monkeypatch.setenv("CH_THREADS", "1")
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", self.no_pool)
+        assert _map_units(self.sleepy, [2, 1, 1]) == [2, 1, 1]
+
+    def test_exception_in_first_unit_propagates(self, monkeypatch):
+        monkeypatch.setenv("CH_THREADS", "2")
+        seen = []
+
+        def fail_first(unit):
+            seen.append(unit)
+            if unit == 0:
+                raise ValueError("unit 0")
+            return unit
+
+        with pytest.raises(ValueError, match="unit 0"):
+            _map_units(fail_first, [0, 1, 2])
+        assert seen == [0]
+
+    def test_no_units(self, monkeypatch):
+        monkeypatch.setenv("CH_THREADS", "2")
+        assert _map_units(self.no_pool, []) == []
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,6 +327,8 @@ class TestRunWidth:
             assert table.column("var_group_mean_empirical")[unit] == pytest.approx(var_mean, rel=1e-12)
 
     def test_csv_is_the_same_at_one_and_two_threads(self, monkeypatch):
+        # pool every config, however cheap its units
+        monkeypatch.setattr(experiments, "_POOL_MIN_UNIT_S", 0.0)
         cfg = ExperimentConfig.from_json_dict(
             {**GOLDEN_WIDTH, "replicates": 2,
              "params": {**GOLDEN_WIDTH["params"], "widths": [1, 4, 16, 64, 256, 10**5]}}
@@ -593,6 +689,8 @@ class TestRunHorizon:
             assert abs(row.accuracy_measured - 0.5) <= 5 * math.sqrt(0.25 / trials)
 
     def test_csv_is_the_same_at_one_and_eight_threads(self, monkeypatch):
+        # pool every config, however cheap its units
+        monkeypatch.setattr(experiments, "_POOL_MIN_UNIT_S", 0.0)
         cfg = small({**GOLDEN_HORIZON, "replicates": 3}, H=12, trials=500)
         csvs = []
         for threads in ("1", "8"):
