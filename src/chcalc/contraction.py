@@ -26,8 +26,8 @@ SMOOTHING = 1e-6
 # stay _BLOCK x n whatever the trial count.
 _BLOCK = 256
 
-# Trial t's stream is SeedSequence([seed, t]); _seed_words needs t to be one
-# 32-bit word.
+# The documented refusal limit. The block counter stays far inside one 32-bit
+# seed word; no limit yet bounds the work that a trial count implies.
 MAX_TRIALS = 2**32
 
 
@@ -103,18 +103,18 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     ordered point-mass pairs (with the reference side smoothed toward
     uniform by SMOOTHING) plus ``trials`` random pairs of a point mass
     against a Dirichlet(1,...,1) interior point. Deterministic given the
-    seed; trial t always uses ``Generator(PCG64(SeedSequence([seed, t])))``,
-    so the result does not depend on evaluation order.
-
-    The seed words of a block of trials are hashed together
+    seed: block b of ``_BLOCK`` trials draws ``integers(n, size=_BLOCK)``,
+    then ``standard_exponential((_BLOCK, n))`` from one stream,
+    ``Generator(PCG64(SeedSequence([seed, b])))``, and trial t takes row
+    t % _BLOCK. The last block is drawn in full too, so adding trials keeps
+    every earlier pair. The seed words of all blocks are hashed in one call
     (``streams._seed_words``). Dirichlet(1,...,1) is drawn as numpy draws
-    it: a standard exponential per entry, each scaled by 1 / their
-    left-to-right sum. The sum is a cumsum, which is sequential; ``.sum()``
-    adds pairwise from 8 entries up and would change the bits. Only the
-    draws run one trial at a time. The point masses, the smoothed references
-    and each block's trials go through the kernel as one ``step`` on a
-    stack; that, nudging, normalization and both divergences run over
-    blocks of rows and give the bits of the per-pair evaluation.
+    it: each row of exponentials scaled by 1 / its left-to-right sum. The
+    sum is a cumsum, which is sequential; ``.sum()`` adds pairwise from 8
+    entries up and would change the bits. The point masses, the smoothed
+    references and each block's trials go through the kernel as one
+    ``step`` on a stack; that, nudging, normalization and both divergences
+    run over blocks of rows and give the bits of the per-pair evaluation.
     """
     check_min(trials, "trials", 1)
     check_max(trials, "trials", MAX_TRIALS)
@@ -130,14 +130,11 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     for s in range(0, len(i), _BLOCK):
         pi, pj = i[s : s + _BLOCK], j[s : s + _BLOCK]
         best = max(best, _block_max(masses[pi], pushed[pi], refs[pj], pushed_refs[pj]))
-    for s in range(0, trials, _BLOCK):
-        size = min(_BLOCK, trials - s)
-        picks = np.empty(size, dtype=np.intp)
-        draws = np.empty((size, n))
-        for k, words in enumerate(_seed_words([seed, np.arange(s, s + size, dtype=np.uint32)])):
-            rng = _generator(words)
-            picks[k] = rng.integers(n)
-            rng.standard_exponential(out=draws[k])
+    block_words = _seed_words([seed, np.arange(-(-trials // _BLOCK), dtype=np.uint32)])
+    for s, words in zip(range(0, trials, _BLOCK), block_words):
+        rng = _generator(words)
+        picks = rng.integers(n, size=_BLOCK)[: trials - s]
+        draws = rng.standard_exponential((_BLOCK, n))[: trials - s]
         draws *= (1.0 / np.cumsum(draws, axis=-1)[:, -1])[:, None]
         # Nudge the draws strictly inside the simplex so the denominator
         # divergence is always finite.

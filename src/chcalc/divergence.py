@@ -102,7 +102,6 @@ class DecayCurve:
     """
 
     start_step: int
-    horizon: int
     values: tuple[tuple[int, float], ...]
 
     @property
@@ -156,4 +155,4 @@ def decay_curve(spec: ChainSpec, p_t: ProbVec, q_t: ProbVec, t: int) -> DecayCur
         chi.append(_chi2_rows(p[1 : end + 1], q[1 : end + 1]))
         pairs[0] = pairs[end]
     values = tuple(zip(range(t, spec.horizon + 1), np.concatenate(chi).tolist()))
-    return DecayCurve(start_step=t, horizon=spec.horizon, values=values)
+    return DecayCurve(start_step=t, values=values)

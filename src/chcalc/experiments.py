@@ -295,17 +295,6 @@ def exact_two_point_accuracy(q0: float, q1: float, n_obs: int) -> float:
     return 0.5 * (correct0 + correct1)
 
 
-def _outcome_probs_by_distance(states: int, h: int, kernel: markov.Kernel) -> list[float]:
-    """P(Z_d in success set | Z_0 = delta_0) for d = 0..h, success set {0}."""
-    dist = np.zeros(states)
-    dist[0] = 1.0
-    probs = [1.0]
-    for _ in range(h):
-        dist = markov.step(dist, kernel.rows)
-        probs.append(float(dist[0]))
-    return probs
-
-
 def _log_factorials(k: np.ndarray) -> np.ndarray:
     """ln k! of each entry of the int array k, by ``math.lgamma``."""
     return np.fromiter(map(math.lgamma, (k + 1.0).ravel().tolist()), float, k.size).reshape(k.shape)
@@ -394,11 +383,10 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     n_per_test, trials = p.n_per_test, p.trials
     schedules = p.schedule_objects()
 
-    # Identity weight eta keeps fraction eta of the mean signal per step;
-    # the chi-squared contraction coefficient of this kernel is eta**2.
-    kernel = markov.mixture_kernel(eta * eta, states)
+    # The chain's mixture kernel has identity weight eta, so it keeps fraction
+    # eta of the mean signal per step and contracts chi-squared by eta**2.
     eta_chi2 = eta * eta
-    q_by_distance = _outcome_probs_by_distance(states, h, kernel)
+    q_by_distance = markov.mixture_return_probs(eta_chi2, states, h)
     q1 = 1.0 / states
     delta2 = divergence.chi2(markov.point_mass(0, states), markov.uniform_dist(states))
     # d_by_schedule[times][t]: steps from t to the next checkpoint
@@ -493,7 +481,7 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
 
     delta2 = divergence.chi2(markov.point_mass(0, states), markov.uniform_dist(states))
     q1 = 1.0 / states
-    probs = {eta: _outcome_probs_by_distance(states, h, markov.mixture_kernel(eta, states)) for eta in etas}
+    probs = {eta: markov.mixture_return_probs(eta, states, h) for eta in etas}
     markers = {
         repr(eta): {
             "h_crit_simplified": critical_horizon_simplified(n, delta2, eta),

@@ -226,6 +226,21 @@ def mixture_kernel(eta: float, size: int) -> Kernel:
     return Kernel(rows)
 
 
+def mixture_return_probs(eta: float, size: int, steps: int) -> list[float]:
+    """P(Z_d = z | Z_0 = z) under ``mixture_kernel(eta, size)`` for d = 0..steps:
+    1/size + (1 - 1/size) * w**d, w = sqrt(eta) as the kernel takes it and w**d
+    a running product. Unlike a point mass pushed through the rows it carries
+    no BLAS rounding: it is exactly 1 at d = 0 and never below 1/size."""
+    check_eta(eta, "eta", "(]")
+    check_min(size, "size", 2)
+    w, floor = np.sqrt(eta), 1.0 / size
+    probs, power = [], 1.0
+    for _ in range(steps + 1):
+        probs.append(float(floor + (1.0 - floor) * power))
+        power *= w
+    return probs
+
+
 def two_state_kernel(p: float) -> Kernel:
     """Symmetric two-state kernel with flip probability p in [0, 1/2)."""
     check_range(p, "p", 0, 0.5, "[)")

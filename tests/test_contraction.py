@@ -106,6 +106,17 @@ class TestEmpiricalLower:
         b = empirical_eta_lower(MANUFACTURING, trials=200, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [mixture_kernel(0.8, 10), Kernel(np.random.default_rng(4).dirichlet(np.ones(7), size=7))],
+        ids=["mixture", "random"],
+    )
+    def test_monotone_in_trials(self, kernel):
+        # trial t's pair does not depend on the trial count, so more trials never lower the bound
+        for seed in (0, 9):
+            values = [empirical_eta_lower(kernel, trials, seed) for trials in (1, 100, 255, 256, 257, 600, 1000)]
+            assert values == sorted(values)
+
     def test_trials_above_limit_refused(self):
         with pytest.raises(InvalidArgument, match=f"^trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}$"):
             empirical_eta_lower(MANUFACTURING, trials=MAX_TRIALS + 1, seed=0)
@@ -135,8 +146,10 @@ class TestTrialStreams:
 
 def _reference_eta_lower(kernel, trials, seed):
     """The estimator with a checked ProbVec per point mass, smoothed reference,
-    trial draw and pushed vector (the former formulation). Returns the bound
-    and the number of pairs skipped for absolute continuity."""
+    trial draw and pushed vector, one pair at a time. Trial t reads row
+    t % _BLOCK of its block's stream, which draws the block's point-mass picks
+    and then its Dirichlet points with numpy's own ``dirichlet``. Returns the
+    bound and the number of pairs skipped for absolute continuity."""
     smoothing = 1e-6
     skipped = 0
 
@@ -160,11 +173,16 @@ def _reference_eta_lower(kernel, trials, seed):
             if i != j:
                 q = ProbVec((1.0 - smoothing) * point_mass(j, n).entries + smoothing / n)
                 best = max(best, ratio(point_mass(i, n), q))
+    block = contraction._BLOCK
     for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
-        p = point_mass(int(rng.integers(n)), n)
-        draw = rng.dirichlet(np.ones(n))
-        best = max(best, ratio(p, ProbVec((draw + 1e-9) / (1.0 + n * 1e-9))))
+        b, row = divmod(t, block)
+        if row == 0:
+            # every block, the last one included, is drawn in full
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, b])))
+            picks = rng.integers(n, size=block)
+            draws = rng.dirichlet(np.ones(n), size=block)
+        p = point_mass(int(picks[row]), n)
+        best = max(best, ratio(p, ProbVec((draws[row] + 1e-9) / (1.0 + n * 1e-9))))
     return min(1.0, best), skipped
 
 

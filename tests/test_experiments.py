@@ -683,7 +683,12 @@ class TestRunHorizon:
         trials = 4000
         table = run_experiment(small(GOLDEN_HORIZON, H=80, etas=[0.3], trials=trials))
         equal = [row for row in table.rows if row.q0 == row.q1]
-        assert [row.distance for row in equal] == list(range(64, 81))
+        # q0 = q1 + (1 - q1) * sqrt(0.3)**d rounds to q1 = 1/states from the
+        # first d whose second term is below half an ulp of q1
+        q1 = 1.0 / GOLDEN_HORIZON["params"]["states"]
+        first = math.ceil(math.log(math.ulp(q1) / 2 / (1 - q1)) / math.log(math.sqrt(0.3)))
+        assert first == 66
+        assert [row.distance for row in equal] == list(range(first, 81))
         for row in equal:
             assert row.accuracy_exact == pytest.approx(0.5, abs=1e-12)
             assert abs(row.accuracy_measured - 0.5) <= 5 * math.sqrt(0.25 / trials)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from chcalc.markov import (
     ProbVec,
     SoftmaxPolicyInput,
     mixture_kernel,
+    mixture_return_probs,
     outcome_prob,
     point_mass,
     propagate,
@@ -110,6 +113,20 @@ class TestMixtureKernel:
             current = chi2(dist, ref)
             assert current / previous == pytest.approx(0.7, abs=1e-12)
             previous = current
+
+    @pytest.mark.parametrize("eta", [0.09, 0.3, 0.49, 0.81])
+    @pytest.mark.parametrize("states", [2, 3, 10])
+    def test_return_probs_match_pushed_point_mass(self, eta, states):
+        # the pushed point mass carries the BLAS kernel's rounding, so the two
+        # agree to a few ulp; the closed form starts at 1 and never falls below 1/states
+        kernel = mixture_kernel(eta, states)
+        closed = mixture_return_probs(eta, states, 120)
+        assert closed[0] == 1.0
+        assert min(closed) >= 1.0 / states
+        dist = point_mass(0, states).entries
+        for d in range(1, 121):
+            dist = step(dist, kernel.rows)
+            assert abs(dist[0] - closed[d]) <= 16 * math.ulp(closed[d]), d
 
     def test_rejects_bad_eta(self):
         with pytest.raises(InvalidArgument):
