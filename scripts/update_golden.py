@@ -1,0 +1,37 @@
+"""Rewrite the golden fixtures in tests/golden/ from the current code.
+
+For each fixture it prints the columns that moved and their largest relative
+movement, which is what a change log entry for moved outputs needs. Run from
+the repository root:
+
+    PYTHONPATH=src python scripts/update_golden.py
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from golden_outputs import GOLDEN_DIR, movements, render  # noqa: E402
+
+
+def main() -> None:
+    for name, text in render().items():
+        path = GOLDEN_DIR / name
+        old = path.read_text(encoding="utf-8") if path.exists() else None
+        if old == text:
+            print(f"{name}: unchanged")
+            continue
+        path.write_text(text, encoding="utf-8", newline="\n")
+        moved = None if old is None else movements(name, old, text)
+        if moved is None:
+            print(f"{name}: written (new file, or its rows or columns changed)")
+            continue
+        for column, rel in sorted(moved.items()):
+            print(f"{name}: {column or '(layout line)'} moved, largest relative movement {rel:.2g}")
+
+
+if __name__ == "__main__":
+    main()

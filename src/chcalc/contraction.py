@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .divergence import SUPPORT_EPS, chi2_arrays, chi2_full_support
-from .errors import AbsoluteContinuityViolated, InvalidArgument, check_eta, check_max, check_min, check_range
+from .divergence import chi2_rows
+from .errors import InvalidArgument, check_eta, check_max, check_min, check_range
 from .markov import Kernel, step
 from .streams import _generator, _seed_words
 
@@ -25,6 +25,10 @@ SMOOTHING = 1e-6
 # Pairs and trials are evaluated this many at a time, so the working arrays
 # stay _BLOCK x n whatever the trial count.
 _BLOCK = 256
+
+# Trial blocks have their seed words hashed this many at a time, so memory
+# does not grow with the trial count.
+_SEED_CHUNK = 4096
 
 # The documented refusal limit. The block counter stays far inside one 32-bit
 # seed word; no limit yet bounds the work that a trial count implies.
@@ -61,39 +65,19 @@ def two_state_exact(p: float) -> float:
     return (1.0 - 2.0 * p) ** 2
 
 
-def _contraction_ratio(p: np.ndarray, pk: np.ndarray, q: np.ndarray, qk: np.ndarray) -> float:
-    """chi2(PK || QK) / chi2(P || Q) on raw entries, pk and qk the pushed pair."""
-    denom = chi2_arrays(p, q)
-    if denom <= 0.0:
-        return 0.0
-    try:
-        return chi2_arrays(pk, qk) / denom
-    except AbsoluteContinuityViolated:
-        # Kernel entries between the support threshold and the smoothing
-        # floor can make the pushed pair unmeasurable; skipping the pair
-        # keeps the estimate a valid lower bound.
-        return 0.0
-
-
 def _block_max(p: np.ndarray, pk: np.ndarray, q: np.ndarray, qk: np.ndarray) -> float:
-    """Largest ``_contraction_ratio`` over the rows of four stacked blocks.
+    """Largest ratio chi2(PK || QK) / chi2(P || Q) over the rows of four
+    stacked blocks, pk and qk the pushed pairs.
 
-    Rows whose references q and qk have full support are evaluated together;
-    the rest go through the scalar ratio, which owns the absolute-continuity
-    skip.
+    A row counts only where its denominator is positive and its numerator
+    finite: kernel entries between the support threshold and the smoothing
+    floor can make a pushed pair unmeasurable, and skipping that pair keeps
+    the estimate a valid lower bound.
     """
-    full = (q.min(axis=-1) >= SUPPORT_EPS) & (qk.min(axis=-1) >= SUPPORT_EPS)
-    best = 0.0
-    if not full.all():
-        rest = ~full
-        best = max(map(_contraction_ratio, p[rest], pk[rest], q[rest], qk[rest]))
-        p, pk, q, qk = p[full], pk[full], q[full], qk[full]
-    if len(q):
-        denom = chi2_full_support(p, q)
-        num = chi2_full_support(pk, qk)
-        ratios = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
-        best = max(best, float(ratios.max()))
-    return best
+    denom = chi2_rows(p, q)
+    num = chi2_rows(pk, qk)
+    ratios = np.divide(num, denom, out=np.zeros_like(num), where=(denom > 0.0) & np.isfinite(num))
+    return float(ratios.max())
 
 
 def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
@@ -107,8 +91,8 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     then ``standard_exponential((_BLOCK, n))`` from one stream,
     ``Generator(PCG64(SeedSequence([seed, b])))``, and trial t takes row
     t % _BLOCK. The last block is drawn in full too, so adding trials keeps
-    every earlier pair. The seed words of all blocks are hashed in one call
-    (``streams._seed_words``). Dirichlet(1,...,1) is drawn as numpy draws
+    every earlier pair. The seed words are hashed ``_SEED_CHUNK`` blocks to
+    a call (``streams._seed_words``). Dirichlet(1,...,1) is drawn as numpy draws
     it: each row of exponentials scaled by 1 / its left-to-right sum. The
     sum is a cumsum, which is sequential; ``.sum()`` adds pairwise from 8
     entries up and would change the bits. The point masses, the smoothed
@@ -130,9 +114,13 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     for s in range(0, len(i), _BLOCK):
         pi, pj = i[s : s + _BLOCK], j[s : s + _BLOCK]
         best = max(best, _block_max(masses[pi], pushed[pi], refs[pj], pushed_refs[pj]))
-    block_words = _seed_words([seed, np.arange(-(-trials // _BLOCK), dtype=np.uint32)])
-    for s, words in zip(range(0, trials, _BLOCK), block_words):
-        rng = _generator(words)
+    n_blocks = -(-trials // _BLOCK)
+    chunks = (
+        np.arange(b, min(b + _SEED_CHUNK, n_blocks), dtype=np.uint32)
+        for b in range(0, n_blocks, _SEED_CHUNK)
+    )
+    streams = (_generator(words) for chunk in chunks for words in _seed_words([seed, chunk]))
+    for s, rng in zip(range(0, trials, _BLOCK), streams):
         picks = rng.integers(n, size=_BLOCK)[: trials - s]
         draws = rng.standard_exponential((_BLOCK, n))[: trials - s]
         draws *= (1.0 / np.cumsum(draws, axis=-1)[:, -1])[:, None]

@@ -39,26 +39,31 @@ def chi2(p: ProbVec, q: ProbVec) -> float:
     return chi2_arrays(p.entries, q.entries)
 
 
-def chi2_full_support(pe: np.ndarray, qe: np.ndarray) -> np.ndarray:
-    """``chi2`` along the last axis, for references with every entry at least
-    SUPPORT_EPS: no masks and no refusal are needed. A row gives the bits of
-    the same evaluation on it alone."""
+def chi2_rows(pe: np.ndarray, qe: np.ndarray) -> np.ndarray:
+    """``chi2`` along the last axis of raw entries, one value per row.
+
+    Entries where the reference is below SUPPORT_EPS contribute 0, in place;
+    a row whose P has mass on one of them gets inf, its true divergence. A
+    row alone gives the bits of the same row in a batch.
+    """
+    null = qe < SUPPORT_EPS
     diff = pe - qe
-    return (diff * diff / qe).sum(axis=-1)
+    terms = np.divide(diff * diff, qe, out=np.zeros_like(diff), where=~null)
+    return np.where((null & (pe >= SUPPORT_EPS)).any(axis=-1), np.inf, terms.sum(axis=-1))
+
+
+def _finite(chi: np.ndarray) -> np.ndarray:
+    """``chi`` unless a value is inf, which is refused for absolute continuity."""
+    if np.isinf(chi).any():
+        raise AbsoluteContinuityViolated(
+            "P has mass where the reference Q does not; chi2 is infinite"
+        )
+    return chi
 
 
 def chi2_arrays(pe: np.ndarray, qe: np.ndarray) -> float:
     """``chi2`` on the raw entries of two distributions of one size."""
-    if qe.min() >= SUPPORT_EPS:
-        return float(chi2_full_support(pe, qe))
-    q_null = qe < SUPPORT_EPS
-    if np.any(q_null & (pe >= SUPPORT_EPS)):
-        raise AbsoluteContinuityViolated(
-            "P has mass where the reference Q does not; chi2 is infinite"
-        )
-    support = ~q_null
-    diff = pe[support] - qe[support]
-    return float(np.sum(diff * diff / qe[support]))
+    return float(_finite(chi2_rows(pe, qe)))
 
 
 def tv(p: ProbVec, q: ProbVec) -> float:
@@ -118,18 +123,6 @@ class DecayCurve:
         return self.values[k][1]
 
 
-def _chi2_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``chi2_arrays`` of each row pair. Rows whose reference has full support
-    are evaluated together; the rest go one at a time through chi2_arrays,
-    which owns the absolute-continuity refusal."""
-    full = q.min(axis=-1) >= SUPPORT_EPS
-    chi = np.empty(len(q))
-    chi[full] = chi2_full_support(p[full], q[full])
-    for k in np.flatnonzero(~full):
-        chi[k] = chi2_arrays(p[k], q[k])
-    return chi
-
-
 def decay_curve(spec: ChainSpec, p_t: ProbVec, q_t: ProbVec, t: int) -> DecayCurve:
     """Exact chi-squared at every step from t to the horizon.
 
@@ -147,12 +140,12 @@ def decay_curve(spec: ChainSpec, p_t: ProbVec, q_t: ProbVec, t: int) -> DecayCur
     pairs = np.empty((min(_STEPS, spec.horizon - t) + 1, 2, 1, spec.states))
     pairs[0, :, 0] = p_t.entries, q_t.entries
     p, q = pairs[:, 0, 0], pairs[:, 1, 0]
-    chi = [_chi2_rows(p[:1], q[:1])]
+    chi = [_finite(chi2_rows(p[:1], q[:1]))]
     while block := list(itertools.islice(per_step, len(pairs) - 1)):
         for k, rows in enumerate(block, start=1):
             step(pairs[k - 1], rows, out=pairs[k])
         end = len(block)
-        chi.append(_chi2_rows(p[1 : end + 1], q[1 : end + 1]))
+        chi.append(_finite(chi2_rows(p[1 : end + 1], q[1 : end + 1])))
         pairs[0] = pairs[end]
     values = tuple(zip(range(t, spec.horizon + 1), np.concatenate(chi).tolist()))
     return DecayCurve(start_step=t, values=values)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import operator
 import types
 import typing
 
@@ -61,6 +62,16 @@ def check_max(value, name: str, hi: int) -> None:
     """Refuse ``value`` above hi (the work limits on counts)."""
     if not value <= hi:
         raise InvalidArgument(f"{name} must be at most {hi}, got {value!r}")
+
+
+def check_indices(values, name: str) -> tuple[int, ...]:
+    """The entries of ``values`` as Python ints, numpy ints included; an entry
+    that is not integral, such as 2.7, is refused naming ``name``, never
+    truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InvalidArgument(f"{name} entries must be integers, got {values!r:.60}") from None
 
 
 def check_positive(value, name: str) -> None:

@@ -239,7 +239,9 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
     (``_width_histogram``): for 0/1 outcomes the single-outcome variance
     follows from the pooled mean. Its lookup ``_log_factorials`` evaluates
     ln k! on the ~40 sqrt(W) columns a draw keeps, not a (W + 1)-entry
-    table. Moments are summed over float means, as int64 wraps at 2^62 groups.
+    table. Moments are summed over float means, as int64 wraps at 2^62 groups,
+    by ``np.add.reduce``, whose order, unlike a BLAS dot's, is the same on
+    every host.
     """
     rho, value, groups = cfg.params.rho, cfg.params.value, cfg.params.groups
 
@@ -247,14 +249,14 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
         replicate, w, words = args
         sums, mult = _width_histogram(value, w, rho, groups, _generator(words))
         means = sums / w
-        pooled = float(mult @ means) / groups
+        pooled = float(np.add.reduce(mult * means)) / groups
         n = groups * w
         var_single = n * pooled * (1.0 - pooled) / (n - 1)
         if w == 1:
             w_eff_emp = 1.0
             var_mean = var_single
         else:
-            var_mean = float(mult @ (means - pooled) ** 2) / (groups - 1)
+            var_mean = float(np.add.reduce(mult * (means - pooled) ** 2)) / (groups - 1)
             w_eff_emp = var_single / var_mean if var_mean > 0 else math.inf
         return WidthRow(
             replicate=replicate, W=w, groups=groups,

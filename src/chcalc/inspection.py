@@ -17,6 +17,7 @@ from .errors import (
     check_epsilon,
     check_eta,
     check_etas,
+    check_indices,
     check_min,
     check_positive,
     check_range,
@@ -41,7 +42,7 @@ class Schedule:
 
     def __post_init__(self):
         check_min(self.horizon, "horizon", 1)
-        times = tuple(int(t) for t in self.times)
+        times = check_indices(self.times, "times")
         object.__setattr__(self, "times", times)
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise InvalidArgument("inspection times must be strictly increasing")

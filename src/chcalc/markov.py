@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, check_eta, check_min, check_positive, check_range
+from .errors import InvalidArgument, check_eta, check_indices, check_min, check_positive, check_range
 from .schema import KernelFile
 
 # Constructors reject anything farther from stochastic than this; they
@@ -144,7 +144,7 @@ class ChainSpec:
             size = kernels[0].size
         if self.initial.size != size:
             raise InvalidArgument("initial distribution dimension must match the kernels")
-        success = frozenset(int(i) for i in self.success_set)
+        success = frozenset(check_indices(self.success_set, "success_set"))
         object.__setattr__(self, "success_set", success)
         if not success:
             raise InvalidArgument("success_set must be nonempty")
@@ -281,7 +281,7 @@ def propagate_chain(dist: ProbVec, spec: ChainSpec, from_step: int, to_step: int
 
 def outcome_prob(dist: ProbVec, success_set) -> float:
     """Probability mass the distribution places on the success set."""
-    indices = sorted(int(i) for i in success_set)
+    indices = sorted(check_indices(success_set, "success_set"))
     if not all(0 <= i < dist.size for i in indices):
         raise InvalidArgument("success_set indices must be valid state indices")
     return float(dist.entries[indices].sum())

@@ -1,0 +1,95 @@
+"""The golden outputs pinned under ``tests/golden/``, rendered in process.
+
+They are the six golden experiment CSVs (``experiments.GOLDEN_*`` and the
+default oracle config) and ``calc contraction`` on two kernels:
+``kernels/readme.json``, the kernel of the README's example, and
+``kernels/zero_column.json``, ``default_rng(3).dirichlet(ones(12), 12)`` with
+columns 2 and 7 set to 0 and each row renormalized, whose pushed references
+have null entries. ``test_golden.py`` compares them with the fixtures;
+``scripts/update_golden.py`` rewrites the fixtures.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+from chcalc import cli, experiments
+from chcalc.schema import ExperimentConfig
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CONFIGS = {
+    "decay": experiments.GOLDEN_DECAY,
+    "width": experiments.GOLDEN_WIDTH,
+    "inspection": experiments.GOLDEN_INSPECTION,
+    "horizon": experiments.GOLDEN_HORIZON,
+    "mismatch": experiments.GOLDEN_MISMATCH,
+    "oracle": {"kind": "oracle"},
+}
+KERNELS = ("readme", "zero_column")
+
+# These values come from BLAS vector-matrix products, whose last bits depend
+# on the host's BLAS kernel (README "Determinism"); they are compared at
+# BLAS_RTOL relative, and every other cell byte for byte.
+BLAS_RTOL = 1e-13
+BLAS_COLUMNS = {
+    "decay.csv": {"chi2_measured"},
+    **{f"contraction_{name}.json": {"empirical_lower", "gap"} for name in KERNELS},
+}
+
+
+def render() -> dict[str, str]:
+    """Every golden output by its fixture name, as the CLI would write it."""
+    outputs = {
+        f"{kind}.csv": experiments.run_experiment(ExperimentConfig.from_json_dict(data)).to_csv_string()
+        for kind, data in CONFIGS.items()
+    }
+    for name in KERNELS:
+        args = cli.build_parser().parse_args(
+            ["calc", "contraction", "--kernel-file", str(GOLDEN_DIR / "kernels" / f"{name}.json")]
+        )
+        outputs[f"contraction_{name}.json"] = args.func(args) + "\n"
+    return outputs
+
+
+def _cells(name: str, text: str) -> list[tuple[str, str]]:
+    """(column, text) of each cell: CSV cells under their header, JSON lines
+    under their key; a line of any other shape is one cell under ""."""
+    cells = []
+    if name.endswith(".csv"):
+        header, *rows = text.splitlines()
+        columns = header.split(",")
+        cells.append(("", header))
+        for row in rows:
+            values = row.split(",")
+            cells.extend(zip(columns, values) if len(values) == len(columns) else [("", row)])
+        return cells
+    for line in text.splitlines():
+        key, sep, value = line.strip().partition(": ")
+        cells.append((key.strip('"'), value.rstrip(",")) if sep else ("", line))
+    return cells
+
+
+def _relative(old: str, new: str) -> float:
+    """Relative movement between two numeric cells; inf if either is not a number."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if a == b:
+        return 0.0
+    return abs(a - b) / abs(a) if a else math.inf
+
+
+def movements(name: str, old: str, new: str) -> dict[str, float] | None:
+    """Each column whose cells differ, with its largest relative movement;
+    None when the files do not have the same rows and columns."""
+    old_cells, new_cells = _cells(name, old), _cells(name, new)
+    if [c for c, _ in old_cells] != [c for c, _ in new_cells]:
+        return None
+    moved: dict[str, float] = {}
+    for (column, a), (_, b) in zip(old_cells, new_cells):
+        if a != b:
+            moved[column] = max(moved.get(column, 0.0), _relative(a, b))
+    return moved

@@ -11,7 +11,6 @@ import chcalc
 from chcalc import contraction
 from chcalc.contraction import (
     MAX_TRIALS,
-    _contraction_ratio,
     attenuation,
     contraction_report,
     diversity_bound,
@@ -216,20 +215,15 @@ class TestEmpiricalLowerReference:
             kernel = Kernel(rng.dirichlet(np.full(states, concentration), size=states))
             assert empirical_eta_lower(kernel, 200, seed) == _reference_eta_lower(kernel, 200, seed)[0]
 
-    def test_zero_column_takes_scalar_fallback(self, monkeypatch):
-        rows = np.random.default_rng(2).dirichlet(np.ones(6), size=6)
-        rows[:, 2] = 0.0
+    @pytest.mark.parametrize(("states", "rng_seed", "null_columns"), [(6, 2, [2]), (12, 3, [2, 7])])
+    def test_zero_column_kernels(self, states, rng_seed, null_columns):
+        # every pushed reference has null entries; from 8 states numpy sums
+        # the in-place zeros pairwise, as the public chi2 does
+        rows = np.random.default_rng(rng_seed).dirichlet(np.ones(states), size=states)
+        rows[:, null_columns] = 0.0
         kernel = Kernel(rows / rows.sum(axis=1, keepdims=True))
-        calls = []
-
-        def counted(*pair):
-            calls.append(pair)
-            return _contraction_ratio(*pair)
-
-        monkeypatch.setattr(contraction, "_contraction_ratio", counted)
-        assert empirical_eta_lower(kernel, 300, 5) == _reference_eta_lower(kernel, 300, 5)[0]
-        # every pushed reference has a null column, so no pair or trial is batched
-        assert len(calls) == 6 * 5 + 300
+        for seed in (0, 5):
+            assert empirical_eta_lower(kernel, 300, seed) == _reference_eta_lower(kernel, 300, seed)[0]
 
     @pytest.mark.parametrize("states", [1, 2])
     def test_one_and_two_states(self, states):
@@ -249,6 +243,16 @@ class TestEmpiricalLowerReference:
         monkeypatch.setattr(contraction, "_BLOCK", block)
         for kernel in (mixture_kernel(0.8, 5), Kernel(np.random.default_rng(8).dirichlet(np.ones(9), size=9))):
             assert empirical_eta_lower(kernel, 150, 2) == _reference_eta_lower(kernel, 150, 2)[0]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 22])
+    def test_seed_chunks_spanning_blocks(self, monkeypatch, chunk):
+        # 150 trials in blocks of 7 are 22 blocks, hashed in chunks of 1, 3 (the last
+        # one short) or all at once; every block keeps its seed words
+        monkeypatch.setattr(contraction, "_BLOCK", 7)
+        kernel = Kernel(np.random.default_rng(8).dirichlet(np.ones(9), size=9))
+        whole = empirical_eta_lower(kernel, 150, 2)
+        monkeypatch.setattr(contraction, "_SEED_CHUNK", chunk)
+        assert empirical_eta_lower(kernel, 150, 2) == whole == _reference_eta_lower(kernel, 150, 2)[0]
 
 
 _REPORT_PROBE = """

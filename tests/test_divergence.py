@@ -8,6 +8,7 @@ from chcalc.divergence import (
     SUPPORT_EPS,
     chi2,
     chi2_arrays,
+    chi2_rows,
     decay_curve,
     lecam_total_error,
     tensorize_chi2,
@@ -68,6 +69,42 @@ class TestChi2Arrays:
             chi2_arrays(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
         with pytest.raises(AbsoluteContinuityViolated):
             chi2_arrays(np.array([0.5, 0.5 - 1e-15, 1e-15]), np.array([0.5, 0.5, 1e-16]))
+
+
+class TestChi2Rows:
+    @pytest.mark.parametrize("states", [3, 8, 9, 31, 120])
+    def test_row_alone_equals_row_in_batch(self, states):
+        rng = np.random.default_rng(states)
+        pe = rng.dirichlet(np.ones(states), size=30)
+        qe = rng.dirichlet(np.full(states, 0.3), size=30)
+        # every third reference has null entries; in every other one of those, P has mass there
+        qe[::3, : states // 3 + 1] = 0.0
+        pe[::6, : states // 3 + 1] = 0.0
+        batch = chi2_rows(pe, qe)
+        assert np.isinf(batch).sum() == 5
+        assert np.array_equal([chi2_rows(p, q) for p, q in zip(pe, qe)], batch)
+
+    def test_mass_on_null_reference_entry_is_inf(self):
+        qe = np.array([0.5, 0.5, 1e-16])
+        pe = np.array([[0.5, 0.5, 0.0], [0.5, 0.5 - 1e-15, 1e-15], [0.4, 0.6 - 1e-16, 1e-16]])
+        values = chi2_rows(pe, np.tile(qe, (3, 1)))
+        assert values[0] == 0.0
+        assert values[1] == math.inf
+        assert values[2] == chi2_arrays(pe[2], qe) == _masked_chi2(pe[2], qe)
+        with pytest.raises(AbsoluteContinuityViolated, match="P has mass where the reference Q does not"):
+            chi2_arrays(pe[1], qe)
+
+    @pytest.mark.parametrize("states", [8, 12, 33, 120])
+    def test_null_reference_near_compressed_sum(self, states):
+        # zeros summed in place group the terms differently from the compressed
+        # support from 8 entries up; the two sums differ in the last bits only
+        rng = np.random.default_rng([states, 1])
+        for _ in range(200):
+            pe, qe = rng.dirichlet(np.ones(states), size=2)
+            null = rng.random(states) < 0.3
+            null[0] = False
+            pe[null] = qe[null] = 0.0
+            assert chi2_rows(pe, qe) == pytest.approx(_masked_chi2(pe, qe), rel=1e-15, abs=0)
 
 
 class TestTv:

@@ -42,6 +42,16 @@ class TestSchedule:
         with pytest.raises(InvalidArgument):
             Schedule(horizon=20, times=(5, 20))
 
+    def test_refuses_non_integral_times(self):
+        for times in ((2.7, 5.2), (2, 5.0), ("3",)):
+            with pytest.raises(InvalidArgument, match="times entries must be integers"):
+                Schedule(horizon=10, times=times)
+
+    def test_numpy_integer_times_become_ints(self):
+        sched = Schedule(horizon=10, times=(np.int64(2), np.uint32(5)))
+        assert sched.times == (2, 5)
+        assert all(type(t) is int for t in sched.times)
+
     def test_segments_partition_horizon(self):
         sched = Schedule(horizon=20, times=(5, 10, 15))
         lengths = [b - a for a, b in sched.segments()]

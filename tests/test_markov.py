@@ -279,6 +279,14 @@ class TestChainSpec:
                 initial=point_mass(0, 3),
             )
 
+    def test_success_set_refuses_non_integral_indices(self):
+        for success in ({1.9}, {0, 1.0}):
+            with pytest.raises(InvalidArgument, match="success_set entries must be integers"):
+                ChainSpec(horizon=2, kernels=mixture_kernel(0.8, 3), success_set=success, initial=point_mass(0, 3))
+        spec = ChainSpec(horizon=2, kernels=mixture_kernel(0.8, 3), success_set={np.int64(1)}, initial=point_mass(0, 3))
+        assert spec.success_set == {1}
+        assert all(type(i) is int for i in spec.success_set)
+
 
 class TestOutcomeProb:
     def test_uniform_single_state(self):
@@ -293,6 +301,11 @@ class TestOutcomeProb:
     def test_invalid_index(self):
         with pytest.raises(InvalidArgument):
             outcome_prob(uniform_dist(3), {5})
+
+    def test_refuses_non_integral_index(self):
+        with pytest.raises(InvalidArgument, match=r"success_set entries must be integers, got \[0.5\]"):
+            outcome_prob(ProbVec([0.9, 0.1]), [0.5])
+        assert outcome_prob(ProbVec([0.9, 0.1]), [np.int64(1)]) == pytest.approx(0.1)
 
 
 def _switch_kernels(size):
