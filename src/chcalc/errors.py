@@ -64,6 +64,15 @@ def check_max(value, name: str, hi: int) -> None:
         raise InvalidArgument(f"{name} must be at most {hi}, got {value!r}")
 
 
+def check_index(value, name: str) -> int:
+    """``value`` as a Python int, numpy ints included; a value that is not
+    integral, such as 2.5, is refused naming ``name``, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r:.60}") from None
+
+
 def check_indices(values, name: str) -> tuple[int, ...]:
     """The entries of ``values`` as Python ints, numpy ints included; an entry
     that is not integral, such as 2.7, is refused naming ``name``, never

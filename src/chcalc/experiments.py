@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import divergence, inspection, markov, objectives, width
-from .errors import Infeasible, InvalidArgument, check_range
+from .errors import Infeasible, InvalidArgument, check_index, check_range
 from .horizon import critical_horizon, critical_horizon_simplified, HorizonParams
 from .streams import _generator, _seed_words
 from .schema import (  # re-exported: the config and its params are declared in schema
@@ -558,26 +559,57 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# exact oracles
 
 
 def oracle_min_gap(horizon: int, m: int) -> int:
-    """Exhaustive minimum of the maximal gap over all m-inspection schedules."""
+    """Exact minimum of the maximal gap over all m-inspection schedules, by
+    dynamic programming: after round k, gap[j] is the least maximal gap of
+    k + 1 segments covering [0, j), the least over i of max(gap[i] after
+    round k - 1, j - i)."""
+    horizon, m = check_index(horizon, "horizon"), check_index(m, "m")
     if horizon > ORACLE_MAX_HORIZON:
         raise InvalidArgument(f"horizon must be at most {ORACLE_MAX_HORIZON} for enumeration")
     check_range(m, "m", 0, horizon - 1, "[]")
-    best = horizon
-    for times in itertools.combinations(range(1, horizon), m):
-        gap = inspection.maximal_gap(inspection.Schedule(horizon=horizon, times=times))
-        best = min(best, gap)
-    return best
+    gap = list(range(horizon + 1))  # round 0: the one segment [0, j)
+    for k in range(1, m + 1):
+        # k segments cover [0, i) only for i >= k; entries below k + 1 are never read again
+        gap[k + 1:] = [
+            min(max(gap[i], j - i) for i in range(k, j)) for j in range(k + 1, horizon + 1)
+        ]
+    return gap[horizon]
+
+
+def _min_inspections_dp(weights: list[float], budget: float) -> int:
+    """The fewest inspections whose segments [a, b) all have prefix[b] -
+    prefix[a] <= budget, prefix being the running sums of ``weights``; H - 1
+    when none passes. count[j], the fewest segments covering [0, j), is 1 +
+    min count[i] over the i whose segment [i, j) passes: a window whose left
+    end only moves right, as float subtraction is monotone and no weight is
+    negative, so a deque in increasing count holds its minimum at the front."""
+    horizon = len(weights)
+    prefix = list(itertools.accumulate(weights, initial=0.0))
+    count = [0] + [math.inf] * horizon
+    window = deque()
+    left = 0
+    for j in range(1, horizon + 1):
+        while window and count[window[-1]] >= count[j - 1]:
+            window.pop()
+        window.append(j - 1)
+        while left < j and not prefix[j] - prefix[left] <= budget:
+            left += 1
+        while window and window[0] < left:
+            window.popleft()
+        if window:
+            count[j] = 1 + count[window[0]]
+    return count[horizon] - 1 if count[horizon] < math.inf else horizon - 1
 
 
 def oracle_min_inspections(
     etas: Sequence[float], gamma: float, inspection_fidelity: float | None = None
 ) -> int:
-    """Exhaustive minimum inspection count subject to the per-segment
-    information budget (terminal segment included)."""
+    """Exact minimum inspection count subject to the per-segment
+    information budget (terminal segment included), by ``_min_inspections_dp``."""
     horizon = len(etas)
     if horizon > ORACLE_MAX_HORIZON:
         raise InvalidArgument(f"horizon must be at most {ORACLE_MAX_HORIZON} for enumeration")
@@ -588,19 +620,7 @@ def oracle_min_inspections(
         raise Infeasible(
             f"step {offender} alone exceeds the effective per-segment budget", step=offender
         )
-    prefix = [0.0]
-    for w in weights:
-        prefix.append(prefix[-1] + w)
-
-    def feasible(times: tuple[int, ...]) -> bool:
-        aug = (0, *times, horizon)
-        return all(prefix[b] - prefix[a] <= budget for a, b in zip(aug, aug[1:]))
-
-    for m in range(0, horizon):
-        for times in itertools.combinations(range(1, horizon), m):
-            if feasible(times):
-                return m
-    return horizon - 1
+    return _min_inspections_dp(weights, budget)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -616,7 +636,9 @@ class OracleRow:
 
 def run_oracle(cfg: ExperimentConfig) -> ResultTable:
     """Cross-check the closed-form gap minimum and the greedy scheduler
-    against exhaustive enumeration on small horizons."""
+    against the exact dynamic-programming oracles on small horizons: every
+    (H, m) up to max_H and max_m, and greedy_cases seeded heterogeneous
+    cases, one random stream each."""
     max_h, max_m, greedy_cases = cfg.params.max_H, cfg.params.max_m, cfg.params.greedy_cases
 
     rows = []

@@ -17,6 +17,7 @@ from .errors import (
     check_epsilon,
     check_eta,
     check_etas,
+    check_index,
     check_indices,
     check_min,
     check_positive,
@@ -122,6 +123,7 @@ def maximal_gap(schedule: Schedule) -> int:
 def uniform_schedule(horizon: int, m: int) -> Schedule:
     """Near-uniform placement t_i = floor(i*H/(m+1)), the minimax-optimal
     schedule under homogeneous contraction."""
+    horizon, m = check_index(horizon, "horizon"), check_index(m, "m")
     check_min(m, "m", 0)
     if m > horizon - 1:
         raise InvalidArgument(f"m={m} exceeds the {horizon - 1} interior slots")
@@ -131,6 +133,7 @@ def uniform_schedule(horizon: int, m: int) -> Schedule:
 
 def min_gap_value(horizon: int, m: int) -> int:
     """Minimal achievable maximal gap with m inspections: ceil(H/(m+1))."""
+    horizon, m = check_index(horizon, "horizon"), check_index(m, "m")
     check_min(horizon, "horizon", 1)
     check_min(m, "m", 0)
     return -(-horizon // (m + 1))

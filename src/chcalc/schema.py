@@ -26,7 +26,9 @@ from .errors import (
 if TYPE_CHECKING:
     from .inspection import Schedule
 
-# Exhaustive schedule enumeration is exponential in H.
+# The exact oracles are dynamic programs and need no limit on H. This one keeps
+# every oracle config accepted or refused as it was with enumeration, and the
+# tests check the oracles against schedule enumeration up to it.
 ORACLE_MAX_HORIZON = 14
 
 # The exact horizon accuracy multiplies comb(n, k) by a float; comb(n, n // 2)

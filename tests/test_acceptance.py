@@ -182,7 +182,7 @@ def test_criterion_07_scheduler_optimality_oracles():
     assert elapsed < 60.0
     print(
         f"\n[PASS] criterion 7 (optimality oracles): {checked} gap cases and "
-        f"{matched} greedy cases match exhaustive minima, {elapsed:.1f}s"
+        f"{matched} greedy cases match exact minima, {elapsed:.1f}s"
     )
 
 

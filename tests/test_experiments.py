@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -25,6 +26,7 @@ from chcalc.experiments import (
     _log_factorials,
     _map_units,
     _midpoint_threshold,
+    _min_inspections_dp,
     _unit_words,
     _width_histogram,
     exact_two_point_accuracy,
@@ -33,8 +35,14 @@ from chcalc.experiments import (
     run_experiment,
     unit_rng,
 )
-from chcalc.inspection import greedy_schedule, min_gap_value, step_info_distances
-from chcalc.schema import KIND_IDS, MAX_HISTOGRAM_COUNT
+from chcalc.inspection import (
+    _greedy_placement,
+    greedy_schedule,
+    min_gap_value,
+    segment_budget,
+    step_info_distances,
+)
+from chcalc.schema import KIND_IDS, MAX_HISTOGRAM_COUNT, ORACLE_MAX_HORIZON
 from chcalc.streams import _generator
 
 
@@ -767,6 +775,106 @@ class TestRunMismatch:
 
 
 class TestOracles:
+    """The dynamic-programming oracles against the enumeration they replaced,
+    and the greedy scheduler against them."""
+
+    @staticmethod
+    def enumerated_min_gap(horizon, m):
+        """The least maximal gap over every m-subset of the interior steps."""
+        return min(
+            max(b - a for a, b in zip((0, *times), (*times, horizon)))
+            for times in itertools.combinations(range(1, horizon), m)
+        )
+
+    @staticmethod
+    def enumerated_min_inspections(weights, budget):
+        """The first m, in increasing order, with an m-subset of the interior
+        whose segments [a, b) all have prefix[b] - prefix[a] <= budget; H - 1
+        when none has."""
+        prefix = [0.0]
+        for w in weights:
+            prefix.append(prefix[-1] + w)
+        horizon = len(weights)
+        for m in range(horizon):
+            for times in itertools.combinations(range(1, horizon), m):
+                aug = (0, *times, horizon)
+                if all(prefix[b] - prefix[a] <= budget for a, b in zip(aug, aug[1:])):
+                    return m
+        return horizon - 1
+
+    def enumerated_outcome(self, etas, gamma, fidelity=None):
+        """The enumerated count, or ("infeasible", step) for the first step
+        alone above the budget."""
+        budget = segment_budget(gamma, fidelity)
+        weights = step_info_distances(etas)
+        offenders = [t for t, w in enumerate(weights) if w > budget]
+        if offenders:
+            return "infeasible", offenders[0]
+        return self.enumerated_min_inspections(weights, budget)
+
+    @staticmethod
+    def oracle_outcome(etas, gamma, fidelity=None):
+        try:
+            return oracle_min_inspections(etas, gamma, fidelity)
+        except Infeasible as exc:
+            return "infeasible", exc.step
+
+    def test_min_gap_refuses_non_integral_arguments_by_name(self):
+        with pytest.raises(InvalidArgument, match=r"^m must be an integer, got 2.5$"):
+            oracle_min_gap(12, 2.5)
+        with pytest.raises(InvalidArgument, match=r"^horizon must be an integer, got 12.0$"):
+            oracle_min_gap(12.0, 2)
+        assert oracle_min_gap(np.int64(12), np.int64(2)) == 4
+
+    @pytest.mark.parametrize("with_fidelity", [False, True])
+    def test_min_inspections_matches_enumeration(self, with_fidelity):
+        rng = np.random.default_rng(23 + with_fidelity)
+        outcomes = []
+        for _ in range(600):
+            h = int(rng.integers(1, ORACLE_MAX_HORIZON + 1))
+            etas = rng.uniform(0.35, 0.99, size=h)
+            gamma = max(step_info_distances(etas)) * float(rng.uniform(0.9, 3.0))
+            fidelity = float(rng.uniform(0.5, 1.0)) if with_fidelity else None
+            outcome = self.oracle_outcome(etas, gamma, fidelity)
+            assert outcome == self.enumerated_outcome(etas, gamma, fidelity)
+            outcomes.append(outcome)
+        assert any(isinstance(o, tuple) for o in outcomes)  # Infeasible is exercised
+        assert len({o for o in outcomes if isinstance(o, int)}) >= 6
+
+    @pytest.mark.parametrize("eta", [0.9, 0.5, 0.37, 0.999, 1 / 3])
+    def test_min_inspections_matches_enumeration_at_exact_ties(self, eta):
+        # gamma is the float sum of k equal weights, so the first segment of k
+        # steps meets the budget exactly
+        w = step_info_distances([eta])[0]
+        for h in range(1, ORACLE_MAX_HORIZON + 1):
+            for k in range(1, h + 1):
+                etas, gamma = [eta] * h, sum([w] * k)
+                assert self.oracle_outcome(etas, gamma) == self.enumerated_outcome(etas, gamma)
+
+    def test_greedy_and_dp_on_exact_dyadic_ties(self):
+        # sums of eighths are exact, so every segment meeting the budget is a tie
+        assert _min_inspections_dp([0.25] * 12, 1.0) == 2 == _greedy_placement([0.25] * 12, 1.0).m
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            weights = (rng.integers(1, 8, size=int(rng.integers(1, 60))) / 8).tolist()
+            budget = float(rng.choice([1.0, 1.5, 2.0]))
+            assert _min_inspections_dp(weights, budget) == _greedy_placement(weights, budget).m
+
+    def test_greedy_matches_dp_at_large_horizon(self):
+        """Greedy sums each segment from its own start and the DP takes prefix
+        differences, so they could part only at a tie with the budget."""
+        rng = np.random.default_rng(31)
+        for horizon in (10**3, 10**4):
+            for lo, hi in ((0.95, 0.999), (0.35, 0.99)):
+                etas = rng.uniform(lo, hi, size=horizon)
+                weights = step_info_distances(etas)
+                for fidelity in (None, float(rng.uniform(0.9, 1.0))):
+                    slack = -math.log(fidelity) if fidelity is not None else 0.0
+                    for scale in rng.uniform(1.05, 50.0, size=3):
+                        gamma = max(weights) * float(scale) + slack
+                        dp_m = _min_inspections_dp(weights, segment_budget(gamma, fidelity))
+                        assert dp_m == greedy_schedule(etas, gamma, fidelity).m
+
     def test_min_gap_small_exhaustive(self):
         assert oracle_min_gap(12, 2) == 4
         assert oracle_min_gap(12, 11) == 1
@@ -777,9 +885,9 @@ class TestOracles:
             oracle_min_gap(30, 2)
 
     def test_min_gap_matches_formula_over_grid(self):
-        for h in range(2, 13):
-            for m in range(0, min(4, h - 1) + 1):
-                assert oracle_min_gap(h, m) == min_gap_value(h, m)
+        for h in range(2, ORACLE_MAX_HORIZON + 1):
+            for m in range(h):
+                assert oracle_min_gap(h, m) == self.enumerated_min_gap(h, m) == min_gap_value(h, m)
 
     def test_greedy_matches_oracle_homogeneous(self):
         etas = [0.8] * 10

@@ -113,6 +113,14 @@ class TestUniformSchedule:
         with pytest.raises(InvalidArgument):
             uniform_schedule(5, 5)
 
+    def test_non_integral_arguments_refused_by_name(self):
+        with pytest.raises(InvalidArgument, match=r"^m must be an integer, got 2.5$"):
+            uniform_schedule(10, 2.5)
+        with pytest.raises(InvalidArgument, match=r"^horizon must be an integer, got 10.0$"):
+            uniform_schedule(10.0, 2)
+        sched = uniform_schedule(np.int64(10), np.int32(2))
+        assert sched.times == (3, 6) and all(type(t) is int for t in sched.times)
+
 
 class TestMinGapValue:
     def test_exact_division(self):
@@ -120,6 +128,15 @@ class TestMinGapValue:
 
     def test_rounding_up(self):
         assert min_gap_value(50, 2) == 17
+
+    def test_non_integral_arguments_refused_by_name(self):
+        # these were truncated inside ceil(H/(m+1)) to 3.0 and 4.0
+        with pytest.raises(InvalidArgument, match=r"^m must be an integer, got 2.5$"):
+            min_gap_value(10, 2.5)
+        with pytest.raises(InvalidArgument, match=r"^horizon must be an integer, got 10.5$"):
+            min_gap_value(10.5, 2)
+        value = min_gap_value(np.int64(10), np.uint8(2))
+        assert value == 4 and type(value) is int
 
 
 class TestMinInspections:
