@@ -1,7 +1,9 @@
 """The golden outputs pinned under ``tests/golden/``, rendered in process.
 
 They are the six golden experiment CSVs (``experiments.GOLDEN_*`` and the
-default oracle config) and ``calc contraction`` on two kernels:
+default oracle config), two configs whose pmf rows are narrower than the
+count range (``obs_per_trial`` and ``n_per_test`` above 400, where 20 sqrt(n)
+< n), and ``calc contraction`` on two kernels:
 ``kernels/readme.json``, the kernel of the README's example, and
 ``kernels/zero_column.json``, ``default_rng(3).dirichlet(ones(12), 12)`` with
 columns 2 and 7 set to 0 and each row renormalized, whose pushed references
@@ -26,6 +28,15 @@ CONFIGS = {
     "horizon": experiments.GOLDEN_HORIZON,
     "mismatch": experiments.GOLDEN_MISMATCH,
     "oracle": {"kind": "oracle"},
+    # each eta's levels have their own column windows; d = 0 is the one-column point row
+    "horizon_obs500": {
+        "kind": "horizon", "master_seed": 20260810, "replicates": 2,
+        "params": {"H": 12, "etas": [0.3, 0.9], "obs_per_trial": 500, "trials": 2000},
+    },
+    "inspection_n500": {
+        "kind": "inspection", "master_seed": 20260810,
+        "params": {"H": 12, "eta": 0.5, "schedules": [[6], [3, 6, 9], [2, 9]], "n_per_test": 500, "trials": 5000},
+    },
 }
 KERNELS = ("readme", "zero_column")
 
