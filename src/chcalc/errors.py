@@ -4,6 +4,7 @@ across the package."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import operator
@@ -146,8 +147,15 @@ def from_json(cls, data, what: str):
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if required and name not in data:
             raise InvalidArgument(f"{what} must set {name}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     return cls(**{k: _json_value(v, hints[k], k) for k, v in data.items()})
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """``typing.get_type_hints(cls)``, which evaluates the class's string
+    annotations, once per class."""
+    return typing.get_type_hints(cls)
 
 
 def _json_value(value, hint, name: str):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import time
 from collections import deque
@@ -64,13 +65,20 @@ class ResultTable:
         """Header plus rows; reals at 17 significant digits (round-trip exact),
         LF line endings. Cell values must not contain commas."""
         columns = self.columns
+        get = operator.attrgetter(*columns)
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        cells = get if len(columns) > 1 else lambda row: (get(row),)
         lines = [",".join(columns)]
-        for row in self.rows:
-            lines.append(",".join(_format_cell(getattr(row, name)) for name in columns))
+        lines.extend(",".join(map(_format_cell, cells(row))) for row in self.rows)
         return "\n".join(lines) + "\n"
 
 
 def _format_cell(cell) -> str:
+    # exact float and int first: the common cells, at one type lookup each
+    if type(cell) is float:
+        return format(cell, ".17g")
+    if type(cell) is int:
+        return str(cell)
     if isinstance(cell, (int, np.integer)):  # bool included
         return str(int(cell))
     if isinstance(cell, (float, np.floating)):
@@ -310,11 +318,13 @@ def _log_factorial_table(n: int):
 
 def _binomial_rows(counts, n: int, rate: float, log_fact):
     """The pmf of counts[j] + Bin(n - counts[j], rate), one row per entry of
-    counts, over the columns lo, lo + 1, ...; returns (lo, rows). ``log_fact``
-    maps an int array to ln k! of each entry (``_log_factorial_table``'s
-    lookup, or ``_log_factorials``). Columns farther than 20 sqrt(n - c) from
-    a row's mean are left out: by Hoeffding the pmf there is below e^-800,
-    under the smallest positive double. At rate 1 every row is the point n.
+    counts, over the columns lo, lo + 1, ... that the rows share; returns (lo,
+    rows). ``log_fact`` maps an int array to ln k! of each entry
+    (``_log_factorial_table``'s lookup, or ``_log_factorials``). Columns
+    farther than 20 sqrt(n - c) from a row's mean are left out: by Hoeffding
+    the pmf there is below e^-800, under the smallest positive double. At
+    rate 1 every row is the point n. ``_start_rows`` gives the one-row calls
+    from count 0 for many rates at once.
     """
     if rate == 1.0:
         return n, np.ones((counts.size, 1))
@@ -348,10 +358,49 @@ def _count_level(rng, counts, mult, n: int, q: float, q_next: float, log_fact):
     """
     if q_next == q:
         return counts, mult
-    lo, rows = _binomial_rows(counts, n, (q_next - q) / (1.0 - q), log_fact)
+    return _draw_counts(rng, mult, *_binomial_rows(counts, n, (q_next - q) / (1.0 - q), log_fact))
+
+
+def _draw_counts(rng, mult, lo: int, rows):
+    """Where the mult[k] trials of row k land, each drawing its count from
+    row k of ``rows`` over the columns lo, lo + 1, ...: the new (counts,
+    mult), occupied counts only, ascending."""
     total = rng.multinomial(mult, rows).sum(axis=0)
     occupied = np.flatnonzero(total)
     return lo + occupied, total[occupied]
+
+
+def _start_rows(n: int, rates, log_fact) -> dict:
+    """``_binomial_rows(zeros(1), n, rate, log_fact)`` for each distinct rate
+    of ``rates``, keyed by rate, from one pass over the rows' columns laid
+    end to end.
+
+    The single call's result comes out bit for bit: ln rate and ln(1 - rate)
+    come from ``math`` per rate, every cell is summed in the same order, and
+    each row keeps its own column window and is normalized over it alone, so
+    a draw over it takes the same random numbers. (For n <= 400 every window
+    is 0..n, as 20 sqrt(n) >= n.) A rate of 1 gets the one-column point row.
+    """
+    rows = {rate: (n, np.ones((1, 1))) for rate in rates if rate == 1.0}
+    partial = [rate for rate in dict.fromkeys(rates) if rate != 1.0]
+    if not partial:
+        return rows
+    mean, spread = n * np.array(partial), 20.0 * math.sqrt(n)
+    los = np.maximum(np.floor(mean - spread), 0).astype(np.int64)
+    widths = np.minimum(np.ceil(mean + spread), n).astype(np.int64) - los + 1
+    ends = np.cumsum(widths)
+    # cells ends[j] - widths[j] .. ends[j] - 1 hold row j's columns, from los[j] on
+    cols = np.arange(ends[-1]) + np.repeat(los - (ends - widths), widths)
+    log_rate = np.repeat([math.log(rate) for rate in partial], widths)
+    log_rest = np.repeat([math.log1p(-rate) for rate in partial], widths)
+    pmf = np.exp(
+        log_fact(np.array([n])) - log_fact(cols) - log_fact(n - cols)
+        + cols * log_rate + (n - cols) * log_rest
+    )
+    for rate, lo, end, width in zip(partial, los.tolist(), ends.tolist(), widths.tolist()):
+        row = pmf[None, end - width:end]
+        rows[rate] = (lo, row / row.sum(axis=1, keepdims=True))
+    return rows
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -380,6 +429,9 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     ``_count_level``). All schedules share a step's levels, so refining a
     schedule never increases its measured error at n_per_test = 1, and a
     (step, distance) error depends on which distances the schedules use.
+    The levels drawn from the start state, where every trial's count is 0 (q1
+    and each step's first level), take their rows from one ``_start_rows``
+    call per run; later levels depend on the drawn counts.
     """
     p = cfg.params
     h, states, eta, epsilon = p.H, p.states, p.eta, p.epsilon
@@ -400,17 +452,25 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     bit = markov.ProbVec([1 - q1, q1])
     lecam = [divergence.lecam_total_error(markov.ProbVec([1 - q, q]), bit) for q in q_by_distance]
     log_fact = _log_factorial_table(n_per_test)
-    # every trial at count 0, the level q = 0
-    start = (np.zeros(1, dtype=np.int64), np.array([trials], dtype=np.int64))
+    # each step's downstream distances in ascending q0, the order of its levels
+    levels = [
+        sorted({ds[t] for ds in d_by_schedule.values()}, key=q_by_distance.__getitem__)
+        for t in range(h)
+    ]
+    # every trial starts at count 0, the level q = 0; the rows drawn from there
+    # (the q1 level and each step's first level) are the same at every step
+    start = np.array([trials], dtype=np.int64)  # the trials at count 0
+    start_rows = _start_rows(n_per_test, [q1] + [q_by_distance[ds[0]] for ds in levels], log_fact)
 
     def one_step(args):
         """Summed error at step t for each downstream distance the schedules use."""
         t, words = args
         rng = _generator(words)
-        counts1, mult1 = _count_level(rng, *start, n_per_test, 0.0, q1, log_fact)
-        (counts0, mult0), q = start, 0.0
+        counts1, mult1 = _draw_counts(rng, start, *start_rows[q1])
+        q = q_by_distance[levels[t][0]]
+        counts0, mult0 = _draw_counts(rng, start, *start_rows[q])
         errors = {}
-        for d in sorted({ds[t] for ds in d_by_schedule.values()}, key=q_by_distance.__getitem__):
+        for d in levels[t]:  # the first level is drawn already, and draws nothing here
             q0 = q_by_distance[d]
             counts0, mult0 = _count_level(rng, counts0, mult0, n_per_test, q, q0, log_fact)
             q = q0
@@ -474,9 +534,11 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
     the two exact outcome probabilities. Only counts are drawn: the trials
     per hypothesis, then the histogram of each side's success counts over
     its Bin(obs_per_trial, q) pmf row (``_correct_by_side``), so a unit's
-    cost does not grow with trials. The rows and the exact accuracy are
-    computed once per (eta, d), for all replicates. Critical-horizon
-    markers for the configured sample budget n come from the horizon module.
+    cost does not grow with trials. Each eta's rows, one per distance, come
+    from one ``_start_rows`` call before the units run, and the exact
+    accuracy is computed once per (eta, d), for all replicates.
+    Critical-horizon markers for the configured sample budget n come from the
+    horizon module.
     """
     p = cfg.params
     h, states, etas, n, epsilon = p.H, p.states, p.etas, p.n, p.epsilon
@@ -495,15 +557,17 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
         for eta in etas
     }
     log_fact = _log_factorial_table(obs)
-    start = np.zeros(1, dtype=np.int64)  # every trial at count 0
-    side1 = _binomial_rows(start, obs, q1, log_fact)
+    side1 = _binomial_rows(np.zeros(1, dtype=np.int64), obs, q1, log_fact)  # every trial at count 0
+    side0_by_q0 = {}
+    for eta in etas:
+        side0_by_q0.update(_start_rows(obs, probs[eta], log_fact))
 
     def one_level(args):
         """Every replicate's row at one (eta, d); replicate r draws from row r of words."""
         (eta, d), words = args
         q0 = probs[eta][d]
         k_star = _midpoint_threshold(q0, q1, obs)
-        side0 = _binomial_rows(start, obs, q0, log_fact)
+        side0 = side0_by_q0[q0]
         exact = exact_two_point_accuracy(q0, q1, obs)
         return [
             HorizonRow(

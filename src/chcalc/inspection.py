@@ -42,8 +42,10 @@ class Schedule:
     times: tuple[int, ...]
 
     def __post_init__(self):
-        check_min(self.horizon, "horizon", 1)
+        horizon = check_index(self.horizon, "horizon")
+        check_min(horizon, "horizon", 1)
         times = check_indices(self.times, "times")
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "times", times)
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise InvalidArgument("inspection times must be strictly increasing")
@@ -139,13 +141,16 @@ def min_gap_value(horizon: int, m: int) -> int:
     return -(-horizon // (m + 1))
 
 
-def _check_testable(horizon: int, h_crit: float) -> None:
+def _check_testable(horizon: int, h_crit: float) -> int:
+    """``horizon`` as an int (``check_index``), at least 1; Infeasible when h_crit < 1."""
+    horizon = check_index(horizon, "horizon")
     check_min(horizon, "horizon", 1)
     if not h_crit >= 1:
         raise Infeasible(
             f"critical horizon {h_crit:.6g} is below one step: even the adjacent "
             "step is untestable, so no inspection schedule helps"
         )
+    return horizon
 
 
 def min_inspections(horizon: int, h_crit: float) -> int:
@@ -155,7 +160,7 @@ def min_inspections(horizon: int, h_crit: float) -> int:
     lengths can require one more (see ``min_inspections_sufficient``).
     Raises Infeasible when h_crit < 1.
     """
-    _check_testable(horizon, h_crit)
+    horizon = _check_testable(horizon, h_crit)
     return max(0, math.ceil(horizon / h_crit) - 1)
 
 
@@ -163,7 +168,7 @@ def min_inspections_sufficient(horizon: int, h_crit: float) -> int:
     """Smallest m whose minimax gap ceil(H/(m+1)) fits inside the critical
     horizon: max(0, ceil(H / floor(h_crit)) - 1), since a gap is an integer.
     Raises Infeasible when h_crit < 1."""
-    _check_testable(horizon, h_crit)
+    horizon = _check_testable(horizon, h_crit)
     return max(0, -(-horizon // math.floor(h_crit)) - 1)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from chcalc import experiments
+from chcalc import errors, experiments
 from chcalc.errors import Infeasible, InvalidArgument
 from chcalc.experiments import (
     GOLDEN_DECAY,
@@ -27,6 +27,7 @@ from chcalc.experiments import (
     _map_units,
     _midpoint_threshold,
     _min_inspections_dp,
+    _start_rows,
     _unit_words,
     _width_histogram,
     exact_two_point_accuracy,
@@ -67,6 +68,17 @@ class TestConfig:
     def test_rejects_zero_replicates(self):
         with pytest.raises(InvalidArgument):
             ExperimentConfig(kind="decay", master_seed=1, replicates=0, params={})
+
+    def test_refusal_message_is_the_same_with_type_hints_cached(self):
+        bad = {"kind": "horizon", "params": {"obs_per_trial": 2.5}}
+        message = "^obs_per_trial must be an integer, got 2.5$"
+        errors._type_hints.cache_clear()
+        with pytest.raises(InvalidArgument, match=message):
+            ExperimentConfig.from_json_dict(bad)
+        ExperimentConfig.from_json_dict(GOLDEN_HORIZON)
+        assert errors._type_hints.cache_info().currsize >= 2  # the config and the horizon params
+        with pytest.raises(InvalidArgument, match=message):
+            ExperimentConfig.from_json_dict(bad)
 
     def test_golden_configs_validate(self):
         for data in (GOLDEN_DECAY, GOLDEN_WIDTH, GOLDEN_INSPECTION, GOLDEN_HORIZON, GOLDEN_MISMATCH):
@@ -247,6 +259,32 @@ class TestResultTable:
     def test_lf_endings(self):
         table = ResultTable(PairRow, [PairRow(a=1)])
         assert "\r" not in table.to_csv_string()
+
+    def test_cells_of_every_type_render_as_by_isinstance(self):
+        # the exact-type fast path against the isinstance chain it stands in front of
+        def by_isinstance(cell):
+            if isinstance(cell, (int, np.integer)):
+                return str(int(cell))
+            if isinstance(cell, (float, np.floating)):
+                return format(float(cell), ".17g")
+            return str(cell)
+
+        cells = [
+            0.1, 1 / 3, -0.0, 1e-310, math.inf, -math.inf, math.nan, 2.0**53 + 1, 10**30, -7, 0,
+            True, False, np.float64(0.1), np.float32(0.1), np.int64(-3), np.uint8(255),
+            np.bool_(True), np.bool_(False), "5;10", "",
+        ]
+        rows = [PairRow(a=a, b=b) for a, b in itertools.product(cells, repeat=2)]
+        expected = "a,b\n" + "".join(f"{by_isinstance(r.a)},{by_isinstance(r.b)}\n" for r in rows)
+        assert ResultTable(PairRow, rows).to_csv_string() == expected
+
+    def test_one_column_rows(self):
+        @dataclasses.dataclass(frozen=True)
+        class OneRow:
+            a: object
+
+        table = ResultTable(OneRow, [OneRow(a="ab"), OneRow(a=0.5)])
+        assert table.to_csv_string() == "a\nab\n0.5\n"
 
 
 # Each kind's CSV header, pinned: the columns are the fields of its row type.
@@ -553,6 +591,50 @@ class TestCountLevels:
         counts, mult = _count_level(rng, np.array([0, 2]), np.array([5, 7]), 3, 0.4, 1.0, _gammaln_table(3))
         assert (counts.tolist(), mult.tolist()) == ([3], [12])
         assert rng.bit_generator.state == state
+
+
+class TestStartRows:
+    """``_start_rows`` against the one-row ``_binomial_rows`` call it batches:
+    equal windows and equal bits, so the draws over them are the same."""
+
+    # n past 400 gives each row its own window; 1029 is the largest obs_per_trial
+    SIZES = sorted({*range(1, 1030, 17), 2, 3, 399, 400, 401, 402, 1028, 1029})
+
+    @staticmethod
+    def rates(rng):
+        # numpy's SIMD log differs from math.log in the last bit at about 1 rate in 200
+        # on AVX-512 hosts, so enough random rates catch a row built with np.log
+        near_zero = [5e-324, 1e-300, 1e-17, 1e-9, 1e-4]
+        near_one = [1 - 1e-4, 1 - 1e-9, 1 - 1e-15, 1 - 2**-53]
+        return [*near_zero, *rng.uniform(0, 1, 16), 0.1, 0.5, *near_one, 1.0]
+
+    @pytest.mark.parametrize("lookup", ["table", "lgamma"])
+    def test_each_row_equals_its_single_call(self, lookup):
+        rng = np.random.default_rng(24)
+        # the lgamma lookup evaluates every cell, so it takes a few sizes only
+        for n in self.SIZES if lookup == "table" else (1, 2, 400, 401, 1029):
+            log_fact = _log_factorial_table(n) if lookup == "table" else _log_factorials
+            rates = self.rates(rng)
+            rows = _start_rows(n, rates + rates[::3], log_fact)  # repeats are computed once
+            assert rows.keys() == set(rates)
+            for rate in rates:
+                lo, single = _binomial_rows(np.zeros(1, dtype=np.int64), n, rate, log_fact)
+                got_lo, got = rows[rate]
+                assert got_lo == lo and got.shape == single.shape, (n, rate)
+                assert got.tobytes() == single.tobytes(), (n, rate)
+
+    def test_windows_differ_past_400(self):
+        rows = _start_rows(500, [0.05, 0.5, 0.99, 1.0], _log_factorial_table(500))
+        windows = {rate: (lo, lo + row.shape[1] - 1) for rate, (lo, row) in rows.items()}
+        assert windows == {0.05: (0, 473), 0.5: (0, 500), 0.99: (47, 500), 1.0: (500, 500)}
+
+    def test_rate_one_alone_gives_the_point_row(self):
+        # a horizon run's only rates: at 2 states, eta = 1 - 2**-53 and H = 1 both
+        # levels, 1/2 + (1/2) sqrt(eta)**d for d = 0 and 1, round to 1
+        rows = _start_rows(5, [1.0, 1.0], _log_factorial_table(5))
+        assert list(rows) == [1.0]
+        lo, row = rows[1.0]
+        assert lo == 5 and row.tolist() == [[1.0]]
 
 
 def _correct_by_trial(rng, trials, q0, q1, obs):

@@ -47,6 +47,13 @@ class TestSchedule:
             with pytest.raises(InvalidArgument, match="times entries must be integers"):
                 Schedule(horizon=10, times=times)
 
+    def test_refuses_non_integral_horizon(self):
+        # Schedule(10.5, (5,)) was accepted, with a maximal gap of 5.5
+        with pytest.raises(InvalidArgument, match=r"^horizon must be an integer, got 10.5$"):
+            Schedule(horizon=10.5, times=(5,))
+        sched = Schedule(horizon=np.int64(10), times=(5,))
+        assert sched.horizon == 10 and type(sched.horizon) is int
+
     def test_numpy_integer_times_become_ints(self):
         sched = Schedule(horizon=10, times=(np.int64(2), np.uint32(5)))
         assert sched.times == (2, 5)
@@ -171,6 +178,19 @@ class TestMinInspections:
             for h_crit in (1.0, 1.5, 2.0, 2.99, 3.0, 7.3, 10.0, 48.0659, 199.5, 250.0):
                 brute = next(m for m in range(h) if min_gap_value(h, m) <= h_crit)
                 assert min_inspections_sufficient(h, h_crit) == brute, (h, h_crit)
+
+    def test_necessary_count_refuses_non_integral_horizon(self):
+        with pytest.raises(InvalidArgument, match=r"^horizon must be an integer, got 10.5$"):
+            min_inspections(10.5, 3.0)
+        value = min_inspections(np.int64(10), 3.0)
+        assert value == 3 and type(value) is int
+
+    def test_sufficient_count_refuses_non_integral_horizon(self):
+        # min_inspections_sufficient(10.5, 3.0) returned the float 3.0
+        with pytest.raises(InvalidArgument, match=r"^horizon must be an integer, got 10.5$"):
+            min_inspections_sufficient(10.5, 3.0)
+        value = min_inspections_sufficient(np.int32(10), 3.0)
+        assert value == 3 and type(value) is int
 
 
 class TestFeasibilityThreshold:
