@@ -3,16 +3,21 @@
 They are the six golden experiment CSVs (``experiments.GOLDEN_*`` and the
 default oracle config), two configs whose pmf rows are narrower than the
 count range (``obs_per_trial`` and ``n_per_test`` above 400, where 20 sqrt(n)
-< n), and ``calc contraction`` on two kernels:
+< n), ``calc contraction`` on two kernels:
 ``kernels/readme.json``, the kernel of the README's example, and
 ``kernels/zero_column.json``, ``default_rng(3).dirichlet(ones(12), 12)`` with
 columns 2 and 7 set to 0 and each row renormalized, whose pushed references
-have null entries. ``test_golden.py`` compares them with the fixtures;
-``scripts/update_golden.py`` rewrites the fixtures.
+have null entries, and the stdout of ``cli.main`` on the schedulers (``PLANS``
+and ``GREEDY``): the README's plan config, a heterogeneous plan with one
+checkpoint, a plan whose budget Gamma is not positive (exit 2, its JSON
+reason), and a greedy schedule of three steps. ``test_golden.py`` compares
+them with the fixtures; ``scripts/update_golden.py`` rewrites the fixtures.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 from pathlib import Path
 
@@ -39,6 +44,10 @@ CONFIGS = {
     },
 }
 KERNELS = ("readme", "zero_column")
+# plans/<name>.json and the exit code of ``schedule plan`` on it
+PLANS = {"readme": 0, "heterogeneous": 0, "infeasible": 2}
+GREEDY = ["--etas-file", str(GOLDEN_DIR / "plans" / "etas_three_steps.json"),
+          "--n", "30", "--delta2", "0.3", "--epsilon", "0.1"]
 
 # These values come from BLAS vector-matrix products, whose last bits depend
 # on the host's BLAS kernel (README "Determinism"); they are compared at
@@ -61,7 +70,21 @@ def render() -> dict[str, str]:
             ["calc", "contraction", "--kernel-file", str(GOLDEN_DIR / "kernels" / f"{name}.json")]
         )
         outputs[f"contraction_{name}.json"] = args.func(args) + "\n"
+    for name, code in PLANS.items():
+        plan = str(GOLDEN_DIR / "plans" / f"{name}.json")
+        outputs[f"plan_{name}.json"] = _cli_stdout(["schedule", "plan", "--config", plan], code)
+    outputs["greedy_three_steps.json"] = _cli_stdout(["schedule", "greedy", *GREEDY], 0)
     return outputs
+
+
+def _cli_stdout(argv: list[str], code: int) -> str:
+    """What ``cli.main(argv)`` prints, which must exit with ``code``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = cli.main(argv)
+    if got != code:
+        raise AssertionError(f"chcalc {' '.join(argv)} exited {got}, expected {code}")
+    return out.getvalue()
 
 
 def _cells(name: str, text: str) -> list[tuple[str, str]]:
