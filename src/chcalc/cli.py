@@ -14,6 +14,8 @@ import math
 import sys
 from pathlib import Path
 
+import chcalc  # emit_csv's annotation names the package's lazy ResultTable
+
 from .errors import Infeasible, InvalidArgument, from_json
 
 # Each handler imports the modules it runs, so that a process loads only its
@@ -183,7 +185,7 @@ def _cmd_schedule_plan(args) -> str:
     return _dumps(config.design().to_json_dict())
 
 
-def emit_csv(table: experiments.ResultTable, path: str | Path) -> None:
+def emit_csv(table: chcalc.ResultTable, path: str | Path) -> None:
     """Write the table as UTF-8 CSV with LF endings and a header row."""
     Path(path).write_text(table.to_csv_string(), encoding="utf-8", newline="\n")
 

@@ -290,20 +290,27 @@ def _midpoint_threshold(q0: float, q1: float, n_obs: int) -> int:
     return math.ceil(n_obs * mid - 1e-12)
 
 
+def _miss_probs(q0: float, q1: float, n: int) -> tuple[float, float]:
+    """(miss0, miss1): the exact chances that the midpoint test on n Bernoulli
+    draws misclassifies a trial under q0 (count < k*) and under q1 (>= k*)."""
+    k_star = _midpoint_threshold(q0, q1, n)
+    miss0 = sum(math.comb(n, k) * q0**k * (1 - q0) ** (n - k) for k in range(0, k_star))
+    miss1 = sum(math.comb(n, k) * q1**k * (1 - q1) ** (n - k) for k in range(k_star, n + 1))
+    return miss0, miss1
+
+
+def _accuracy(miss0: float, miss1: float) -> float:
+    """Accuracy under a uniform hypothesis; at most 1, as neither miss is negative."""
+    return 1.0 - 0.5 * (miss0 + miss1)
+
+
 def exact_two_point_accuracy(q0: float, q1: float, n_obs: int) -> float:
     """Accuracy of the nearest-probability test on n_obs Bernoulli draws when
     the hypothesis (q0 vs q1) is drawn uniformly."""
     if not (0 <= q1 <= q0 <= 1):
         raise InvalidArgument("need 0 <= q1 <= q0 <= 1")
     check_range(n_obs, "n_obs", 1, HORIZON_MAX_OBS, "[]")
-    k_star = _midpoint_threshold(q0, q1, n_obs)
-    correct0 = sum(
-        math.comb(n_obs, k) * q0**k * (1 - q0) ** (n_obs - k) for k in range(k_star, n_obs + 1)
-    )
-    correct1 = sum(
-        math.comb(n_obs, k) * q1**k * (1 - q1) ** (n_obs - k) for k in range(0, k_star)
-    )
-    return 0.5 * (correct0 + correct1)
+    return _accuracy(*_miss_probs(q0, q1, n_obs))
 
 
 def _log_factorials(k: np.ndarray) -> np.ndarray:
@@ -323,8 +330,8 @@ def _binomial_rows(counts, n: int, rate: float, log_fact):
     (``_log_factorial_table``'s lookup, or ``_log_factorials``). Columns
     farther than 20 sqrt(n - c) from a row's mean are left out: by Hoeffding
     the pmf there is below e^-800, under the smallest positive double. At
-    rate 1 every row is the point n. ``_start_rows`` gives the one-row calls
-    from count 0 for many rates at once.
+    rate 1 every row is the point n. The only row builder: ``inspection`` and
+    ``width`` draw every count histogram over its rows.
     """
     if rate == 1.0:
         return n, np.ones((counts.size, 1))
@@ -370,39 +377,6 @@ def _draw_counts(rng, mult, lo: int, rows):
     return lo + occupied, total[occupied]
 
 
-def _start_rows(n: int, rates, log_fact) -> dict:
-    """``_binomial_rows(zeros(1), n, rate, log_fact)`` for each distinct rate
-    of ``rates``, keyed by rate, from one pass over the rows' columns laid
-    end to end.
-
-    The single call's result comes out bit for bit: ln rate and ln(1 - rate)
-    come from ``math`` per rate, every cell is summed in the same order, and
-    each row keeps its own column window and is normalized over it alone, so
-    a draw over it takes the same random numbers. (For n <= 400 every window
-    is 0..n, as 20 sqrt(n) >= n.) A rate of 1 gets the one-column point row.
-    """
-    rows = {rate: (n, np.ones((1, 1))) for rate in rates if rate == 1.0}
-    partial = [rate for rate in dict.fromkeys(rates) if rate != 1.0]
-    if not partial:
-        return rows
-    mean, spread = n * np.array(partial), 20.0 * math.sqrt(n)
-    los = np.maximum(np.floor(mean - spread), 0).astype(np.int64)
-    widths = np.minimum(np.ceil(mean + spread), n).astype(np.int64) - los + 1
-    ends = np.cumsum(widths)
-    # cells ends[j] - widths[j] .. ends[j] - 1 hold row j's columns, from los[j] on
-    cols = np.arange(ends[-1]) + np.repeat(los - (ends - widths), widths)
-    log_rate = np.repeat([math.log(rate) for rate in partial], widths)
-    log_rest = np.repeat([math.log1p(-rate) for rate in partial], widths)
-    pmf = np.exp(
-        log_fact(np.array([n])) - log_fact(cols) - log_fact(n - cols)
-        + cols * log_rate + (n - cols) * log_rest
-    )
-    for rate, lo, end, width in zip(partial, los.tolist(), ends.tolist(), widths.tolist()):
-        row = pmf[None, end - width:end]
-        rows[rate] = (lo, row / row.sum(axis=1, keepdims=True))
-    return rows
-
-
 @dataclass(frozen=True, kw_only=True)
 class InspectionRow:
     replicate: int
@@ -430,8 +404,8 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     schedule never increases its measured error at n_per_test = 1, and a
     (step, distance) error depends on which distances the schedules use.
     The levels drawn from the start state, where every trial's count is 0 (q1
-    and each step's first level), take their rows from one ``_start_rows``
-    call per run; later levels depend on the drawn counts.
+    and each step's first level), take their rows from one ``_binomial_rows``
+    call per distinct rate per run; later levels depend on the drawn counts.
     """
     p = cfg.params
     h, states, eta, epsilon = p.H, p.states, p.eta, p.epsilon
@@ -460,7 +434,10 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     # every trial starts at count 0, the level q = 0; the rows drawn from there
     # (the q1 level and each step's first level) are the same at every step
     start = np.array([trials], dtype=np.int64)  # the trials at count 0
-    start_rows = _start_rows(n_per_test, [q1] + [q_by_distance[ds[0]] for ds in levels], log_fact)
+    start_rows = {
+        q: _binomial_rows(np.zeros(1, dtype=np.int64), n_per_test, q, log_fact)
+        for q in dict.fromkeys([q1] + [q_by_distance[ds[0]] for ds in levels])
+    }
 
     def one_step(args):
         """Summed error at step t for each downstream distance the schedules use."""
@@ -513,16 +490,14 @@ class HorizonRow:
     h_crit_marker: float
 
 
-def _correct_by_side(rng, trials: int, k_star: int, side1, side0) -> tuple[int, int]:
+def _draw_correct(rng, trials: int, miss0: float, miss1: float) -> tuple[int, int]:
     """Correctly classified trials under H1 and under H0 of ``trials`` trials
-    whose hypothesis is drawn uniformly. A side is the one-row
-    ``_binomial_rows`` (lo, rows) of its trials' success counts; they draw
-    one histogram over it, and a count classifies H0 iff it is >= k_star."""
+    whose hypothesis is drawn uniformly: n1 ~ Bin(trials, 1/2) are under H1,
+    Bin(n1, miss1) of them and Bin(trials - n1, miss0) of the rest miss."""
     n1 = int(rng.binomial(trials, 0.5))
-    (lo1, rows1), (lo0, rows0) = side1, side0
-    correct1 = rng.multinomial(n1, rows1[0])[: max(0, k_star - lo1)].sum()
-    correct0 = rng.multinomial(trials - n1, rows0[0])[max(0, k_star - lo0):].sum()
-    return int(correct1), int(correct0)
+    wrong1 = int(rng.binomial(n1, miss1))
+    wrong0 = int(rng.binomial(trials - n1, miss0))
+    return n1 - wrong1, trials - n1 - wrong0
 
 
 def run_horizon(cfg: ExperimentConfig) -> ResultTable:
@@ -531,14 +506,13 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
     Per trial the hypothesis is drawn uniformly, the corresponding initial
     distribution (point mass vs. uniform) is propagated d steps, and
     obs_per_trial Bernoulli outcome bits are classified by the nearer of
-    the two exact outcome probabilities. Only counts are drawn: the trials
-    per hypothesis, then the histogram of each side's success counts over
-    its Bin(obs_per_trial, q) pmf row (``_correct_by_side``), so a unit's
-    cost does not grow with trials. Each eta's rows, one per distance, come
-    from one ``_start_rows`` call before the units run, and the exact
-    accuracy is computed once per (eta, d), for all replicates.
-    Critical-horizon markers for the configured sample budget n come from the
-    horizon module.
+    the two exact outcome probabilities. Only sufficient counts are drawn:
+    the trials per hypothesis, then each side's misclassified trials, one
+    binomial at its exact miss probability (``_draw_correct``), so a unit
+    costs three binomials whatever trials and obs_per_trial. One
+    ``_miss_probs`` call per (eta, d) gives the miss probabilities and the
+    exact accuracy of all replicates. Critical-horizon markers for the
+    configured sample budget n come from the horizon module.
     """
     p = cfg.params
     h, states, etas, n, epsilon = p.H, p.states, p.etas, p.n, p.epsilon
@@ -556,24 +530,18 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
         }
         for eta in etas
     }
-    log_fact = _log_factorial_table(obs)
-    side1 = _binomial_rows(np.zeros(1, dtype=np.int64), obs, q1, log_fact)  # every trial at count 0
-    side0_by_q0 = {}
-    for eta in etas:
-        side0_by_q0.update(_start_rows(obs, probs[eta], log_fact))
 
     def one_level(args):
         """Every replicate's row at one (eta, d); replicate r draws from row r of words."""
         (eta, d), words = args
         q0 = probs[eta][d]
-        k_star = _midpoint_threshold(q0, q1, obs)
-        side0 = side0_by_q0[q0]
-        exact = exact_two_point_accuracy(q0, q1, obs)
+        miss0, miss1 = _miss_probs(q0, q1, obs)
+        exact = _accuracy(miss0, miss1)
         return [
             HorizonRow(
                 replicate=replicate, eta=eta, distance=d, q0=q0, q1=q1,
-                accuracy_measured=sum(_correct_by_side(
-                    _generator(replicate_words), trials, k_star, side1, side0
+                accuracy_measured=sum(_draw_correct(
+                    _generator(replicate_words), trials, miss0, miss1
                 )) / trials,
                 accuracy_exact=exact, h_crit_marker=markers[repr(eta)]["h_crit_simplified"],
             )

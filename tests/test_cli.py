@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -854,3 +855,7 @@ def test_closed_form_commands_start_without_numpy(tmp_path, argv, code, uses_num
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == f"{code} {uses_numpy}"
+
+
+def test_emit_csv_type_hints_resolve():
+    assert typing.get_type_hints(chcalc.cli.emit_csv)["table"] is experiments.ResultTable

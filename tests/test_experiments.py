@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import itertools
 import json
 import math
@@ -19,15 +20,14 @@ from chcalc.experiments import (
     GOLDEN_WIDTH,
     ExperimentConfig,
     ResultTable,
-    _binomial_rows,
-    _correct_by_side,
     _count_level,
+    _draw_correct,
     _log_factorial_table,
     _log_factorials,
     _map_units,
     _midpoint_threshold,
     _min_inspections_dp,
-    _start_rows,
+    _miss_probs,
     _unit_words,
     _width_histogram,
     exact_two_point_accuracy,
@@ -43,6 +43,7 @@ from chcalc.inspection import (
     segment_budget,
     step_info_distances,
 )
+from chcalc.markov import mixture_return_probs
 from chcalc.schema import KIND_IDS, MAX_HISTOGRAM_COUNT, ORACLE_MAX_HORIZON
 from chcalc.streams import _generator
 
@@ -593,50 +594,6 @@ class TestCountLevels:
         assert rng.bit_generator.state == state
 
 
-class TestStartRows:
-    """``_start_rows`` against the one-row ``_binomial_rows`` call it batches:
-    equal windows and equal bits, so the draws over them are the same."""
-
-    # n past 400 gives each row its own window; 1029 is the largest obs_per_trial
-    SIZES = sorted({*range(1, 1030, 17), 2, 3, 399, 400, 401, 402, 1028, 1029})
-
-    @staticmethod
-    def rates(rng):
-        # numpy's SIMD log differs from math.log in the last bit at about 1 rate in 200
-        # on AVX-512 hosts, so enough random rates catch a row built with np.log
-        near_zero = [5e-324, 1e-300, 1e-17, 1e-9, 1e-4]
-        near_one = [1 - 1e-4, 1 - 1e-9, 1 - 1e-15, 1 - 2**-53]
-        return [*near_zero, *rng.uniform(0, 1, 16), 0.1, 0.5, *near_one, 1.0]
-
-    @pytest.mark.parametrize("lookup", ["table", "lgamma"])
-    def test_each_row_equals_its_single_call(self, lookup):
-        rng = np.random.default_rng(24)
-        # the lgamma lookup evaluates every cell, so it takes a few sizes only
-        for n in self.SIZES if lookup == "table" else (1, 2, 400, 401, 1029):
-            log_fact = _log_factorial_table(n) if lookup == "table" else _log_factorials
-            rates = self.rates(rng)
-            rows = _start_rows(n, rates + rates[::3], log_fact)  # repeats are computed once
-            assert rows.keys() == set(rates)
-            for rate in rates:
-                lo, single = _binomial_rows(np.zeros(1, dtype=np.int64), n, rate, log_fact)
-                got_lo, got = rows[rate]
-                assert got_lo == lo and got.shape == single.shape, (n, rate)
-                assert got.tobytes() == single.tobytes(), (n, rate)
-
-    def test_windows_differ_past_400(self):
-        rows = _start_rows(500, [0.05, 0.5, 0.99, 1.0], _log_factorial_table(500))
-        windows = {rate: (lo, lo + row.shape[1] - 1) for rate, (lo, row) in rows.items()}
-        assert windows == {0.05: (0, 473), 0.5: (0, 500), 0.99: (47, 500), 1.0: (500, 500)}
-
-    def test_rate_one_alone_gives_the_point_row(self):
-        # a horizon run's only rates: at 2 states, eta = 1 - 2**-53 and H = 1 both
-        # levels, 1/2 + (1/2) sqrt(eta)**d for d = 0 and 1, round to 1
-        rows = _start_rows(5, [1.0, 1.0], _log_factorial_table(5))
-        assert list(rows) == [1.0]
-        lo, row = rows[1.0]
-        assert lo == 5 and row.tolist() == [[1.0]]
-
-
 def _correct_by_trial(rng, trials, q0, q1, obs):
     """The reference sampler, the horizon experiment's unit before count
     histograms: one Bin(obs, q) success count per trial, thresholded at k*."""
@@ -645,11 +602,6 @@ def _correct_by_trial(rng, trials, q0, q1, obs):
     correct1 = np.count_nonzero(rng.binomial(obs, q1, size=n1) < k_star)
     correct0 = np.count_nonzero(rng.binomial(obs, q0, size=trials - n1) >= k_star)
     return correct1, correct0
-
-
-def _pmf_row(q, obs):
-    """(lo, rows): the one Bin(obs, q) pmf row a horizon unit draws over."""
-    return _binomial_rows(np.zeros(1, dtype=np.int64), obs, q, _log_factorial_table(obs))
 
 
 def _homogeneity_pvalue(a, b):
@@ -664,11 +616,11 @@ def _homogeneity_pvalue(a, b):
     return 1.0 if table.shape[1] < 2 else stats.chi2_contingency(table, correction=False).pvalue
 
 
-class TestCorrectBySide:
-    """The horizon unit's per-side correct counts, drawn as one histogram per
-    side, against the per-trial reference sampler. Each case compares 3000
-    units per sampler and side; a sampler of the same law fails a comparison
-    with probability 1e-3, and the seeds are fixed."""
+class TestDrawCorrect:
+    """The horizon unit's per-side correct counts, one binomial of
+    misclassified trials per side, against the per-trial reference sampler.
+    Each case compares 3000 units per sampler and side; a sampler of the same
+    law fails a comparison with probability 1e-3, and the seeds are fixed."""
 
     # (q0, q1, obs_per_trial, trials)
     CASES = {
@@ -682,11 +634,9 @@ class TestCorrectBySide:
     }
     UNITS = 3000
 
-    def _by_histogram(self, q0, q1, obs, trials, seed, shift=0):
-        k_star = _midpoint_threshold(q0, q1, obs) + shift
-        side1, side0 = _pmf_row(q1, obs), _pmf_row(q0, obs)
+    def _by_side(self, trials, miss0, miss1, seed):
         rng = np.random.default_rng(seed)
-        return np.array([_correct_by_side(rng, trials, k_star, side1, side0) for _ in range(self.UNITS)])
+        return np.array([_draw_correct(rng, trials, miss0, miss1) for _ in range(self.UNITS)])
 
     def _by_trial(self, q0, q1, obs, trials, seed):
         rng = np.random.default_rng(seed)
@@ -695,26 +645,27 @@ class TestCorrectBySide:
     @pytest.mark.parametrize("case", list(CASES))
     def test_per_side_counts_follow_the_reference_law(self, case):
         q0, q1, obs, trials = self.CASES[case]
-        drawn = self._by_histogram(q0, q1, obs, trials, seed=17)
+        drawn = self._by_side(trials, *_miss_probs(q0, q1, obs), seed=17)
         reference = self._by_trial(q0, q1, obs, trials, seed=18)
         for side in (0, 1):
             assert _homogeneity_pvalue(drawn[:, side], reference[:, side]) > 1e-3
 
-    def test_a_threshold_one_count_too_high_is_detected(self):
+    def test_a_miss_summed_from_one_count_too_high_is_detected(self):
         q0, q1, obs, trials = self.CASES["three-bits"]
-        drawn = self._by_histogram(q0, q1, obs, trials, seed=17, shift=1)
+        miss0, miss1 = _miss_probs(q0, q1, obs)
+        k_star = _midpoint_threshold(q0, q1, obs)
+        # miss1 summed from k* + 1: the pmf term at k* left out
+        miss1 -= math.comb(obs, k_star) * q1**k_star * (1 - q1) ** (obs - k_star)
+        drawn = self._by_side(trials, miss0, miss1, seed=17)
         reference = self._by_trial(q0, q1, obs, trials, seed=18)
-        assert min(_homogeneity_pvalue(drawn[:, s], reference[:, s]) for s in (0, 1)) < 1e-3
+        assert _homogeneity_pvalue(drawn[:, 0], reference[:, 0]) < 1e-3
 
     def test_a_side_with_no_trials_counts_none(self):
-        q0, q1, obs = 0.55, 0.1, 2
-        k_star = _midpoint_threshold(q0, q1, obs)
+        misses = _miss_probs(0.55, 0.1, 2)
         sizes = set()
         for seed in range(20):
             n1 = int(np.random.default_rng(seed).binomial(1, 0.5))  # the unit's first draw
-            correct1, correct0 = _correct_by_side(
-                np.random.default_rng(seed), 1, k_star, _pmf_row(q1, obs), _pmf_row(q0, obs)
-            )
+            correct1, correct0 = _draw_correct(np.random.default_rng(seed), 1, *misses)
             assert correct1 <= n1 and correct0 <= 1 - n1
             sizes.add(n1)
         assert sizes == {0, 1}
@@ -751,7 +702,7 @@ class TestRunHorizon:
 
     def test_largest_obs_per_trial_runs(self):
         table = run_experiment(small(GOLDEN_HORIZON, H=1, etas=[0.7], obs_per_trial=1029, trials=1))
-        assert all(0.5 <= exact <= 1 + 1e-9 for exact in table.column("accuracy_exact"))
+        assert all(0.5 <= exact <= 1 for exact in table.column("accuracy_exact"))
         assert set(table.column("accuracy_measured")) <= {0.0, 1.0}
 
     def test_work_does_not_grow_with_trials(self):
@@ -830,9 +781,24 @@ class TestExactTwoPointAccuracy:
         assert exact_two_point_accuracy(0.3, 0.3, 5) == pytest.approx(0.5, abs=0.3)
 
     def test_observation_limit(self):
-        assert 0.5 <= exact_two_point_accuracy(0.9, 0.1, 1029) <= 1 + 1e-9
+        assert 0.5 <= exact_two_point_accuracy(0.9, 0.1, 1029) <= 1
         with pytest.raises(InvalidArgument, match=r"^n_obs must lie in \[1,1029\], got 1030$"):
             exact_two_point_accuracy(0.9, 0.1, 1030)
+
+
+    def test_against_exact_rationals(self):
+        # the chains' own outcome probabilities, summed in exact rationals over
+        # the same threshold: at most 1, and within 1e-14 relative
+        for eta, states, n in itertools.product([0.3, 0.8, 0.99], [2, 3, 10], [1, 2, 7, 30, 64]):
+            q1 = 1.0 / states
+            for q0 in mixture_return_probs(eta, states, 12)[::3]:
+                k_star = _midpoint_threshold(q0, q1, n)
+                p0, p1 = fractions.Fraction(q0), fractions.Fraction(q1)
+                correct = sum(math.comb(n, k) * p0**k * (1 - p0) ** (n - k) for k in range(k_star, n + 1))
+                correct += sum(math.comb(n, k) * p1**k * (1 - p1) ** (n - k) for k in range(k_star))
+                exact = exact_two_point_accuracy(q0, q1, n)
+                assert exact <= 1, (eta, states, n, q0)
+                assert abs(exact - correct / 2) <= 1e-14 * (correct / 2), (eta, states, n, q0)
 
 
 class TestRunMismatch:
