@@ -20,6 +20,7 @@ from chcalc.experiments import (
     GOLDEN_WIDTH,
     ExperimentConfig,
     ResultTable,
+    _binomial_rows,
     _count_level,
     _draw_correct,
     _log_factorial_table,
@@ -592,6 +593,49 @@ class TestCountLevels:
         counts, mult = _count_level(rng, np.array([0, 2]), np.array([5, 7]), 3, 0.4, 1.0, _gammaln_table(3))
         assert (counts.tolist(), mult.tolist()) == ([3], [12])
         assert rng.bit_generator.state == state
+
+
+class TestBinomialRows:
+    """``_binomial_rows`` from count 0, the start rows ``run_inspection``
+    draws each step's q1 level and first level from."""
+
+    @staticmethod
+    def start_row(n, rate, log_fact=None):
+        log_fact = _log_factorial_table(n) if log_fact is None else log_fact
+        return _binomial_rows(np.zeros(1, dtype=np.int64), n, rate, log_fact)
+
+    RATES = [5e-324, 1e-9, 0.05, 0.1, 0.5, 0.99, 1 - 2**-53]
+
+    @pytest.mark.parametrize("n", [1, 30, 401, 1029])
+    def test_start_row_is_the_binomial_pmf(self, n):
+        # 1029 is the largest obs_per_trial; past 400 a row leaves columns out
+        for rate in self.RATES:
+            lo, row = self.start_row(n, rate)
+            k = np.arange(lo, lo + row.shape[1])
+            pmf = stats.binom.pmf(k, n, rate)
+            kept = pmf > 1e-300
+            assert row.shape[0] == 1 and abs(row.sum() - 1) < 1e-14, (n, rate)
+            assert np.allclose(row[0][kept], pmf[kept], rtol=1e-10, atol=0), (n, rate)
+            assert 1 - pmf.sum() < 1e-13, (n, rate)  # the columns left out carry no mass
+
+    @pytest.mark.parametrize("n", [1, 2, 400, 401, 1029])
+    def test_table_and_lgamma_lookups_give_the_same_bits(self, n):
+        # inspection's table lookup against width's per-entry lgamma
+        for rate in [*self.RATES, 1.0]:
+            lo, row = self.start_row(n, rate)
+            other_lo, other = self.start_row(n, rate, _log_factorials)
+            assert (lo, row.tobytes()) == (other_lo, other.tobytes()), (n, rate)
+
+    def test_windows_differ_past_400(self):
+        windows = {}
+        for rate in (0.05, 0.5, 0.99, 1.0):
+            lo, row = self.start_row(500, rate)
+            windows[rate] = (lo, lo + row.shape[1] - 1)
+        assert windows == {0.05: (0, 473), 0.5: (0, 500), 0.99: (47, 500), 1.0: (500, 500)}
+
+    def test_rate_one_gives_the_point_row(self):
+        lo, rows = _binomial_rows(np.array([0, 2]), 5, 1.0, _log_factorial_table(5))
+        assert lo == 5 and rows.tolist() == [[1.0], [1.0]]
 
 
 def _correct_by_trial(rng, trials, q0, q1, obs):
