@@ -2,11 +2,9 @@
 
 Every experiment is deterministic given (config, master_seed): the random
 stream for replicate r, unit u is derived counter-style from
-SeedSequence([master_seed, kind_id, r, u]), so results are independent of
-worker-thread count and adding replicates never perturbs earlier ones.
-Runners hash their units' seed words a block at a time (``streams``). Units
-go to a pool of at most CH_THREADS threads (default 1) only when the first
-one, run inline, took at least _POOL_MIN_UNIT_S.
+SeedSequence([master_seed, kind_id, r, u]), so adding replicates never
+perturbs earlier ones. Runners hash their units' seed words a block at a time
+(``streams``) and run the units in order, in the calling thread.
 
 Theory columns always come from the calculator modules; nothing is
 re-derived inline.
@@ -17,12 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,29 +95,6 @@ def _unit_words(master_seed: int, kind: str, replicate, unit) -> np.ndarray:
     """Seed words of unit streams, one row of 4 each; replicate and unit may
     be uint32 arrays, which broadcast together."""
     return _seed_words([master_seed, KIND_IDS[kind], replicate, unit])
-
-
-# The first unit must take this long before the rest go to a thread pool: on
-# a 2-core host two threads lost below 1 ms a unit and tied or won from 3 ms.
-_POOL_MIN_UNIT_S = 3e-3
-
-
-def _map_units(fn: Callable, units: Sequence) -> list:
-    """Apply fn to units; output order is the input order. The first unit
-    runs inline, and the rest go to a pool of CH_THREADS threads only if it
-    took at least _POOL_MIN_UNIT_S: cheaper units would only contend for the
-    GIL."""
-    raw = os.environ.get("CH_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise InvalidArgument(f"CH_THREADS must be an integer, got {raw!r}") from exc
-    start = time.perf_counter()
-    head = [fn(u) for u in units[:1]]
-    if workers > 1 and len(units) > 1 and time.perf_counter() - start >= _POOL_MIN_UNIT_S:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return head + list(pool.map(fn, units[1:]))
-    return head + [fn(u) for u in units[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +174,7 @@ def run_decay(cfg: ExperimentConfig) -> ResultTable:
         slope, r2 = _fit_loglinear(np.arange(h, -1, -1, dtype=float), measured)
         return rows, {"slope": slope, "r2": r2}
 
-    results = _map_units(one_eta, list(etas))
+    results = [one_eta(eta) for eta in etas]
     rows = [row for unit_rows, _ in results for row in unit_rows]
     fits = {repr(eta): fit for eta, (_, fit) in zip(etas, results)}
     return ResultTable(DecayRow, rows, metadata={"fits": fits})
@@ -254,8 +227,7 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
     """
     rho, value, groups = cfg.params.rho, cfg.params.value, cfg.params.groups
 
-    def one_unit(args):
-        replicate, w, words = args
+    def one_unit(replicate, w, words):
         sums, mult = _width_histogram(value, w, rho, groups, _generator(words))
         means = sums / w
         pooled = float(np.add.reduce(mult * means)) / groups
@@ -275,12 +247,12 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
         )
 
     column = np.arange(len(cfg.params.widths), dtype=np.uint32)
-    units = [
-        (replicate, w, words)
+    rows = [
+        one_unit(replicate, w, words)
         for replicate in range(cfg.replicates)
         for w, words in zip(cfg.params.widths, _unit_words(cfg.master_seed, "width", replicate, column))
     ]
-    return ResultTable(WidthRow, _map_units(one_unit, units))
+    return ResultTable(WidthRow, rows)
 
 
 def _midpoint_threshold(q0: float, q1: float, n_obs: int) -> int:
@@ -330,8 +302,8 @@ def _binomial_rows(counts, n: int, rate: float, log_fact):
     (``_log_factorial_table``'s lookup, or ``_log_factorials``). Columns
     farther than 20 sqrt(n - c) from a row's mean are left out: by Hoeffding
     the pmf there is below e^-800, under the smallest positive double. At
-    rate 1 every row is the point n. The only row builder: ``inspection`` and
-    ``width`` draw every count histogram over its rows.
+    rate 1 every row is the point n. The only row builder: ``inspection``,
+    ``width`` and ``mismatch`` draw every count histogram over its rows.
     """
     if rate == 1.0:
         return n, np.ones((counts.size, 1))
@@ -439,9 +411,8 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
         for q in dict.fromkeys([q1] + [q_by_distance[ds[0]] for ds in levels])
     }
 
-    def one_step(args):
+    def one_step(t, words):
         """Summed error at step t for each downstream distance the schedules use."""
-        t, words = args
         rng = _generator(words)
         counts1, mult1 = _draw_counts(rng, start, *start_rows[q1])
         q = q_by_distance[levels[t][0]]
@@ -461,7 +432,7 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     rows = []
     for replicate in range(cfg.replicates):
         words = _unit_words(cfg.master_seed, "inspection", replicate, np.arange(h, dtype=np.uint32))
-        step_errors = _map_units(one_step, list(enumerate(words)))
+        step_errors = [one_step(t, step_words) for t, step_words in enumerate(words)]
         for sched in schedules:
             ds = d_by_schedule[sched.times]
             worst_step, worst_bound = inspection.worst_case_sample_lb(
@@ -531,9 +502,8 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
         for eta in etas
     }
 
-    def one_level(args):
+    def one_level(eta, d, words):
         """Every replicate's row at one (eta, d); replicate r draws from row r of words."""
-        (eta, d), words = args
         q0 = probs[eta][d]
         miss0, miss1 = _miss_probs(q0, q1, obs)
         exact = _accuracy(miss0, miss1)
@@ -552,7 +522,7 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
     # words[level, replicate]: the level index is the unit
     units = np.arange(len(levels), dtype=np.uint32)[:, None]
     words = _unit_words(cfg.master_seed, "horizon", np.arange(cfg.replicates, dtype=np.uint32), units)
-    by_level = _map_units(one_level, list(zip(levels, words)))
+    by_level = [one_level(eta, d, level_words) for (eta, d), level_words in zip(levels, words)]
     rows = [level_rows[r] for r in range(cfg.replicates) for level_rows in by_level]
     return ResultTable(HorizonRow, rows, metadata={"markers": markers, "delta2": delta2})
 
@@ -571,23 +541,29 @@ class MismatchRow:
 
 def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
     """Sampled frequency of chains that clear the step-quality bar yet
-    contain a wrong step, against the exact binomial value."""
+    contain a wrong step, against the exact binomial value.
+
+    Each chain's correct steps are Bin(H, p). A replicate draws only the
+    histogram of its chains' counts, one ``_count_level`` call from count 0
+    to the level p, as ``_width_histogram`` does: O(sqrt(H)) whatever chains.
+    """
     p, h, threshold, chains = cfg.params.p, cfg.params.H, cfg.params.threshold, cfg.params.chains
     exact = objectives.mostly_correct_but_wrong_prob(p, h, threshold)
+    bar = math.ceil(threshold * h)
+    start = np.zeros(1, dtype=np.int64), np.array([chains])  # every chain at count 0
 
-    def one_replicate(args):
-        replicate, words = args
-        counts = _generator(words).binomial(h, p, size=chains)  # correct steps per chain
-        hits = (counts >= math.ceil(threshold * h)) & (counts < h)
+    def one_replicate(replicate, words):
+        counts, mult = _count_level(_generator(words), *start, h, 0.0, p, _log_factorials)
+        hits = int(mult[(counts >= bar) & (counts < h)].sum())
         return MismatchRow(
             replicate=replicate, chains=chains, H=h, p=p, threshold=threshold,
-            fraction_sampled=float(np.mean(hits)), fraction_exact=exact,
+            fraction_sampled=hits / chains, fraction_exact=exact,
             standard_error=math.sqrt(max(exact * (1 - exact), 1e-300) / chains),
         )
 
     column = np.arange(cfg.replicates, dtype=np.uint32)
-    units = list(enumerate(_unit_words(cfg.master_seed, "mismatch", column, 0)))
-    return ResultTable(MismatchRow, _map_units(one_replicate, units))
+    words = _unit_words(cfg.master_seed, "mismatch", column, 0)
+    return ResultTable(MismatchRow, [one_replicate(r, w) for r, w in enumerate(words)])
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +674,7 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
         )
 
     column = np.arange(greedy_cases, dtype=np.uint32)
-    rows.extend(_map_units(one_case, list(_unit_words(cfg.master_seed, "oracle", 0, column))))
+    rows.extend(one_case(words) for words in _unit_words(cfg.master_seed, "oracle", 0, column))
     return ResultTable(OracleRow, rows)
 
 

@@ -37,8 +37,9 @@ HORIZON_MAX_OBS = 1029
 
 # A width unit costs O(sqrt(W)), 2-3 s at W = 2**32.
 WIDTH_MAX_W = 2**32
-# The histogram counts, width groups and inspection and horizon trials, do not
-# set a unit's cost; the limit keeps them inside numpy's int64 draws.
+# The histogram counts (width groups, inspection and horizon trials, mismatch
+# chains) do not set a unit's cost; the limit keeps them inside numpy's int64
+# draws.
 MAX_HISTOGRAM_COUNT = 2**62
 
 
@@ -137,6 +138,7 @@ class MismatchExperiment:
         check_min(self.H, "H", 1)
         check_range(self.threshold, "threshold", 0, 1, "(]")
         check_min(self.chains, "chains", 1)
+        check_max(self.chains, "chains", MAX_HISTOGRAM_COUNT)
 
 
 @dataclass(frozen=True)

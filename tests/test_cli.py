@@ -709,6 +709,10 @@ UNUSABLE_INPUTS = {
                                     Path("x.csv")], {"kind": "horizon", "params": {"H": 2, "trials": 2**63 - 1}}),
     "horizon-trials-beyond-int64": (["experiment", "run", "--config", Path("input"), "--out",
                                      Path("x.csv")], {"kind": "horizon", "params": {"H": 2, "trials": 10**30}}),
+    "mismatch-chains-above-limit": (["experiment", "run", "--config", Path("input"), "--out",
+                                     Path("x.csv")], {"kind": "mismatch", "params": {"chains": 2**63 - 1}}),
+    "mismatch-chains-beyond-int64": (["experiment", "run", "--config", Path("input"), "--out",
+                                      Path("x.csv")], {"kind": "mismatch", "params": {"chains": 10**30}}),
     # the exact accuracy would weigh binomial coefficients beyond float range
     "horizon-obs-out-of-range": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
                                  {"kind": "horizon", "params": {"H": 1, "etas": [0.7],
@@ -749,6 +753,12 @@ TRIALS_LIMIT_MESSAGES = {
 HORIZON_TRIALS_LIMIT_MESSAGES = {
     "horizon-trials-above-limit": f"error: trials must be at most {2**62}, got {2**63 - 1}\n",
     "horizon-trials-beyond-int64": f"error: trials must be at most {2**62}, got {10**30}\n",
+}
+
+# So do mismatch chains.
+MISMATCH_CHAINS_LIMIT_MESSAGES = {
+    "mismatch-chains-above-limit": f"error: chains must be at most {2**62}, got {2**63 - 1}\n",
+    "mismatch-chains-beyond-int64": f"error: chains must be at most {2**62}, got {10**30}\n",
 }
 
 
@@ -796,6 +806,12 @@ def test_inspection_trials_limit_names_field_value_and_limit(capsys, tmp_path, c
 def test_horizon_trials_limit_names_field_value_and_limit(capsys, tmp_path, case):
     code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
     assert (code, err) == (1, HORIZON_TRIALS_LIMIT_MESSAGES[case])
+
+
+@pytest.mark.parametrize("case", list(MISMATCH_CHAINS_LIMIT_MESSAGES))
+def test_mismatch_chains_limit_names_field_value_and_limit(capsys, tmp_path, case):
+    code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
+    assert (code, err) == (1, MISMATCH_CHAINS_LIMIT_MESSAGES[case])
 
 
 # The closed-form commands and the schedulers need only math, and a JSON input

@@ -25,7 +25,6 @@ from chcalc.experiments import (
     _draw_correct,
     _log_factorial_table,
     _log_factorials,
-    _map_units,
     _midpoint_threshold,
     _min_inspections_dp,
     _miss_probs,
@@ -181,63 +180,6 @@ class TestSeedDerivation:
         assert rows3[: len(rows1)] == rows1
 
 
-class TestMapUnits:
-    """The first unit runs inline; a pool starts only after a unit that took
-    at least _POOL_MIN_UNIT_S, and never at CH_THREADS=1."""
-
-    @staticmethod
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    @staticmethod
-    def sleepy(unit):
-        time.sleep(unit * experiments._POOL_MIN_UNIT_S)
-        return unit
-
-    def test_cheap_units_never_start_a_pool(self, monkeypatch):
-        monkeypatch.setenv("CH_THREADS", "2")
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", self.no_pool)
-        assert _map_units(lambda u: u * u, list(range(50))) == [u * u for u in range(50)]
-
-    def test_heavy_units_start_a_pool_in_input_order(self, monkeypatch):
-        started = []
-
-        class Recording(experiments.ThreadPoolExecutor):
-            def __init__(self, **kwargs):
-                started.append(kwargs)
-                super().__init__(**kwargs)
-
-        monkeypatch.setenv("CH_THREADS", "2")
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
-        # later units finish first: the sleeps shrink from 3 to 1 threshold
-        units = [3, 2, 2, 1, 1]
-        assert _map_units(self.sleepy, units) == units
-        assert started == [{"max_workers": 2}]
-
-    def test_one_thread_never_pools(self, monkeypatch):
-        monkeypatch.setenv("CH_THREADS", "1")
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", self.no_pool)
-        assert _map_units(self.sleepy, [2, 1, 1]) == [2, 1, 1]
-
-    def test_exception_in_first_unit_propagates(self, monkeypatch):
-        monkeypatch.setenv("CH_THREADS", "2")
-        seen = []
-
-        def fail_first(unit):
-            seen.append(unit)
-            if unit == 0:
-                raise ValueError("unit 0")
-            return unit
-
-        with pytest.raises(ValueError, match="unit 0"):
-            _map_units(fail_first, [0, 1, 2])
-        assert seen == [0]
-
-    def test_no_units(self, monkeypatch):
-        monkeypatch.setenv("CH_THREADS", "2")
-        assert _map_units(self.no_pool, []) == []
-
-
 @dataclasses.dataclass(frozen=True)
 class PairRow:
     a: object
@@ -373,19 +315,6 @@ class TestRunWidth:
             var_mean = var_single if w == 1 else np.var(sums / w, ddof=1)
             assert table.column("var_single_empirical")[unit] == pytest.approx(var_single, rel=1e-12)
             assert table.column("var_group_mean_empirical")[unit] == pytest.approx(var_mean, rel=1e-12)
-
-    def test_csv_is_the_same_at_one_and_two_threads(self, monkeypatch):
-        # pool every config, however cheap its units
-        monkeypatch.setattr(experiments, "_POOL_MIN_UNIT_S", 0.0)
-        cfg = ExperimentConfig.from_json_dict(
-            {**GOLDEN_WIDTH, "replicates": 2,
-             "params": {**GOLDEN_WIDTH["params"], "widths": [1, 4, 16, 64, 256, 10**5]}}
-        )
-        csvs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("CH_THREADS", threads)
-            csvs.append(run_experiment(cfg).to_csv_string())
-        assert csvs[0] == csvs[1]
 
     def test_group_limit_gives_finite_positive_variances(self):
         table = run_experiment(small(GOLDEN_WIDTH, widths=[1, 4, 16], groups=MAX_HISTOGRAM_COUNT))
@@ -778,16 +707,6 @@ class TestRunHorizon:
             assert row.accuracy_exact == pytest.approx(0.5, abs=1e-12)
             assert abs(row.accuracy_measured - 0.5) <= 5 * math.sqrt(0.25 / trials)
 
-    def test_csv_is_the_same_at_one_and_eight_threads(self, monkeypatch):
-        # pool every config, however cheap its units
-        monkeypatch.setattr(experiments, "_POOL_MIN_UNIT_S", 0.0)
-        cfg = small({**GOLDEN_HORIZON, "replicates": 3}, H=12, trials=500)
-        csvs = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("CH_THREADS", threads)
-            csvs.append(run_experiment(cfg).to_csv_string())
-        assert csvs[0] == csvs[1]
-
     def test_adding_replicates_keeps_earlier_rows(self):
         one = run_experiment(small(GOLDEN_HORIZON, H=5, trials=300))
         three = run_experiment(small({**GOLDEN_HORIZON, "replicates": 3}, H=5, trials=300))
@@ -851,9 +770,16 @@ class TestRunMismatch:
         row = table.rows[0]
         assert abs(row.fraction_sampled - row.fraction_exact) <= 3 * row.standard_error
 
-    @pytest.mark.parametrize("p,h,threshold", [(0.995, 2000, 0.99), (0.9, 20, 0.5), (0.6, 7, 0.5)])
-    def test_hit_count_within_five_se(self, p, h, threshold):
-        chains = 20_000
+    @pytest.mark.parametrize(
+        "p,h,threshold,chains",
+        [pytest.param(0.995, 2000, 0.99, 20_000, id="0.995-2000-0.99"),
+         pytest.param(0.9, 20, 0.5, 20_000, id="0.9-20-0.5"),
+         pytest.param(0.6, 7, 0.5, 20_000, id="0.6-7-0.5"),
+         # one Bin(H, p) a chain would need 745 GiB here; the histogram's
+         # cost does not depend on chains
+         pytest.param(0.99, 100, 0.8, 10**11, id="0.99-100-0.8-1e11")],
+    )
+    def test_hit_count_within_five_se(self, p, h, threshold, chains):
         table = run_experiment(small(GOLDEN_MISMATCH, p=p, H=h, threshold=threshold, chains=chains))
         row = table.rows[0]
         count, exact = row.fraction_sampled * chains, row.fraction_exact
@@ -862,6 +788,13 @@ class TestRunMismatch:
 
     def test_perfect_policy_zero(self):
         table = run_experiment(small(GOLDEN_MISMATCH, p=1.0, chains=1000))
+        assert table.column("fraction_sampled")[0] == 0.0
+        assert table.column("fraction_exact")[0] == 0.0
+
+    def test_never_correct_policy_zero(self):
+        # at p = 0 every chain stays at count 0, below any bar: the level
+        # does not move, so nothing is drawn
+        table = run_experiment(small(GOLDEN_MISMATCH, p=0.0, chains=1000))
         assert table.column("fraction_sampled")[0] == 0.0
         assert table.column("fraction_exact")[0] == 0.0
 

@@ -7,16 +7,10 @@ fixtures when a change moves them on purpose.
 
 import pytest
 
-from chcalc import experiments
 from golden_outputs import BLAS_RTOL, DISTANCE_TOL, GOLDEN_DIR, movements, render, tolerance
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_golden_outputs(monkeypatch, threads):
-    monkeypatch.setenv("CH_THREADS", str(threads))
-    if threads > 1:
-        # every config's units go to the pool, however cheap
-        monkeypatch.setattr(experiments, "_POOL_MIN_UNIT_S", 0.0)
+def test_golden_outputs():
     outputs = render()
     assert sorted(outputs) == sorted(p.name for p in GOLDEN_DIR.iterdir() if p.is_file())
     for name, text in outputs.items():
@@ -24,7 +18,7 @@ def test_golden_outputs(monkeypatch, threads):
         assert moved is not None, f"{name}: rows or columns differ"
         unexpected = {
             column: rel for column, rel in moved.items()
-            if tolerance(name, column) is None or rel > tolerance(name, column)
+            if tolerance(name, column) is None or not rel <= tolerance(name, column)
         }
         assert not unexpected, f"{name} moved: {unexpected}"
 
