@@ -18,7 +18,7 @@ def test_golden_outputs():
         assert moved is not None, f"{name}: rows or columns differ"
         unexpected = {
             column: rel for column, rel in moved.items()
-            if tolerance(name, column) is None or not rel <= tolerance(name, column)
+            if (tol := tolerance(name, column)) is None or not rel <= tol
         }
         assert not unexpected, f"{name} moved: {unexpected}"
 
