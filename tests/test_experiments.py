@@ -798,6 +798,25 @@ class TestRunMismatch:
         assert table.column("fraction_sampled")[0] == 0.0
         assert table.column("fraction_exact")[0] == 0.0
 
+    def test_bar_at_every_step_has_no_hits(self):
+        # threshold 1 puts the bar at H, and a chain with H correct steps
+        # holds no wrong step, however the counts spread below it
+        table = run_experiment(small(GOLDEN_MISMATCH, p=0.9, H=20, threshold=1.0, chains=10**6))
+        assert table.column("fraction_sampled")[0] == 0.0
+        assert table.column("fraction_exact")[0] == 0.0
+
+    def test_chain_limit_gives_a_fraction(self):
+        table = run_experiment(small(GOLDEN_MISMATCH, chains=MAX_HISTOGRAM_COUNT))
+        row = table.rows[0]
+        assert 0.0 < row.fraction_sampled < 1.0
+        assert abs(row.fraction_sampled - row.fraction_exact) <= 5 * row.standard_error
+
+    def test_adding_replicates_keeps_earlier_rows(self):
+        one = run_experiment(small(GOLDEN_MISMATCH, chains=5000))
+        three = run_experiment(small({**GOLDEN_MISMATCH, "replicates": 3}, chains=5000))
+        assert three.rows[:1] == one.rows
+        assert len({row.fraction_sampled for row in three.rows}) > 1
+
 
 class TestOracles:
     """The dynamic-programming oracles against the enumeration they replaced,
