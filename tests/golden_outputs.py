@@ -4,23 +4,26 @@ They are the six golden experiment CSVs (``experiments.GOLDEN_*`` and the
 default oracle config), horizon configs at 500 and 600 bits a trial, whose
 exact miss sums run over hundreds of binomial terms, a 300-state decay config
 at H 2000, an inspection config whose pmf rows are narrower than the count
-range (``n_per_test`` above 400, where 20 sqrt(n) < n), ``calc contraction``
-on two kernels:
-``kernels/readme.json``, the kernel of the README's example, and
+range (``n_per_test`` above 400, where 20 sqrt(n) < n), and the stdout of
+``cli.main`` on the commands in ``COMMANDS``: every example command of the
+README's CLI section (``README_COMMANDS``, its input files under
+``README_FILES``), ``calc contraction`` on
 ``kernels/zero_column.json``, ``default_rng(3).dirichlet(ones(12), 12)`` with
 columns 2 and 7 set to 0 and each row renormalized, whose pushed references
-have null entries, and the stdout of ``cli.main`` on the schedulers (``PLANS``
-and ``GREEDY``): the README's plan config, a heterogeneous plan with one
-checkpoint, a plan whose budget Gamma is not positive (exit 2, its JSON
-reason), and a greedy schedule of three steps. ``test_golden.py`` compares
-them with the fixtures; ``scripts/update_golden.py`` rewrites the fixtures.
+have null entries, a heterogeneous plan with one checkpoint, a plan whose
+budget Gamma is not positive (exit 2, its JSON reason), and a greedy schedule
+of three steps. The README's ``experiment run`` is pinned by its sidecar,
+without ``wall_time_s``. ``test_golden.py`` compares them with the fixtures;
+``scripts/update_golden.py`` rewrites the fixtures.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
+import tempfile
 from pathlib import Path
 
 from chcalc import cli, experiments
@@ -51,10 +54,49 @@ CONFIGS = {
     },
 }
 KERNELS = ("readme", "zero_column")
-# plans/<name>.json and the exit code of ``schedule plan`` on it
-PLANS = {"readme": 0, "heterogeneous": 0, "infeasible": 2}
 GREEDY = ["--etas-file", str(GOLDEN_DIR / "plans" / "etas_three_steps.json"),
           "--n", "30", "--delta2", "0.3", "--epsilon", "0.1"]
+
+# The input files that the README's example commands name, and each command
+# (``chcalc`` dropped) with the fixture that pins it
+README_FILES = {
+    "kernel.json": GOLDEN_DIR / "kernels" / "readme.json",
+    "etas.json": GOLDEN_DIR / "plans" / "etas_readme.json",
+    "plan.json": GOLDEN_DIR / "plans" / "readme.json",
+    "cfg.json": GOLDEN_DIR / "experiments" / "readme.json",
+}
+README_COMMANDS = {
+    "calc horizon --eta 0.9 --delta2 0.1 --n 1000000 --epsilon 0.1": "calc_horizon_readme.json",
+    "calc width --W 256 --rho 0.15": "calc_width_readme.json",
+    "calc contraction --kernel-file kernel.json": "contraction_readme.json",
+    "calc objectives --p 0.99 --H 100 --threshold 0.8": "calc_objectives_readme.json",
+    "calc gamma --n 1000 --delta2 0.3 --epsilon 0.1": "calc_gamma_readme.json",
+    "schedule uniform --H 50 --m 1": "uniform_readme.json",
+    "schedule greedy --etas-file etas.json --n 1000 --delta2 0.3 --epsilon 0.1": "greedy_readme.json",
+    "schedule plan --config plan.json": "plan_readme.json",
+    "experiment run --config cfg.json --out table.csv --seed 7": "experiment_readme.meta.json",
+}
+SIDECAR = "experiment_readme.meta.json"
+
+
+def readme_argv(command: str) -> list[str]:
+    """A README example command as ``cli.main`` arguments, on its fixture inputs."""
+    return [str(README_FILES.get(word, word)) for word in command.split()]
+
+
+# fixture name: the arguments and exit code of each other command whose stdout it pins
+COMMANDS = {
+    "contraction_zero_column.json": (
+        ["calc", "contraction", "--kernel-file", str(GOLDEN_DIR / "kernels" / "zero_column.json")], 0
+    ),
+    "plan_heterogeneous.json": (
+        ["schedule", "plan", "--config", str(GOLDEN_DIR / "plans" / "heterogeneous.json")], 0
+    ),
+    "plan_infeasible.json": (
+        ["schedule", "plan", "--config", str(GOLDEN_DIR / "plans" / "infeasible.json")], 2
+    ),
+    "greedy_three_steps.json": (["schedule", "greedy", *GREEDY], 0),
+}
 
 # These values come from BLAS vector-matrix products, whose last bits depend
 # on the host's BLAS kernel (README "Determinism"); they are compared at
@@ -63,6 +105,8 @@ BLAS_RTOL = 1e-13
 BLAS_COLUMNS = {
     "decay.csv": {"chi2_measured"},
     **{f"contraction_{name}.json": {"empirical_lower", "gap"} for name in KERNELS},
+    # the log-linear fit of the README's decay curves
+    SIDECAR: {"slope", "r2"},
 }
 # decay_pool's curves fall over 2000 steps to chi2 near 1e-31, where p - q
 # cancels, and each kernel's rounding moves them there by far more than
@@ -79,16 +123,23 @@ def render() -> dict[str, str]:
         f"{kind}.csv": experiments.run_experiment(ExperimentConfig.from_json_dict(data)).to_csv_string()
         for kind, data in CONFIGS.items()
     }
-    for name in KERNELS:
-        args = cli.build_parser().parse_args(
-            ["calc", "contraction", "--kernel-file", str(GOLDEN_DIR / "kernels" / f"{name}.json")]
-        )
-        outputs[f"contraction_{name}.json"] = args.func(args) + "\n"
-    for name, code in PLANS.items():
-        plan = str(GOLDEN_DIR / "plans" / f"{name}.json")
-        outputs[f"plan_{name}.json"] = _cli_stdout(["schedule", "plan", "--config", plan], code)
-    outputs["greedy_three_steps.json"] = _cli_stdout(["schedule", "greedy", *GREEDY], 0)
+    for command, name in README_COMMANDS.items():
+        argv = readme_argv(command)
+        outputs[name] = _sidecar(argv) if name == SIDECAR else _cli_stdout(argv, 0)
+    for name, (argv, code) in COMMANDS.items():
+        outputs[name] = _cli_stdout(argv, code)
     return outputs
+
+
+def _sidecar(argv: list[str]) -> str:
+    """The ``.meta.json`` sidecar that ``experiment run`` writes for its
+    ``--out`` table, without the run's ``wall_time_s``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "table.csv"
+        _cli_stdout([str(out) if word == "table.csv" else word for word in argv], 0)
+        metadata = json.loads(out.with_name("table.meta.json").read_text(encoding="utf-8"))
+    del metadata["wall_time_s"]
+    return cli._dumps(metadata) + "\n"
 
 
 def _cli_stdout(argv: list[str], code: int) -> str:

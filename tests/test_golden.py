@@ -5,9 +5,16 @@ every other cell byte for byte. ``scripts/update_golden.py`` rewrites the
 fixtures when a change moves them on purpose.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
-from golden_outputs import BLAS_RTOL, DISTANCE_TOL, GOLDEN_DIR, movements, render, tolerance
+from golden_outputs import (
+    BLAS_RTOL, DISTANCE_TOL, GOLDEN_DIR, README_COMMANDS, movements, render, tolerance,
+)
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_golden_outputs():
@@ -44,3 +51,14 @@ def test_movements_name_each_moved_column():
     assert tolerance("decay_pool.csv", "chi2_measured") == DISTANCE_TOL
     assert tolerance("decay.csv", "chi2_measured") == BLAS_RTOL
     assert tolerance("decay.csv", "step") is None
+
+
+def test_every_readme_command_has_a_fixture():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    commands = [
+        line.removeprefix("chcalc ") for block in blocks for line in block.splitlines()
+        if line.startswith("chcalc ")
+    ]
+    assert len(commands) == len(README_COMMANDS)
+    missing = [command for command in commands if command not in README_COMMANDS]
+    assert not missing, f"README commands without a fixture in golden_outputs.README_COMMANDS: {missing}"
