@@ -1,7 +1,9 @@
 """Rewrite the golden fixtures in tests/golden/ from the current code.
 
 For each fixture it prints the columns that moved and their largest relative
-movement, which is what a change log entry for moved outputs needs. Run from
+movement, and each changed cell that is an integer on both sides (a schedule
+time, an inspection count, a floored horizon) as ``column old -> new``: what
+a change log entry for moved outputs needs. Run from
 the repository root:
 
     PYTHONPATH=src python scripts/update_golden.py
@@ -14,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from golden_outputs import GOLDEN_DIR, movements, render  # noqa: E402
+from golden_outputs import GOLDEN_DIR, flips, movements, render  # noqa: E402
 
 
 def main() -> None:
@@ -31,6 +33,8 @@ def main() -> None:
             continue
         for column, rel in sorted(moved.items()):
             print(f"{name}: {column or '(layout line)'} moved, largest relative movement {rel:.2g}")
+        for column, a, b in flips(name, old, text):
+            print(f"{name}: {column or '(layout line)'} {a} -> {b}")
 
 
 if __name__ == "__main__":

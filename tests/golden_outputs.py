@@ -23,6 +23,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -115,6 +116,9 @@ BLAS_COLUMNS = {
 # kernels (Prescott to SkylakeX) moved them at most 1.6e-13.
 DISTANCE_TOL = 1e-12
 DISTANCE_COLUMNS = {"decay_pool.csv": {"chi2_measured"}}
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def render() -> dict[str, str]:
@@ -213,3 +217,17 @@ def movements(name: str, old: str, new: str) -> dict[str, float] | None:
             measure = _distance if column in distances else _relative
             moved[column] = max(moved.get(column, 0.0), measure(a, b))
     return moved
+
+
+def flips(name: str, old: str, new: str) -> list[tuple[str, str, str]]:
+    """(column, old, new) of each changed cell that is an integer in both
+    files, such as a schedule time or a floored horizon, in file order; empty
+    when the files do not have the same rows and columns."""
+    old_cells, new_cells = _cells(name, old), _cells(name, new)
+    if [c for c, _ in old_cells] != [c for c, _ in new_cells]:
+        return []
+    changed = [
+        (column, a.strip().rstrip(","), b.strip().rstrip(","))  # a JSON list element is a whole line
+        for (column, a), (_, b) in zip(old_cells, new_cells) if a != b
+    ]
+    return [(column, a, b) for column, a, b in changed if _INTEGER.fullmatch(a) and _INTEGER.fullmatch(b)]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from golden_outputs import (
-    BLAS_RTOL, DISTANCE_TOL, GOLDEN_DIR, README_COMMANDS, movements, render, tolerance,
+    BLAS_RTOL, DISTANCE_TOL, GOLDEN_DIR, README_COMMANDS, flips, movements, render, tolerance,
 )
 
 README = Path(__file__).parents[1] / "README.md"
@@ -51,6 +51,18 @@ def test_movements_name_each_moved_column():
     assert tolerance("decay_pool.csv", "chi2_measured") == DISTANCE_TOL
     assert tolerance("decay.csv", "chi2_measured") == BLAS_RTOL
     assert tolerance("decay.csv", "step") is None
+
+
+def test_flips_name_each_changed_integer_cell():
+    old = "step,m,bound\n0,3,1.5\n1,4,2.5\n"
+    new = "step,m,bound\n0,4,1.5000001\n1,4,2\n"
+    assert flips("t.csv", old, new) == [("m", "3", "4")]
+    assert flips("t.csv", old, old) == []
+    assert flips("t.csv", old, old + "2,5,1\n") == []
+    # a schedule time is a JSON list element, a cell under no key
+    json_old = '{\n  "max_gap": 25,\n  "times": [\n    24,\n    49\n  ]\n}\n'
+    json_new = '{\n  "max_gap": 26,\n  "times": [\n    25,\n    49\n  ]\n}\n'
+    assert flips("t.json", json_old, json_new) == [("max_gap", "25", "26"), ("", "24", "25")]
 
 
 def test_every_readme_command_has_a_fixture():
