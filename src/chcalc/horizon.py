@@ -2,7 +2,14 @@
 
 All quantities are evaluated in log space so that attenuation over gaps up
 to 1e4 steps never underflows to a hard zero; bounds that exceed float
-range come back as +inf rather than garbage.
+range come back as +inf rather than garbage. Each is built from
+``info_distance(eta)`` = -ln(eta), ``_log_attenuated``, ``_gamma`` and
+``segment_budget``.
+
+The accuracy bounds in the docstrings are against the exact value at the
+given floats; u = 2^-53 is the unit roundoff, and S = |ln n| + |ln delta2|
++ 2|ln(1-epsilon)| is the size of the terms that Gamma sums, which can
+cancel.
 """
 
 from __future__ import annotations
@@ -55,6 +62,18 @@ class SampleBound:
     log_bound: float
 
 
+def info_distance(eta: float) -> float:
+    """Per-step information distance -ln(eta), +0.0 at eta = 1; within 2u
+    relative. ``inspection.step_info_distances`` is its elementwise form."""
+    return 0.0 - math.log(eta)  # a bare -log(1.0) is -0.0
+
+
+def _log_attenuated(eta: float, gap: int, delta2: float) -> float:
+    """ln(eta^gap * delta2) = ln(delta2) - gap * -ln(eta), the log of the
+    chi-squared separation left after ``gap`` steps."""
+    return math.log(delta2) - gap * info_distance(eta)
+
+
 def bound_from_log(log_bound: float) -> float:
     """exp(log_bound), or +inf where that overflows a float."""
     return math.inf if log_bound > _LOG_FLOAT_MAX else math.exp(log_bound)
@@ -67,9 +86,12 @@ def _log_sample_lb(info: float, delta2: float, epsilon: float) -> float:
 
 def sample_lb(params: HorizonParams, gap: int) -> SampleBound:
     """Lower bound (1-eps)^2 / (eta^gap * delta2) on the samples needed to
-    test a hypothesis pair ``gap`` steps upstream of the observation."""
+    test a hypothesis pair ``gap`` steps upstream of the observation.
+
+    ``log_bound`` is within 5u * (2|ln(1-eps)| + gap * -ln(eta) + |ln delta2|)
+    absolute."""
     check_min(gap, "gap", 0)
-    info = gap * math.log(1.0 / params.eta)
+    info = gap * info_distance(params.eta)
     regime = REGIME_DECAYED if info >= math.log(params.delta2) else REGIME_SEPARATED
     log_bound = _log_sample_lb(info, params.delta2, params.epsilon)
     return SampleBound(bound=bound_from_log(log_bound), regime=regime, log_bound=log_bound)
@@ -84,32 +106,35 @@ def feasibility_threshold(n: float, delta2: float, epsilon: float) -> float:
 
 
 def _gamma(n: float, delta2: float, epsilon: float) -> float:
+    """Gamma unchecked; at epsilon = 0 it is ln(n*delta2), bit for bit."""
     return math.log(n) + math.log(delta2) - 2.0 * math.log1p(-epsilon)
 
 
 def critical_horizon(params: HorizonParams) -> float:
     """Largest gap at which the sample budget still permits testing at
-    error epsilon: max(0, Gamma / ln(1/eta)), Gamma the feasibility threshold.
+    error epsilon: max(0, Gamma / -ln(eta)), Gamma the feasibility threshold.
 
-    Returned as a real; callers floor when they need a step index.
+    Returned as a real; callers floor when they need a step index. Within
+    5u * S / -ln(eta) absolute.
     """
     gamma = _gamma(params.n, params.delta2, params.epsilon)
-    return max(0.0, gamma / math.log(1.0 / params.eta))
+    return max(0.0, gamma / info_distance(params.eta))
 
 
 def critical_horizon_simplified(n: float, delta2: float, eta: float) -> float:
-    """The epsilon-free form max(0, ln(n*delta2) / ln(1/eta))."""
+    """The epsilon-free form max(0, ln(n*delta2) / -ln(eta)), within
+    5u * S / -ln(eta) absolute (S at epsilon = 0)."""
     check_positive(n, "n")
     check_positive(delta2, "delta2")
     check_eta(eta)
-    return max(0.0, (math.log(n) + math.log(delta2)) / math.log(1.0 / eta))
+    return max(0.0, _gamma(n, delta2, 0.0) / info_distance(eta))
 
 
 def minimax_error_lb(params: HorizonParams, gap: int) -> float:
     """Floor on the minimax testing error with n samples at the given gap:
     (1 - sqrt(((1 + eta^gap*delta2)^n - 1) / 2)) / 2, clamped to [0, 1/2]."""
     check_min(gap, "gap", 0)
-    attenuated = math.exp(gap * math.log(params.eta) + math.log(params.delta2))
+    attenuated = math.exp(_log_attenuated(params.eta, gap, params.delta2))
     return max(0.0, 0.5 * (1.0 - math.sqrt(_tensorized(attenuated, params.n) / 2.0)))
 
 
@@ -124,7 +149,7 @@ def sample_cap_for_error(params: HorizonParams, gap: int) -> float:
     minimax error at least epsilon."""
     check_min(gap, "gap", 0)
     log_numer = math.log1p(2.0 * (1.0 - 2.0 * params.epsilon) ** 2)
-    log_cap = math.log(log_numer) - gap * math.log(params.eta) - math.log(params.delta2)
+    log_cap = math.log(log_numer) - _log_attenuated(params.eta, gap, params.delta2)
     return bound_from_log(log_cap)
 
 
@@ -148,18 +173,30 @@ def approx_lumpability_tv(
     check_min(gap, "gap", 0)
     check_min(delta_step, "delta_step", 0)
     check_epsilon(epsilon)
-    signal = math.sqrt(math.exp(gap * math.log(eta)) * delta2 / 2.0)
+    signal = math.sqrt(math.exp(_log_attenuated(eta, gap, delta2)) / 2.0)
     tv_bound = min(1.0, signal + 2.0 * gap * delta_step)
     n_lb = math.inf if tv_bound == 0 else (1.0 - 2.0 * epsilon) / tv_bound
     return tv_bound, n_lb
 
 
+def segment_budget(gamma: float, inspection_fidelity: float | None = None) -> float:
+    """Per-segment information budget: Gamma, less -ln(fidelity) when the
+    inspections observe through a channel with contraction
+    ``inspection_fidelity``; within 3u * (|Gamma| - ln(fidelity)) absolute,
+    and Gamma itself, bit for bit, at fidelity 1."""
+    if inspection_fidelity is None:
+        return gamma
+    check_eta(inspection_fidelity, "inspection_fidelity", "(]")
+    return gamma - info_distance(inspection_fidelity)
+
+
 def noisy_outcome_adjust(params: HorizonParams, eta_g: float) -> float:
     """Critical horizon when the terminal observation itself is a noisy
-    channel with contraction eta_g: shortened by ln(1/eta_g)/ln(1/eta)."""
+    channel with contraction eta_g: max(0, segment_budget(Gamma, eta_g) /
+    -ln(eta)), within 6u * (S - ln(eta_g)) / -ln(eta) absolute."""
     check_eta(eta_g, "eta_g", "(]")
-    shrink = math.log(1.0 / eta_g) / math.log(1.0 / params.eta)
-    return max(0.0, critical_horizon(params) - shrink)
+    gamma = _gamma(params.n, params.delta2, params.epsilon)
+    return max(0.0, segment_budget(gamma, eta_g) / info_distance(params.eta))
 
 
 def achievability_n(eta: float, delta2: float, gap: int, p0: float) -> float:
@@ -178,7 +215,7 @@ def achievability_n(eta: float, delta2: float, gap: int, p0: float) -> float:
     check_range(p0, "p0", 0, 1)
     if delta2 == 0:
         return math.inf
-    attenuated = math.exp(gap * math.log(eta) + math.log(delta2))
+    attenuated = math.exp(_log_attenuated(eta, gap, delta2))
     if attenuated > 1.0:
         return 1.0
     p1 = p0 + math.sqrt(attenuated)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import check_eta, check_min, check_positive, check_range
-from .horizon import critical_horizon_simplified
+from .horizon import _gamma, critical_horizon_simplified, info_distance
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def width_horizon(n: int, w: int, rho: float, delta2: float, eta: float) -> floa
 
 def width_insufficiency_threshold(n: int, delta2: float, rho: float, eta: float) -> float:
     """Depth beyond which no amount of width reaches the step:
-    ln(n * delta2 / rho) / ln(1/eta).
+    ln(n * delta2 / rho) / -ln(eta), unclamped.
 
     Since W_eff is capped at 1/rho, processes deeper than this need
     intermediate inspection, not more rollouts.
@@ -71,4 +71,4 @@ def width_insufficiency_threshold(n: int, delta2: float, rho: float, eta: float)
     check_positive(n, "n")
     check_positive(delta2, "delta2")
     check_eta(eta)
-    return (math.log(n) + math.log(delta2) - math.log(rho)) / math.log(1.0 / eta)
+    return (_gamma(n, delta2, 0.0) - math.log(rho)) / info_distance(eta)

@@ -216,6 +216,15 @@ class TestScheduleUniform:
         assert len(payload["segments"]) == 4
         assert payload["feasible"] is True
 
+    def test_no_decay_prints_a_positive_zero_distance(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "schedule", "uniform", "--H", "4", "--m", "1",
+            "--eta", "1", "--delta2", "0.1", "--epsilon", "0.1",
+        )
+        assert code == 0
+        assert out.count('"info_distance": 0.0,') == 2 and "-0.0" not in out
+
     def test_m_too_large(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "uniform", "--H", "5", "--m", "7")
         assert code == 1
@@ -292,6 +301,17 @@ class TestScheduleGreedy:
             "worst_sample_lb": 961.7938228885442,
         }
 
+    @pytest.mark.parametrize("etas", [[1.0, 0.9, 1.0], [1.0, 1.0, 1.0]])
+    def test_no_decay_prints_no_negative_zero(self, capsys, tmp_path, etas):
+        path = self._etas_file(tmp_path, etas)
+        code, out, _ = run_cli(
+            capsys,
+            "schedule", "greedy", "--etas-file", path,
+            "--n", "1000", "--delta2", "0.3", "--epsilon", "0.1", "--eta-g", "1",
+        )
+        assert code == 0 and "-0.0" not in out
+        assert ('"info_distance": 0.0,' in out) == (0.9 not in etas)
+
     def test_infeasible_exit_code_2(self, capsys, tmp_path):
         path = self._etas_file(tmp_path, [0.9, 1e-8, 0.9])
         code, out, err = run_cli(
@@ -350,16 +370,18 @@ class TestScheduleGreedy:
 
 
 class TestOneSampleBound:
-    def test_calc_horizon_gap_matches_uniform_segment(self, capsys):
+    # 1 - 2^-53, where ln(1/eta) and -ln(eta) differ the most
+    @pytest.mark.parametrize("eta", ["0.9", "0.9999999999999999"])
+    def test_calc_horizon_gap_matches_uniform_segment(self, capsys, eta):
         horizon = run_json(
             capsys,
-            "calc", "horizon", "--eta", "0.9", "--delta2", "0.1",
+            "calc", "horizon", "--eta", eta, "--delta2", "0.1",
             "--n", "1000000", "--epsilon", "0.1", "--gap", "7",
         )
         uniform = run_json(
             capsys,
             "schedule", "uniform", "--H", "7", "--m", "0",
-            "--eta", "0.9", "--delta2", "0.1", "--epsilon", "0.1",
+            "--eta", eta, "--delta2", "0.1", "--epsilon", "0.1",
         )
         assert horizon["sample_lb_at"]["requested_gap"]["bound"] == uniform["segments"][0]["sample_lb"]
 

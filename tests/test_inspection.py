@@ -219,7 +219,7 @@ class TestStepInfoDistances:
     def test_list_tuple_and_array_agree(self):
         rng = random.Random(3)
         etas = [rng.uniform(1e-6, 1.0) for _ in range(1000)] + [1.0]
-        expected = [math.log(1.0 / eta) for eta in etas]
+        expected = [-math.log(eta) for eta in etas]
         for container in (list, tuple, np.array):
             distances = step_info_distances(container(etas))
             assert distances == expected
