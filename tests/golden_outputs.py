@@ -60,6 +60,7 @@ GREEDY = ["--etas-file", str(GOLDEN_DIR / "plans" / "etas_three_steps.json"),
 
 # The input files that the README's example commands name, and each command
 # (``chcalc`` dropped) with the fixture that pins it
+SIDECAR = "experiment_readme.meta.json"
 README_FILES = {
     "kernel.json": GOLDEN_DIR / "kernels" / "readme.json",
     "etas.json": GOLDEN_DIR / "plans" / "etas_readme.json",
@@ -75,9 +76,8 @@ README_COMMANDS = {
     "schedule uniform --H 50 --m 1": "uniform_readme.json",
     "schedule greedy --etas-file etas.json --n 1000 --delta2 0.3 --epsilon 0.1": "greedy_readme.json",
     "schedule plan --config plan.json": "plan_readme.json",
-    "experiment run --config cfg.json --out table.csv --seed 7": "experiment_readme.meta.json",
+    "experiment run --config cfg.json --out table.csv --seed 7": SIDECAR,
 }
-SIDECAR = "experiment_readme.meta.json"
 
 
 def readme_argv(command: str) -> list[str]:
@@ -116,9 +116,6 @@ BLAS_COLUMNS = {
 # kernels (Prescott to SkylakeX) moved them at most 1.6e-13.
 DISTANCE_TOL = 1e-12
 DISTANCE_COLUMNS = {"decay_pool.csv": {"chi2_measured"}}
-
-
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def render() -> dict[str, str]:
@@ -217,6 +214,9 @@ def movements(name: str, old: str, new: str) -> dict[str, float] | None:
             measure = _distance if column in distances else _relative
             moved[column] = max(moved.get(column, 0.0), measure(a, b))
     return moved
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def flips(name: str, old: str, new: str) -> list[tuple[str, str, str]]:
