@@ -1,5 +1,6 @@
 """End-to-end tests for every CLI surface, pinned to the documented examples."""
 
+import csv
 import itertools
 import json
 import math
@@ -105,14 +106,13 @@ class TestCalcWidth:
         assert payload["variance"] == 0.0
 
 
+MANUFACTURING = {"states": 3, "rows": [[0.85, 0.14, 0.01], [0.55, 0.35, 0.10], [0.20, 0.30, 0.50]]}
+
+
 class TestCalcContraction:
     def test_manufacturing_kernel(self, capsys, tmp_path):
         path = tmp_path / "k.json"
-        path.write_text(
-            json.dumps(
-                {"states": 3, "rows": [[0.85, 0.14, 0.01], [0.55, 0.35, 0.10], [0.20, 0.30, 0.50]]}
-            )
-        )
+        path.write_text(json.dumps(MANUFACTURING))
         payload = run_json(
             capsys, "calc", "contraction", "--kernel-file", str(path), "--trials", "200"
         )
@@ -144,7 +144,7 @@ class TestCalcContraction:
 
     def test_trials_above_limit_refused(self, capsys, tmp_path):
         path = tmp_path / "k.json"
-        path.write_text(json.dumps({"rows": [[0.9, 0.1], [0.3, 0.7]]}))
+        path.write_text(json.dumps(MANUFACTURING))
         code, out, err = run_cli(
             capsys, "calc", "contraction", "--kernel-file", str(path), "--trials", "4294967297"
         )
@@ -483,7 +483,7 @@ class TestUsageErrors:
         "argv,message",
         [
             (
-                ["calc", "horizon", "--n", "20.5", "--eta", "0.9", "--delta2", "0.1", "--epsilon", "0.1"],
+                ["calc", "horizon", "--eta", "0.9", "--delta2", "0.1", "--n", "20.5", "--epsilon", "0.1"],
                 "chcalc calc horizon: argument --n: invalid int value: '20.5'",
             ),
             (
@@ -527,6 +527,40 @@ class TestExperimentRun:
         assert meta["master_seed"] == 99
         assert meta["kind"] == "decay"
         assert meta["config"]["params"]["states"] == 10
+
+    @staticmethod
+    def _rows(capsys, tmp_path, config):
+        """The CSV rows that ``experiment run`` writes for ``config``."""
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "table.csv"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run_cli(
+            capsys, "experiment", "run", "--config", str(cfg_path), "--out", str(out_path)
+        )
+        assert code == 0, err
+        with out_path.open(newline="") as table:
+            return list(csv.DictReader(table))
+
+    def test_largest_oracle_config_matches_every_minimum(self, capsys, tmp_path):
+        # max_H and max_m at the largest values the oracle params accept
+        rows = self._rows(
+            capsys, tmp_path,
+            {"kind": "oracle", "master_seed": 7, "params": {"max_H": 14, "max_m": 13, "greedy_cases": 200}},
+        )
+        assert len(rows) == 304
+        assert all(row["match"] == "1" for row in rows)
+
+    @pytest.mark.parametrize(
+        "config,rows",
+        [
+            ({"kind": "width", "master_seed": 7, "replicates": 2,
+              "params": {"widths": [1, 4, 256, 100000], "groups": 5000}}, 2 * 4),
+            ({"kind": "horizon", "master_seed": 7, "replicates": 2,
+              "params": {"H": 12, "etas": [0.6, 0.9], "obs_per_trial": 4, "trials": 3000}}, 2 * 2 * 13),
+        ],
+        ids=["width-to-100000", "horizon"],
+    )
+    def test_config_writes_every_row(self, capsys, tmp_path, config, rows):
+        assert len(self._rows(capsys, tmp_path, config)) == rows
 
     def test_seed_flag_changes_sampled_output(self, capsys, tmp_path):
         cfg = {
@@ -692,6 +726,7 @@ BIG = str(10**400)  # an integer beyond float range
 # A Path argument names a file in the test's directory.
 UNUSABLE_INPUTS = {
     "kernel-file-is-a-directory": (["calc", "contraction", "--kernel-file", Path(".")], None),
+    "plan-config-is-a-directory": (["schedule", "plan", "--config", Path(".")], None),
     "kernel-file-not-utf8": (["calc", "contraction", "--kernel-file", Path("input")], b"\xff\xfe{}"),
     "plan-nested-too-deep": (["schedule", "plan", "--config", Path("input")],
                              "[" * 100_000 + "]" * 100_000),
@@ -728,9 +763,9 @@ UNUSABLE_INPUTS = {
     "inspection-trials-beyond-int64": (["experiment", "run", "--config", Path("input"), "--out",
                                         Path("x.csv")], {"kind": "inspection", "params": {"trials": 10**30}}),
     "horizon-trials-above-limit": (["experiment", "run", "--config", Path("input"), "--out",
-                                    Path("x.csv")], {"kind": "horizon", "params": {"H": 2, "trials": 2**63 - 1}}),
+                                    Path("x.csv")], {"kind": "horizon", "params": {"trials": 2**63 - 1}}),
     "horizon-trials-beyond-int64": (["experiment", "run", "--config", Path("input"), "--out",
-                                     Path("x.csv")], {"kind": "horizon", "params": {"H": 2, "trials": 10**30}}),
+                                     Path("x.csv")], {"kind": "horizon", "params": {"trials": 10**30}}),
     "mismatch-chains-above-limit": (["experiment", "run", "--config", Path("input"), "--out",
                                      Path("x.csv")], {"kind": "mismatch", "params": {"chains": 2**63 - 1}}),
     "mismatch-chains-beyond-int64": (["experiment", "run", "--config", Path("input"), "--out",

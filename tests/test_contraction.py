@@ -256,8 +256,9 @@ class TestEmpiricalLowerReference:
 
 
 _REPORT_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import numpy as np
+from chcalc.cli import main
 from chcalc.contraction import contraction_report
 from chcalc.divergence import decay_curve
 from chcalc.markov import ChainSpec, Kernel, ProbVec, mixture_kernel, uniform_dist
@@ -266,20 +267,40 @@ kernels += [Kernel(np.random.default_rng(5).dirichlet(np.ones(s), size=s)) for s
 spec = ChainSpec(horizon=300, kernels=kernels[2], success_set=frozenset({0}), initial=uniform_dist(120))
 p, q = (ProbVec(np.random.default_rng(s).dirichlet(np.ones(120))) for s in (6, 7))
 reports = [contraction_report(k).to_json_dict() for k in kernels]
-print(json.dumps({"reports": reports, "decay": decay_curve(spec, p, q, 0).values}))
+
+def stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+# the same through the CLI: the README kernel's report, the report of a kernel
+# with two zero columns, whose pushed references have null entries, and the
+# CSV of a 120-state decay experiment over 300 steps
+golden, tmp = sys.argv[1:]
+commands = [stdout("calc", "contraction", "--kernel-file", f"{golden}/kernels/{name}.json")
+            for name in ("readme", "zero_column")]
+with open(f"{tmp}/decay.json", "w") as f:
+    json.dump({"kind": "decay", "params": {"states": 120, "H": 300}}, f)
+stdout("experiment", "run", "--config", f"{tmp}/decay.json", "--out", f"{tmp}/decay.csv")
+with open(f"{tmp}/decay.csv") as f:
+    commands.append(f.read())
+print(json.dumps({"reports": reports, "decay": decay_curve(spec, p, q, 0).values, "commands": commands}))
 """
 
 
-def test_report_independent_of_blas_threads():
+def test_report_independent_of_blas_threads(tmp_path):
     # 120 states is above OpenBLAS's size threshold for a threaded
     # vector-matrix product, so the two runs take different BLAS paths;
     # the 120-state decay curve pushes its pair as one stacked product per step
     src = str(Path(chcalc.__file__).parents[1])
+    golden = str(Path(__file__).parent / "golden")
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run(
-            [sys.executable, "-c", _REPORT_PROBE], env=env, capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", _REPORT_PROBE, golden, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
@@ -287,6 +308,8 @@ def test_report_independent_of_blas_threads():
     probe = json.loads(outputs[0])
     assert len(probe["reports"]) == 3
     assert len(probe["decay"]) == 301
+    assert all("empirical_lower" in json.loads(report) for report in probe["commands"][:2])
+    assert probe["commands"][2].count("\n") == 1 + 4 * 301
 
 
 class TestReport:

@@ -304,7 +304,7 @@ class TestRunWidth:
         assert table.column("w_eff_empirical")[0] == pytest.approx(64, rel=0.05)
 
     def test_variances_are_the_moments_of_the_drawn_histogram(self):
-        cfg = small(GOLDEN_WIDTH, rho=0.3, value=0.2, widths=[1, 3, 100], groups=5000)
+        cfg = small(GOLDEN_WIDTH, rho=0.3, value=0.2, widths=[1, 3, 100, 100000], groups=5000)
         table = run_experiment(cfg)
         for unit, w in enumerate(cfg.params.widths):
             rng = unit_rng(cfg.master_seed, "width", 0, unit)
