@@ -1,4 +1,8 @@
-"""End-to-end tests for every CLI surface, pinned to the documented examples."""
+"""End-to-end tests for every CLI surface.
+
+The bytes of the documented examples' output are pinned once, by the
+fixtures under ``tests/golden/``.
+"""
 
 import csv
 import itertools
@@ -268,39 +272,6 @@ class TestScheduleGreedy:
         assert 5.90 <= payload["gamma"] <= 5.92
         assert [seg["start"] for seg in payload["segments"]] == [0, 16]
 
-    def test_service_journey_output_pinned(self, capsys, tmp_path):
-        path = self._etas_file(tmp_path, [0.6] * 11 + [0.95] * 39)
-        payload = run_json(
-            capsys,
-            "schedule", "greedy", "--etas-file", path,
-            "--n", "1000", "--delta2", "0.3", "--epsilon", "0.1",
-        )
-        assert payload == {
-            "feasible": True,
-            "gamma": 5.914503505971854,
-            "max_gap": 34,
-            "segments": [
-                {
-                    "attenuation": 0.0028072544611392088,
-                    "end": 16,
-                    "info_distance": 5.875548333363647,
-                    "length": 16,
-                    "sample_lb": 961.7938228885442,
-                    "start": 0,
-                },
-                {
-                    "attenuation": 0.1748246147237996,
-                    "end": 50,
-                    "info_distance": 1.743972009176705,
-                    "length": 34,
-                    "sample_lb": 15.444049479334774,
-                    "start": 16,
-                },
-            ],
-            "times": [16],
-            "worst_sample_lb": 961.7938228885442,
-        }
-
     @pytest.mark.parametrize("etas", [[1.0, 0.9, 1.0], [1.0, 1.0, 1.0]])
     def test_no_decay_prints_no_negative_zero(self, capsys, tmp_path, etas):
         path = self._etas_file(tmp_path, etas)
@@ -371,7 +342,7 @@ class TestScheduleGreedy:
 
 class TestOneSampleBound:
     # 1 - 2^-53, where ln(1/eta) and -ln(eta) differ the most
-    @pytest.mark.parametrize("eta", ["0.9", "0.9999999999999999"])
+    @pytest.mark.parametrize("eta", ["0.9", repr(1 - 2**-53)])
     def test_calc_horizon_gap_matches_uniform_segment(self, capsys, eta):
         horizon = run_json(
             capsys,
@@ -404,43 +375,6 @@ class TestSchedulePlan:
         assert payload["times"] == [25]
         assert payload["budget_required"] == pytest.approx(1.413e4, rel=0.001)
         assert payload["feasible"] is True
-
-    def test_readme_plan_output_pinned(self, capsys, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text(
-            '{"eta": 0.85, "H": 50, "n": 10000, "delta2": 0.2, "epsilon": 0.1,\n'
-            ' "budget": {"c_out": 10, "c_insp": 50}}'
-        )
-        segment = {
-            "attenuation": 0.01719780985220789,
-            "info_distance": 4.062973237444374,
-            "length": 25,
-            "sample_lb": 235.49510285346327,
-        }
-        payload = run_json(capsys, "schedule", "plan", "--config", str(path))
-        assert payload == {
-            "budget_required": 14129.706171207796,
-            "delta2": 0.2,
-            "epsilon": 0.1,
-            "feasible": True,
-            "gamma": 7.811623490857736,
-            "h_crit": 48.065930011953995,
-            "horizon": 50,
-            "m_necessary": 1,
-            "m_sufficient": 1,
-            "max_gap": 25,
-            "mode": "homogeneous",
-            "n": 10000,
-            "per_trajectory_cost": 60.0,
-            "planned_cost": 600000.0,
-            "segments": [
-                {**segment, "start": 0, "end": 25},
-                {**segment, "start": 25, "end": 50},
-            ],
-            "times": [25],
-            "worst_sample_lb": 235.49510285346327,
-            "worst_step": 0,
-        }
 
     def test_fidelity_applies_to_homogeneous_plan(self, capsys, tmp_path):
         path = tmp_path / "plan.json"
