@@ -36,7 +36,7 @@ def chi2(p: ProbVec, q: ProbVec) -> float:
     AbsoluteContinuityViolated.
     """
     _check_dims(p, q)
-    return chi2_arrays(p.entries, q.entries)
+    return float(_finite(chi2_rows(p.entries, q.entries)))
 
 
 def chi2_rows(pe: np.ndarray, qe: np.ndarray) -> np.ndarray:
@@ -59,11 +59,6 @@ def _finite(chi: np.ndarray) -> np.ndarray:
             "P has mass where the reference Q does not; chi2 is infinite"
         )
     return chi
-
-
-def chi2_arrays(pe: np.ndarray, qe: np.ndarray) -> float:
-    """``chi2`` on the raw entries of two distributions of one size."""
-    return float(_finite(chi2_rows(pe, qe)))
 
 
 def tv(p: ProbVec, q: ProbVec) -> float:

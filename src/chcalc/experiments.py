@@ -27,7 +27,6 @@ from .errors import Infeasible, InvalidArgument, check_index, check_range
 from .horizon import critical_horizon, critical_horizon_simplified, HorizonParams
 from .streams import _generator, _seed_words
 from .schema import (  # re-exported: the config and its params are declared in schema
-    HORIZON_MAX_OBS,
     KIND_IDS,
     ORACLE_MAX_HORIZON,
     DecayExperiment,
@@ -83,12 +82,6 @@ def _format_cell(cell) -> str:
     if "," in text or "\n" in text:
         raise InvalidArgument("table cells must not contain commas or newlines")
     return text
-
-
-def unit_rng(master_seed: int, kind: str, replicate: int, unit: int) -> np.random.Generator:
-    """Generator(PCG64(SeedSequence([master_seed, kind_id, replicate, unit]))),
-    built through the runners' block hasher; see module docstring."""
-    return _generator(_unit_words(master_seed, kind, replicate, unit)[0])
 
 
 def _unit_words(master_seed: int, kind: str, replicate, unit) -> np.ndarray:
@@ -274,15 +267,6 @@ def _miss_probs(q0: float, q1: float, n: int) -> tuple[float, float]:
 def _accuracy(miss0: float, miss1: float) -> float:
     """Accuracy under a uniform hypothesis; at most 1, as neither miss is negative."""
     return 1.0 - 0.5 * (miss0 + miss1)
-
-
-def exact_two_point_accuracy(q0: float, q1: float, n_obs: int) -> float:
-    """Accuracy of the nearest-probability test on n_obs Bernoulli draws when
-    the hypothesis (q0 vs q1) is drawn uniformly."""
-    if not (0 <= q1 <= q0 <= 1):
-        raise InvalidArgument("need 0 <= q1 <= q0 <= 1")
-    check_range(n_obs, "n_obs", 1, HORIZON_MAX_OBS, "[]")
-    return _accuracy(*_miss_probs(q0, q1, n_obs))
 
 
 def _log_factorials(k: np.ndarray) -> np.ndarray:

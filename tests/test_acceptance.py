@@ -23,7 +23,6 @@ from chcalc.experiments import (
     oracle_min_gap,
     oracle_min_inspections,
     run_experiment,
-    unit_rng,
 )
 from chcalc.horizon import HorizonParams, critical_horizon, critical_horizon_simplified
 from chcalc.inspection import (
@@ -31,9 +30,11 @@ from chcalc.inspection import (
     greedy_schedule,
     min_gap_value,
     min_inspections,
+    step_info_distances,
 )
 from chcalc.markov import Kernel
 from chcalc.objectives import dj_add_dp, dj_mult_dp, grad_attenuation, j_add, j_mult
+from chcalc.schema import KIND_IDS
 from chcalc.width import effective_width
 
 
@@ -169,10 +170,11 @@ def test_criterion_07_scheduler_optimality_oracles():
     rng_cases = 200
     matched = 0
     for case in range(rng_cases):
-        rng = unit_rng(424242, "oracle", 1, case)
+        # the stream of the oracle kind's unit `case` in replicate 1
+        rng = np.random.default_rng([424242, KIND_IDS["oracle"], 1, case])
         horizon = int(rng.integers(3, 13))
         etas = rng.uniform(0.35, 0.99, size=horizon)
-        weights = [math.log(1.0 / e) for e in etas]
+        weights = step_info_distances(etas)
         gamma = max(weights) * float(rng.uniform(1.05, 3.0))
         greedy_m = greedy_schedule(etas, gamma).m
         assert greedy_m == oracle_min_inspections(etas, gamma)

@@ -7,7 +7,6 @@ from chcalc import divergence
 from chcalc.divergence import (
     SUPPORT_EPS,
     chi2,
-    chi2_arrays,
     chi2_rows,
     decay_curve,
     lecam_total_error,
@@ -43,13 +42,13 @@ class TestChi2:
 
 
 def _masked_chi2(pe, qe):
-    """chi2_arrays through its support masks, whatever the reference."""
+    """chi2 through its support masks, whatever the reference."""
     support = qe >= SUPPORT_EPS
     diff = pe[support] - qe[support]
     return float(np.sum(diff * diff / qe[support]))
 
 
-class TestChi2Arrays:
+class TestChi2Masks:
     @pytest.mark.parametrize("states", [1, 2, 5, 8, 9, 31, 200])
     def test_full_support_equals_masked_path(self, states):
         rng = np.random.default_rng(states)
@@ -57,18 +56,18 @@ class TestChi2Arrays:
             pe, qe = rng.dirichlet(np.full(states, concentration), size=2)
             qe = (qe + 1e-12) / (qe + 1e-12).sum()
             assert qe.min() >= SUPPORT_EPS
-            assert chi2_arrays(pe, qe) == _masked_chi2(pe, qe)
+            assert chi2_rows(pe, qe) == _masked_chi2(pe, qe)
 
     def test_null_reference_component_still_masked(self):
         pe = np.array([0.5, 0.5, 0.0, 1e-16])
         qe = np.array([0.25, 0.75, 0.0, 0.0])
-        assert chi2_arrays(pe, qe) == _masked_chi2(pe, qe)
+        assert chi2_rows(pe, qe) == _masked_chi2(pe, qe)
 
     def test_absolute_continuity_refusal_unchanged(self):
         with pytest.raises(AbsoluteContinuityViolated, match="P has mass where the reference Q does not"):
-            chi2_arrays(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+            chi2(ProbVec([0.5, 0.5]), ProbVec([1.0, 0.0]))
         with pytest.raises(AbsoluteContinuityViolated):
-            chi2_arrays(np.array([0.5, 0.5 - 1e-15, 1e-15]), np.array([0.5, 0.5, 1e-16]))
+            chi2(ProbVec([0.5, 0.5 - 1e-15, 1e-15]), ProbVec([0.5, 0.5, 1e-16]))
 
 
 class TestChi2Rows:
@@ -90,9 +89,9 @@ class TestChi2Rows:
         values = chi2_rows(pe, np.tile(qe, (3, 1)))
         assert values[0] == 0.0
         assert values[1] == math.inf
-        assert values[2] == chi2_arrays(pe[2], qe) == _masked_chi2(pe[2], qe)
+        assert values[2] == chi2_rows(pe[2], qe) == _masked_chi2(pe[2], qe)
         with pytest.raises(AbsoluteContinuityViolated, match="P has mass where the reference Q does not"):
-            chi2_arrays(pe[1], qe)
+            chi2(ProbVec(pe[1]), ProbVec(qe))
 
     @pytest.mark.parametrize("states", [8, 12, 33, 120])
     def test_null_reference_near_compressed_sum(self, states):

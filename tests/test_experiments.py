@@ -20,6 +20,7 @@ from chcalc.experiments import (
     GOLDEN_WIDTH,
     ExperimentConfig,
     ResultTable,
+    _accuracy,
     _binomial_rows,
     _count_level,
     _draw_correct,
@@ -30,11 +31,9 @@ from chcalc.experiments import (
     _miss_probs,
     _unit_words,
     _width_histogram,
-    exact_two_point_accuracy,
     oracle_min_gap,
     oracle_min_inspections,
     run_experiment,
-    unit_rng,
 )
 from chcalc.inspection import (
     _greedy_placement,
@@ -46,6 +45,13 @@ from chcalc.inspection import (
 from chcalc.markov import mixture_return_probs
 from chcalc.schema import KIND_IDS, MAX_HISTOGRAM_COUNT, ORACLE_MAX_HORIZON
 from chcalc.streams import _generator
+
+
+def unit_rng(master_seed: int, kind: str, replicate: int, unit: int) -> np.random.Generator:
+    """The stream of one unit, through the runners' block hasher: by the
+    module docstring, Generator(PCG64(SeedSequence([master_seed, kind_id,
+    replicate, unit])))."""
+    return _generator(_unit_words(master_seed, kind, replicate, unit)[0])
 
 
 def small(config: dict, **param_overrides) -> ExperimentConfig:
@@ -726,12 +732,12 @@ class TestRunHorizon:
 class TestExactTwoPointAccuracy:
     def test_single_observation_closed_form(self):
         # classify H0 iff the bit is 1: accuracy = (q0 + 1 - q1) / 2
-        assert exact_two_point_accuracy(0.853, 0.1, 1) == pytest.approx((0.853 + 0.9) / 2)
+        assert _accuracy(*_miss_probs(0.853, 0.1, 1)) == pytest.approx((0.853 + 0.9) / 2)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(5)
         q0, q1, n_obs, trials = 0.4, 0.15, 3, 400_000
-        exact = exact_two_point_accuracy(q0, q1, n_obs)
+        exact = _accuracy(*_miss_probs(q0, q1, n_obs))
         is_h1 = rng.random(trials) < 0.5
         q = np.where(is_h1, q1, q0)
         x = rng.binomial(n_obs, q)
@@ -741,13 +747,11 @@ class TestExactTwoPointAccuracy:
         assert acc == pytest.approx(exact, abs=0.004)
 
     def test_degenerate_pair_is_chance(self):
-        assert exact_two_point_accuracy(0.3, 0.3, 5) == pytest.approx(0.5, abs=0.3)
+        assert _accuracy(*_miss_probs(0.3, 0.3, 5)) == pytest.approx(0.5, abs=0.3)
 
     def test_observation_limit(self):
-        assert 0.5 <= exact_two_point_accuracy(0.9, 0.1, 1029) <= 1
-        with pytest.raises(InvalidArgument, match=r"^n_obs must lie in \[1,1029\], got 1030$"):
-            exact_two_point_accuracy(0.9, 0.1, 1030)
-
+        # beyond 1029 the config is refused (TestRunHorizon::test_larger_obs_per_trial_refused_at_once)
+        assert 0.5 <= _accuracy(*_miss_probs(0.9, 0.1, 1029)) <= 1
 
     def test_against_exact_rationals(self):
         # the chains' own outcome probabilities, summed in exact rationals over
@@ -759,7 +763,7 @@ class TestExactTwoPointAccuracy:
                 p0, p1 = fractions.Fraction(q0), fractions.Fraction(q1)
                 correct = sum(math.comb(n, k) * p0**k * (1 - p0) ** (n - k) for k in range(k_star, n + 1))
                 correct += sum(math.comb(n, k) * p1**k * (1 - p1) ** (n - k) for k in range(k_star))
-                exact = exact_two_point_accuracy(q0, q1, n)
+                exact = _accuracy(*_miss_probs(q0, q1, n))
                 assert exact <= 1, (eta, states, n, q0)
                 assert abs(exact - correct / 2) <= 1e-14 * (correct / 2), (eta, states, n, q0)
 
