@@ -462,40 +462,6 @@ class TestExperimentRun:
         assert meta["kind"] == "decay"
         assert meta["config"]["params"]["states"] == 10
 
-    @staticmethod
-    def _rows(capsys, tmp_path, config):
-        """The CSV rows that ``experiment run`` writes for ``config``."""
-        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "table.csv"
-        cfg_path.write_text(json.dumps(config))
-        code, _, err = run_cli(
-            capsys, "experiment", "run", "--config", str(cfg_path), "--out", str(out_path)
-        )
-        assert code == 0, err
-        with out_path.open(newline="") as table:
-            return list(csv.DictReader(table))
-
-    def test_largest_oracle_config_matches_every_minimum(self, capsys, tmp_path):
-        # max_H and max_m at the largest values the oracle params accept
-        rows = self._rows(
-            capsys, tmp_path,
-            {"kind": "oracle", "master_seed": 7, "params": {"max_H": 14, "max_m": 13, "greedy_cases": 200}},
-        )
-        assert len(rows) == 304
-        assert all(row["match"] == "1" for row in rows)
-
-    @pytest.mark.parametrize(
-        "config,rows",
-        [
-            ({"kind": "width", "master_seed": 7, "replicates": 2,
-              "params": {"widths": [1, 4, 256, 100000], "groups": 5000}}, 2 * 4),
-            ({"kind": "horizon", "master_seed": 7, "replicates": 2,
-              "params": {"H": 12, "etas": [0.6, 0.9], "obs_per_trial": 4, "trials": 3000}}, 2 * 2 * 13),
-        ],
-        ids=["width-to-100000", "horizon"],
-    )
-    def test_config_writes_every_row(self, capsys, tmp_path, config, rows):
-        assert len(self._rows(capsys, tmp_path, config)) == rows
-
     def test_seed_flag_changes_sampled_output(self, capsys, tmp_path):
         cfg = {
             "kind": "mismatch",
@@ -710,6 +676,17 @@ UNUSABLE_INPUTS = {
                                                                 "obs_per_trial": 2000, "trials": 1}}),
 }
 
+# Configs that run to the end: (config, rows written). The oracle config has
+# the largest max_H and max_m its params accept.
+COMPLETE_RUNS = {
+    "oracle-largest": ({"kind": "oracle", "master_seed": 7,
+                        "params": {"max_H": 14, "max_m": 13, "greedy_cases": 200}}, 304),
+    "width-to-100000": ({"kind": "width", "master_seed": 7, "replicates": 2,
+                         "params": {"widths": [1, 4, 256, 100000], "groups": 5000}}, 2 * 4),
+    "horizon": ({"kind": "horizon", "master_seed": 7, "replicates": 2,
+                 "params": {"H": 12, "etas": [0.6, 0.9], "obs_per_trial": 4, "trials": 3000}}, 2 * 2 * 13),
+}
+
 # How each out-of-range refusal above names its flag or field.
 OUT_OF_RANGE_MESSAGES = {
     "width-W-out-of-range": "error: chcalc calc width: argument --W: out of range, got 1000",
@@ -772,6 +749,18 @@ def test_unusable_input_exits_1_with_one_error_line(capsys, tmp_path, argv, cont
     code, out, err = _run_with_input(capsys, tmp_path, argv, contents)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config,rows", list(COMPLETE_RUNS.values()), ids=list(COMPLETE_RUNS))
+def test_experiment_run_writes_every_row(capsys, tmp_path, config, rows):
+    argv = ["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")]
+    code, _, err = _run_with_input(capsys, tmp_path, argv, config)
+    assert code == 0, err
+    with (tmp_path / "x.csv").open(newline="") as out:
+        table = list(csv.DictReader(out))
+    assert len(table) == rows
+    # each oracle row matches the scheduler against its exact minimum
+    assert all(row["match"] == "1" for row in table if "match" in row)
 
 
 @pytest.mark.parametrize("case", list(OUT_OF_RANGE_MESSAGES))

@@ -48,9 +48,8 @@ from chcalc.streams import _generator
 
 
 def unit_rng(master_seed: int, kind: str, replicate: int, unit: int) -> np.random.Generator:
-    """The stream of one unit, through the runners' block hasher: by the
-    module docstring, Generator(PCG64(SeedSequence([master_seed, kind_id,
-    replicate, unit])))."""
+    """The stream of one unit, through the runners' block hasher:
+    Generator(PCG64(SeedSequence([master_seed, kind_id, replicate, unit])))."""
     return _generator(_unit_words(master_seed, kind, replicate, unit)[0])
 
 
