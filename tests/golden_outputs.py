@@ -1,7 +1,8 @@
 """The golden outputs pinned under ``tests/golden/``, rendered in process.
 
 They are the six golden experiment CSVs (``experiments.GOLDEN_*`` and the
-default oracle config), horizon configs at 500 and 600 bits a trial, whose
+default oracle config), a mismatch config of three replicates at H 2000,
+horizon configs at 500 and 600 bits a trial, whose
 exact miss sums run over hundreds of binomial terms, a 300-state decay config
 at H 2000, an inspection config whose pmf rows are narrower than the count
 range (``n_per_test`` above 400, where 20 sqrt(n) < n), and the stdout of
@@ -11,8 +12,11 @@ README's CLI section (``README_COMMANDS``, its input files under
 ``kernels/zero_column.json``, ``default_rng(3).dirichlet(ones(12), 12)`` with
 columns 2 and 7 set to 0 and each row renormalized, whose pushed references
 have null entries, a heterogeneous plan with one checkpoint, a plan whose
-budget Gamma is not positive (exit 2, its JSON reason), and a greedy schedule
-of three steps. The README's ``experiment run`` is pinned by its sidecar,
+budget Gamma is not positive (exit 2, its JSON reason), a greedy schedule
+of three steps, a homogeneous plan with an ``inspection_fidelity`` and a
+budget, a heterogeneous plan over the 1,000 rates
+``numpy.random.default_rng(1000).uniform(0.6, 0.99, 1000)`` with an
+``inspection_fidelity``, and the README's greedy schedule with ``--eta-g``. The README's ``experiment run`` is pinned by its sidecar,
 without ``wall_time_s``. ``test_golden.py`` compares them with the fixtures;
 ``scripts/update_golden.py`` rewrites the fixtures.
 """
@@ -49,6 +53,10 @@ CONFIGS = {
         "params": {"H": 12, "etas": [0.3, 0.9], "obs_per_trial": 600, "trials": 5000},
     },
     "decay_pool": {"kind": "decay", "params": {"states": 300, "H": 2000}},
+    "mismatch_h2000": {
+        "kind": "mismatch", "master_seed": 7, "replicates": 3,
+        "params": {"p": 0.995, "H": 2000, "threshold": 0.99, "chains": 5000},
+    },
     "inspection_n500": {
         "kind": "inspection", "master_seed": 20260810,
         "params": {"H": 12, "eta": 0.5, "schedules": [[6], [3, 6, 9], [2, 9]], "n_per_test": 500, "trials": 5000},
@@ -97,6 +105,16 @@ COMMANDS = {
         ["schedule", "plan", "--config", str(GOLDEN_DIR / "plans" / "infeasible.json")], 2
     ),
     "greedy_three_steps.json": (["schedule", "greedy", *GREEDY], 0),
+    "plan_fidelity.json": (
+        ["schedule", "plan", "--config", str(GOLDEN_DIR / "plans" / "fidelity.json")], 0
+    ),
+    "plan_heterogeneous_1000.json": (
+        ["schedule", "plan", "--config", str(GOLDEN_DIR / "plans" / "heterogeneous_1000.json")], 0
+    ),
+    "greedy_eta_g.json": (
+        [*readme_argv("schedule greedy --etas-file etas.json --n 1000 --delta2 0.3 --epsilon 0.1"),
+         "--eta-g", "0.9"], 0
+    ),
 }
 
 # These values come from BLAS vector-matrix products, whose last bits depend
