@@ -50,8 +50,12 @@ def exact_info(eta: float) -> Decimal:
 
 
 def exact_log1m(epsilon: float) -> Decimal:
-    """ln(1 - epsilon)."""
-    return ln(ORACLE.subtract(1, Decimal(epsilon)))
+    """ln(1 - epsilon), with the digits raised by epsilon's exponent so that
+    1 - epsilon keeps 50 digits of epsilon: at 50 digits, 1 - 5e-324 rounds
+    to 1 and its log to 0."""
+    eps = Decimal(epsilon)
+    context = Context(prec=ORACLE.prec - eps.adjusted())
+    return context.ln(context.subtract(1, eps))
 
 
 def exact_gamma(n: int, delta2: float, epsilon: float) -> Decimal:
@@ -124,6 +128,7 @@ def test_segment_budget(gamma, fidelity):
 
 @given(samples, separations, epsilons, etas, gaps)
 @example(10**6, 0.1, 0.1, TOP, 10**6)
+@example(1, 1.0, 5e-324, 0.5, 0)
 def test_sample_lb_log_bound(n, delta2, epsilon, eta, gap):
     got = sample_lb(HorizonParams(n=n, delta2=delta2, epsilon=epsilon, eta=eta), gap).log_bound
     attenuation = ORACLE.subtract(ORACLE.multiply(gap, exact_info(eta)), ln(delta2))
