@@ -11,6 +11,7 @@ the repository root:
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -19,7 +20,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from golden_outputs import GOLDEN_DIR, flips, movements, render  # noqa: E402
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    """Rewrite every fixture that differs; it takes no arguments but ``--help``."""
+    argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    ).parse_args(argv)
     for name, text in render().items():
         path = GOLDEN_DIR / name
         old = path.read_text(encoding="utf-8") if path.exists() else None

@@ -528,16 +528,18 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
     contain a wrong step, against the exact binomial value.
 
     Each chain's correct steps are Bin(H, p). A replicate draws only the
-    histogram of its chains' counts, one ``_count_level`` call from count 0
-    to the level p, as ``_width_histogram`` does: O(sqrt(H)) whatever chains.
+    histogram of its chains' counts, moved from count 0 to the level p as in
+    ``_count_level``, O(sqrt(H)) whatever chains, on pmf rows built once per
+    run; at p = 0 nothing is drawn.
     """
     p, h, threshold, chains = cfg.params.p, cfg.params.H, cfg.params.threshold, cfg.params.chains
     exact = objectives.mostly_correct_but_wrong_prob(p, h, threshold)
     bar = math.ceil(threshold * h)
-    start = np.zeros(1, dtype=np.int64), np.array([chains])  # every chain at count 0
+    zero, everyone = np.zeros(1, dtype=np.int64), np.array([chains])  # every chain at count 0
+    rows = _binomial_rows(zero, h, p, _log_factorials) if p > 0 else None
 
     def one_replicate(replicate, words):
-        counts, mult = _count_level(_generator(words), *start, h, 0.0, p, _log_factorials)
+        counts, mult = _draw_counts(_generator(words), everyone, *rows) if rows else (zero, everyone)
         hits = int(mult[(counts >= bar) & (counts < h)].sum())
         return MismatchRow(
             replicate=replicate, chains=chains, H=h, p=p, threshold=threshold,

@@ -3,8 +3,8 @@
 All quantities are evaluated in log space so that attenuation over gaps up
 to 1e4 steps never underflows to a hard zero; bounds that exceed float
 range come back as +inf rather than garbage. Each is built from
-``info_distance(eta)`` = -ln(eta), ``_log_attenuated``, ``_gamma`` and
-``segment_budget``.
+``info_distance(eta)`` = -ln(eta), ``_log_attenuated``, ``_gamma``,
+``segment_budget`` and ``_horizon_at``.
 
 The accuracy bounds in the docstrings are against the exact value at the
 given floats; u = 2^-53 is the unit roundoff, and S = |ln n| + |ln delta2|
@@ -117,8 +117,12 @@ def critical_horizon(params: HorizonParams) -> float:
     Returned as a real; callers floor when they need a step index. Within
     5u * S / -ln(eta) absolute.
     """
-    gamma = _gamma(params.n, params.delta2, params.epsilon)
-    return max(0.0, gamma / info_distance(params.eta))
+    return _horizon_at(_gamma(params.n, params.delta2, params.epsilon), params.eta)
+
+
+def _horizon_at(budget: float, eta: float) -> float:
+    """max(0, budget / -ln(eta)), the longest gap that fits ``budget``, unchecked."""
+    return max(0.0, budget / info_distance(eta))
 
 
 def critical_horizon_simplified(n: float, delta2: float, eta: float) -> float:
@@ -127,7 +131,7 @@ def critical_horizon_simplified(n: float, delta2: float, eta: float) -> float:
     check_positive(n, "n")
     check_positive(delta2, "delta2")
     check_eta(eta)
-    return max(0.0, _gamma(n, delta2, 0.0) / info_distance(eta))
+    return _horizon_at(_gamma(n, delta2, 0.0), eta)
 
 
 def minimax_error_lb(params: HorizonParams, gap: int) -> float:
@@ -196,7 +200,7 @@ def noisy_outcome_adjust(params: HorizonParams, eta_g: float) -> float:
     -ln(eta)), within 6u * (S - ln(eta_g)) / -ln(eta) absolute."""
     check_eta(eta_g, "eta_g", "(]")
     gamma = _gamma(params.n, params.delta2, params.epsilon)
-    return max(0.0, segment_budget(gamma, eta_g) / info_distance(params.eta))
+    return _horizon_at(segment_budget(gamma, eta_g), params.eta)
 
 
 def achievability_n(eta: float, delta2: float, gap: int, p0: float) -> float:

@@ -7,8 +7,9 @@ feasibility check covers the final segment too.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import (
@@ -24,9 +25,9 @@ from .errors import (
     check_range,
     from_json,
 )
-from .horizon import (
-    HorizonParams, _log_sample_lb, bound_from_log, critical_horizon, feasibility_threshold,
-    info_distance, noisy_outcome_adjust, sample_lb, segment_budget,
+from .horizon import (  # feasibility_threshold and segment_budget are also public here
+    _gamma, _horizon_at, _log_sample_lb, bound_from_log,
+    feasibility_threshold, info_distance, segment_budget,
 )
 
 
@@ -118,8 +119,7 @@ def downstream_distance(schedule: Schedule, t: int) -> int:
 
 def maximal_gap(schedule: Schedule) -> int:
     """Longest run of steps between consecutive checkpoints."""
-    aug = schedule.augmented()
-    return max(b - a for a, b in zip(aug, aug[1:]))
+    return max(b - a for a, b in schedule.segments())
 
 
 def uniform_schedule(horizon: int, m: int) -> Schedule:
@@ -138,6 +138,10 @@ def min_gap_value(horizon: int, m: int) -> int:
     horizon, m = check_index(horizon, "horizon"), check_index(m, "m")
     check_min(horizon, "horizon", 1)
     check_min(m, "m", 0)
+    return _min_gap(horizon, m)
+
+
+def _min_gap(horizon: int, m: int) -> int:
     return -(-horizon // (m + 1))
 
 
@@ -168,7 +172,10 @@ def min_inspections_sufficient(horizon: int, h_crit: float) -> int:
     """Smallest m whose minimax gap ceil(H/(m+1)) fits inside the critical
     horizon: max(0, ceil(H / floor(h_crit)) - 1), since a gap is an integer.
     Raises Infeasible when h_crit < 1."""
-    horizon = _check_testable(horizon, h_crit)
+    return _min_sufficient(_check_testable(horizon, h_crit), h_crit)
+
+
+def _min_sufficient(horizon: int, h_crit: float) -> int:
     return max(0, -(-horizon // math.floor(h_crit)) - 1)
 
 
@@ -198,27 +205,23 @@ def greedy_schedule(
 
 
 def _greedy_placement(weights: list[float], budget: float) -> Schedule:
-    """``greedy_schedule`` on checked per-step distances and a resolved budget."""
-    horizon = len(weights)
-    if max(weights) > budget:
-        t = next(t for t, w in enumerate(weights) if w > budget)
-        raise Infeasible(
-            f"step {t} alone carries information distance {weights[t]:.6g} above the "
-            f"effective per-segment budget {budget:.6g}",
-            step=t,
-        )
+    """``greedy_schedule`` on checked per-step distances and a resolved budget,
+    in one pass that sums each segment from its own start. As no total is
+    negative, the first step that is above the budget alone is refused."""
     times = []
-    start = 0
-    while start < horizon:
-        total = 0.0
-        end = start
-        while end < horizon and total + weights[end] <= budget:
-            total += weights[end]
-            end += 1
-        if end < horizon:
-            times.append(end)
-        start = end
-    return Schedule(horizon=horizon, times=tuple(times))
+    total = 0.0
+    for t, w in enumerate(weights):
+        if total + w > budget:
+            if w > budget:
+                raise Infeasible(
+                    f"step {t} alone carries information distance {w:.6g} above the "
+                    f"effective per-segment budget {budget:.6g}",
+                    step=t,
+                )
+            times.append(t)
+            total = 0.0
+        total += w
+    return Schedule(horizon=len(weights), times=tuple(times))
 
 
 def worst_case_sample_lb(
@@ -251,37 +254,33 @@ def segment_report(
     """Per-segment lengths, information distances, attenuations, and bounds."""
     check_positive(delta2, "delta2")
     check_epsilon(epsilon)
-    bounds = schedule.segments()
     if isinstance(etas_or_eta, (int, float)):
         eta = float(etas_or_eta)
         check_eta(eta, "eta", "(]")
-        # length * w, not a prefix-sum difference: equal-length segments must
-        # tie exactly so the smallest-index tie-break is meaningful.
-        w = info_distance(eta)
-        infos = [(b - a) * w for a, b in bounds]
+        infos = _uniform_infos(schedule, eta)
+    elif len(etas_or_eta) != schedule.horizon:
+        raise InvalidArgument(f"etas length {len(etas_or_eta)} must equal horizon {schedule.horizon}")
     else:
-        if len(etas_or_eta) != schedule.horizon:
-            raise InvalidArgument(
-                f"etas length {len(etas_or_eta)} must equal horizon {schedule.horizon}"
-            )
         infos = _segment_infos(schedule, step_info_distances(etas_or_eta))
-    return _summaries(bounds, infos, delta2, epsilon)
+    return _summaries(schedule, infos, delta2, epsilon)
+
+
+def _uniform_infos(schedule: Schedule, eta: float) -> list[float]:
+    """Each segment's length * -ln(eta): equal lengths tie exactly, for ``worst_segment``."""
+    w = info_distance(eta)
+    return [(b - a) * w for a, b in schedule.segments()]
 
 
 def _segment_infos(schedule: Schedule, weights: list[float]) -> list[float]:
     """Each segment's summed distance, as the difference of the left-to-right
     running total of ``weights`` read at the segment's bounds."""
-    at_bounds = [0.0]
-    total = 0.0
-    for a, b in schedule.segments():
-        for w in weights[a:b]:
-            total += w
-        at_bounds.append(total)
+    total = list(itertools.accumulate(weights, initial=0.0))
+    at_bounds = [total[t] for t in schedule.augmented()]
     return [hi - lo for lo, hi in zip(at_bounds, at_bounds[1:])]
 
 
 def _summaries(
-    bounds: list[tuple[int, int]], infos: list[float], delta2: float, epsilon: float
+    schedule: Schedule, infos: list[float], delta2: float, epsilon: float
 ) -> list[SegmentSummary]:
     return [
         SegmentSummary(
@@ -292,7 +291,7 @@ def _summaries(
             attenuation=math.exp(-info),
             worst_step_sample_lb=bound_from_log(_log_sample_lb(info, delta2, epsilon)),
         )
-        for (a, b), info in zip(bounds, infos)
+        for (a, b), info in zip(schedule.segments(), infos)
     ]
 
 
@@ -306,12 +305,18 @@ def budget_lb(
 ) -> float:
     """Minimum total budget (c_out + m*c_insp) * (1-eps)^2 / (eta^gap * delta2)
     with the minimax gap ceil(H/(m+1))."""
-    params = HorizonParams(n=1, delta2=delta2, epsilon=epsilon, eta=eta)
-    return _budget_lb(budget, m, horizon, params)
+    check_positive(delta2, "delta2")
+    check_epsilon(epsilon)
+    check_eta(eta)
+    return _budget_lb(budget, m, min_gap_value(horizon, m), eta, delta2, epsilon)
 
 
-def _budget_lb(budget: BudgetParams, m: int, horizon: int, params: HorizonParams) -> float:
-    return budget.per_trajectory(m) * sample_lb(params, min_gap_value(horizon, m)).bound
+def _budget_lb(
+    budget: BudgetParams, m: int, gap: int, eta: float, delta2: float, epsilon: float
+) -> float:
+    """``budget_lb`` on checked inputs, at the minimax gap of m."""
+    info = gap * info_distance(eta)
+    return budget.per_trajectory(m) * bound_from_log(_log_sample_lb(info, delta2, epsilon))
 
 
 @dataclass(frozen=True)
@@ -328,9 +333,6 @@ class BudgetScan:
     m_rule: int | None
     budget_rule: float | None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def budget_optimize(
     budget: BudgetParams,
@@ -346,24 +348,21 @@ def budget_optimize(
     with m at a fixed gap, so only the smallest m of each distinct gap is
     evaluated: at most 2*sqrt(H) of them.
     """
-    params = HorizonParams(n=1, delta2=delta2, epsilon=epsilon, eta=eta)
-    best_m, best_value = 0, math.inf
+    best_m, best_value = 0, budget_lb(budget, 0, horizon, eta, delta2, epsilon)  # checks them
+    horizon = check_index(horizon, "horizon")
     m = 0
-    while True:
-        value = _budget_lb(budget, m, horizon, params)
+    while (gap := _min_gap(horizon, m)) > 1:
+        m = _min_sufficient(horizon, gap - 1)  # the smallest m with a shorter gap
+        value = _budget_lb(budget, m, _min_gap(horizon, m), eta, delta2, epsilon)
         if value < best_value:
             best_m, best_value = m, value
-        gap = min_gap_value(horizon, m)
-        if gap == 1:
-            break
-        m = min_inspections_sufficient(horizon, gap - 1)  # the smallest m with a shorter gap
-    m_rule = None
-    budget_rule = None
+    m_rule = budget_rule = None
     if n is not None:
-        h_crit = critical_horizon(HorizonParams(n=n, delta2=delta2, epsilon=epsilon, eta=eta))
+        check_min(n, "n", 1)
+        h_crit = _horizon_at(_gamma(n, delta2, epsilon), eta)
         if h_crit >= 1:
-            m_rule = min_inspections_sufficient(horizon, h_crit)
-            budget_rule = _budget_lb(budget, m_rule, horizon, params)
+            m_rule = _min_sufficient(horizon, h_crit)
+            budget_rule = _budget_lb(budget, m_rule, _min_gap(horizon, m_rule), eta, delta2, epsilon)
     return BudgetScan(m_scan=best_m, budget_scan=best_value, m_rule=m_rule, budget_rule=budget_rule)
 
 
@@ -454,28 +453,27 @@ class PlanConfig:
             weights = step_info_distances(self.etas)
         if self.inspection_fidelity is not None:
             check_eta(self.inspection_fidelity, "inspection_fidelity", "(]")
-        gamma = feasibility_threshold(self.n, self.delta2, self.epsilon)
+        if not self.n < math.inf:  # n >= 1 is checked above; Gamma needs it finite too
+            raise InvalidArgument(f"n must be finite, got {self.n!r}")
+        gamma = _gamma(self.n, self.delta2, self.epsilon)
         if gamma <= 0:
             raise Infeasible(
                 f"information budget Gamma={gamma:.6g} is not positive: "
                 "the sample budget cannot test even an adjacent step"
             )
+        budget = segment_budget(gamma, self.inspection_fidelity)
         h_crit = m_necessary = m_sufficient = None
         if self.eta is not None:
-            params = HorizonParams(n=self.n, delta2=self.delta2, epsilon=self.epsilon, eta=self.eta)
-            h_crit = critical_horizon(params)
-            if self.inspection_fidelity is not None:
-                h_crit = noisy_outcome_adjust(params, self.inspection_fidelity)
+            h_crit = _horizon_at(budget, self.eta)
             m_necessary = min_inspections(self.H, h_crit)
             m_sufficient = min_inspections_sufficient(self.H, h_crit)
             schedule = uniform_schedule(self.H, m_sufficient)
-            segments = segment_report(schedule, self.eta, self.delta2, self.epsilon)
+            infos = _uniform_infos(schedule, self.eta)
         else:
             # greedy_schedule and segment_report on one checked list of distances
-            schedule = _greedy_placement(weights, segment_budget(gamma, self.inspection_fidelity))
-            segments = _summaries(
-                schedule.segments(), _segment_infos(schedule, weights), self.delta2, self.epsilon
-            )
+            schedule = _greedy_placement(weights, budget)
+            infos = _segment_infos(schedule, weights)
+        segments = _summaries(schedule, infos, self.delta2, self.epsilon)
         worst = worst_segment(segments)
         worst_bound = worst.worst_step_sample_lb
         per_trajectory = self.budget.per_trajectory(schedule.m) if self.budget else None

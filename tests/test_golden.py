@@ -5,7 +5,10 @@ every other cell byte for byte. ``scripts/update_golden.py`` rewrites the
 fixtures when a change moves them on purpose.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,19 @@ def test_every_readme_command_has_a_fixture():
     assert len(commands) == len(README_COMMANDS)
     missing = [command for command in commands if command not in README_COMMANDS]
     assert not missing, f"README commands without a fixture in golden_outputs.README_COMMANDS: {missing}"
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2)], ids=["help", "unknown"])
+def test_update_script_refuses_arguments_without_writing(argv, code):
+    """``--help`` prints usage and an unknown argument is refused; neither
+    renders an output or writes a fixture."""
+    before = {p: p.read_bytes() for p in GOLDEN_DIR.rglob("*") if p.is_file()}
+    script = Path(__file__).parents[1] / "scripts" / "update_golden.py"
+    env = {**os.environ, "PYTHONPATH": str(script.parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == code
+    assert (run.stdout if code == 0 else run.stderr).startswith("usage: update_golden.py")
+    assert "unchanged" not in run.stdout
+    assert {p: p.read_bytes() for p in GOLDEN_DIR.rglob("*") if p.is_file()} == before

@@ -1,12 +1,14 @@
 import math
 import random
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given
 
-from chcalc import inspection
+from chcalc import horizon, inspection
 from chcalc.errors import Infeasible, InvalidArgument
-from chcalc.horizon import HorizonParams, noisy_outcome_adjust
+from chcalc.horizon import HorizonParams, critical_horizon, noisy_outcome_adjust, sample_lb
 from chcalc.inspection import (
     BudgetParams,
     PlanConfig,
@@ -483,3 +485,185 @@ class TestDesignProcedure:
             design_procedure(
                 horizon=5, n=3, delta2=0.1, epsilon=0.1, etas=[1e-9] * 5
             )
+
+
+# ---------------------------------------------------------------------------
+# The earlier algorithms of the schedulers, kept as references that the
+# one-pass placement, the running total and the unchecked budget scan must
+# match with ==
+
+
+def two_loop_placement(weights, budget):
+    """Greedy placement as two loops: the first step above the budget is
+    refused up front, then each segment is filled from its own start."""
+    horizon = len(weights)
+    if max(weights) > budget:
+        t = next(t for t, w in enumerate(weights) if w > budget)
+        raise Infeasible(
+            f"step {t} alone carries information distance {weights[t]:.6g} above the "
+            f"effective per-segment budget {budget:.6g}",
+            step=t,
+        )
+    times = []
+    start = 0
+    while start < horizon:
+        total = 0.0
+        end = start
+        while end < horizon and total + weights[end] <= budget:
+            total += weights[end]
+            end += 1
+        if end < horizon:
+            times.append(end)
+        start = end
+    return Schedule(horizon=horizon, times=tuple(times))
+
+
+def segment_sum_infos(schedule, weights):
+    """Each segment's distance as the difference of a running total that a
+    loop adds up segment by segment."""
+    at_bounds = [0.0]
+    total = 0.0
+    for a, b in schedule.segments():
+        for w in weights[a:b]:
+            total += w
+        at_bounds.append(total)
+    return [hi - lo for lo, hi in zip(at_bounds, at_bounds[1:])]
+
+
+def composed_homogeneous_plan(H, n, delta2, epsilon, eta, inspection_fidelity=None, budget=None):
+    """The homogeneous design plan's JSON, composed from the public checked functions."""
+    params = HorizonParams(n=n, delta2=delta2, epsilon=epsilon, eta=eta)
+    gamma = feasibility_threshold(n, delta2, epsilon)
+    if gamma <= 0:
+        raise Infeasible(
+            f"information budget Gamma={gamma:.6g} is not positive: "
+            "the sample budget cannot test even an adjacent step"
+        )
+    if inspection_fidelity is None:
+        h_crit = critical_horizon(params)
+    else:
+        h_crit = noisy_outcome_adjust(params, inspection_fidelity)
+    schedule = uniform_schedule(H, min_inspections_sufficient(H, h_crit))
+    worst_step, worst_lb = worst_case_sample_lb(schedule, eta, delta2, epsilon)
+    per_trajectory = budget.per_trajectory(schedule.m) if budget else None
+    return {
+        "mode": "homogeneous", "horizon": H, "n": n, "delta2": delta2, "epsilon": epsilon,
+        "gamma": gamma, "h_crit": h_crit, "m_necessary": min_inspections(H, h_crit),
+        "m_sufficient": schedule.m, "times": list(schedule.times), "max_gap": maximal_gap(schedule),
+        "segments": [s.to_json_dict() for s in segment_report(schedule, eta, delta2, epsilon)],
+        "worst_step": worst_step, "worst_sample_lb": worst_lb, "feasible": n >= worst_lb,
+        "per_trajectory_cost": per_trajectory,
+        "budget_required": per_trajectory * worst_lb if budget else None,
+        "planned_cost": per_trajectory * n if budget else None,
+    }
+
+
+def stand_in_budget_lb(budget, m, horizon, eta, delta2, epsilon):
+    """``budget_lb`` through a ``HorizonParams`` with n = 1 and ``sample_lb``."""
+    params = HorizonParams(n=1, delta2=delta2, epsilon=epsilon, eta=eta)
+    return budget.per_trajectory(m) * sample_lb(params, min_gap_value(horizon, m)).bound
+
+
+def scan_from_budget_lb(budget, horizon, eta, delta2, epsilon, n=None):
+    """``budget_optimize`` on the public checked functions: the smallest m
+    of each distinct gap, by ``min_inspections_sufficient``."""
+    best_m, best_value = 0, math.inf
+    m = 0
+    while True:
+        value = stand_in_budget_lb(budget, m, horizon, eta, delta2, epsilon)
+        if value < best_value:
+            best_m, best_value = m, value
+        gap = min_gap_value(horizon, m)
+        if gap == 1:
+            break
+        m = min_inspections_sufficient(horizon, gap - 1)
+    m_rule = budget_rule = None
+    if n is not None:
+        h_crit = critical_horizon(HorizonParams(n=n, delta2=delta2, epsilon=epsilon, eta=eta))
+        if h_crit >= 1:
+            m_rule = min_inspections_sufficient(horizon, h_crit)
+            budget_rule = stand_in_budget_lb(budget, m_rule, horizon, eta, delta2, epsilon)
+    return inspection.BudgetScan(best_m, best_value, m_rule, budget_rule)
+
+
+def outcome(function, *args, **kwargs):
+    """What a call returns, or the step and reason of the Infeasible it raises."""
+    try:
+        return function(*args, **kwargs)
+    except Infeasible as exc:
+        return exc.step, exc.reason
+
+
+@st.composite
+def placements(draw):
+    """(weights, budget): equal weights with the budget at k times the weight
+    or at one of its two float neighbours, or free weights and budget; either
+    with or without one step above the budget."""
+    if draw(st.booleans()):
+        w = draw(st.floats(1e-3, 5.0))
+        weights = [w] * draw(st.integers(1, 80))
+        exact = draw(st.integers(1, 12)) * w
+        budget = draw(st.sampled_from([math.nextafter(exact, 0.0), exact, math.nextafter(exact, math.inf)]))
+    else:
+        weights = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=80))
+        budget = draw(st.floats(0.0, 20.0))
+    if draw(st.booleans()):
+        weights.insert(draw(st.integers(0, len(weights))), math.nextafter(budget, math.inf))
+    return weights, budget
+
+
+class TestAgainstEarlierAlgorithms:
+    @given(placements())
+    @example(([0.1] * 30, 0.30000000000000004))
+    @example(([0.5, 3.0, 0.5, 9.0], 2.0))
+    def test_one_pass_placement_is_the_two_loop_placement(self, case):
+        weights, budget = case
+        assert outcome(inspection._greedy_placement, weights, budget) == outcome(
+            two_loop_placement, weights, budget
+        )
+
+    @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=200), st.data())
+    def test_running_total_is_the_segment_sum_loop(self, weights, data):
+        h = len(weights)
+        times = sorted(data.draw(st.sets(st.integers(1, h - 1), max_size=h - 1))) if h > 1 else []
+        schedule = Schedule(horizon=h, times=tuple(times))
+        assert inspection._segment_infos(schedule, weights) == segment_sum_infos(schedule, weights)
+
+    @given(
+        st.integers(1, 3000), st.integers(1, 10**7), st.floats(0.01, 2.0),
+        st.floats(0.01, 0.45), st.floats(0.3, 0.9999),
+        st.one_of(st.none(), st.floats(0.5, 1.0)),
+        st.one_of(st.none(), st.builds(BudgetParams, st.floats(0.5, 10.0), st.floats(0.0, 50.0))),
+    )
+    @example(50, 10_000, 0.2, 0.1, 0.85, None, BudgetParams(c_out=10.0, c_insp=50.0))
+    def test_homogeneous_plan_is_the_public_composition(self, h, n, delta2, eps, eta, fidelity, budget):
+        inputs = dict(n=n, delta2=delta2, epsilon=eps, eta=eta, inspection_fidelity=fidelity, budget=budget)
+        plan = outcome(lambda: design_procedure(horizon=h, **inputs).to_json_dict())
+        assert plan == outcome(composed_homogeneous_plan, h, **inputs)
+
+    @given(
+        st.integers(1, 20_000), st.floats(0.3, 0.9999), st.floats(0.01, 2.0), st.floats(0.01, 0.45),
+        st.floats(0.5, 10.0), st.floats(0.0, 20.0), st.one_of(st.none(), st.integers(1, 10**8)),
+    )
+    @example(100_000, 0.5, 0.2, 0.1, 1.0, 1.0, None)
+    def test_budget_scan_is_rebuilt_from_budget_lb(self, h, eta, delta2, eps, c_out, c_insp, n):
+        budget = BudgetParams(c_out=c_out, c_insp=c_insp)
+        result = budget_optimize(budget, h, eta, delta2, eps, n)
+        assert result == scan_from_budget_lb(budget, h, eta, delta2, eps, n)
+        for m in {0, result.m_scan, h - 1}:
+            assert budget_lb(budget, m, h, eta, delta2, eps) == stand_in_budget_lb(budget, m, h, eta, delta2, eps)
+
+    def test_budget_scan_checks_as_often_at_any_horizon(self, monkeypatch):
+        calls = []
+        for module in (inspection, horizon):
+            for name in [name for name in vars(module) if name.startswith("check_")]:
+                original = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda *a, _check=original, **k: calls.append(1) or _check(*a, **k)
+                )
+        counts = []
+        for h in (10**3, 10**5):
+            calls.clear()
+            budget_optimize(BudgetParams(c_out=3.0, c_insp=2.0), h, 0.999, 0.3, 0.1, n=10**6)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
