@@ -348,7 +348,7 @@ def budget_optimize(
     with m at a fixed gap, so only the smallest m of each distinct gap is
     evaluated: at most 2*sqrt(H) of them.
     """
-    best_m, best_value = 0, budget_lb(budget, 0, horizon, eta, delta2, epsilon)  # checks them
+    best_m, best_value = 0, budget_lb(budget, 0, horizon, eta, delta2, epsilon)  # checks inputs
     horizon = check_index(horizon, "horizon")
     m = 0
     while (gap := _min_gap(horizon, m)) > 1:
