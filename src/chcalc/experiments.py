@@ -528,9 +528,8 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
     contain a wrong step, against the exact binomial value.
 
     Each chain's correct steps are Bin(H, p). A replicate draws only the
-    histogram of its chains' counts, moved from count 0 to the level p as in
-    ``_count_level``, O(sqrt(H)) whatever chains, on pmf rows built once per
-    run; at p = 0 nothing is drawn.
+    histogram of its chains' counts, moved from count 0 to level p on pmf rows
+    built once per run (none at p = 0): O(sqrt(H)) whatever chains.
     """
     p, h, threshold, chains = cfg.params.p, cfg.params.H, cfg.params.threshold, cfg.params.chains
     exact = objectives.mostly_correct_but_wrong_prob(p, h, threshold)

@@ -205,9 +205,8 @@ def greedy_schedule(
 
 
 def _greedy_placement(weights: list[float], budget: float) -> Schedule:
-    """``greedy_schedule`` on checked per-step distances and a resolved budget,
-    in one pass that sums each segment from its own start. As no total is
-    negative, the first step that is above the budget alone is refused."""
+    """``greedy_schedule`` on checked distances and a resolved budget, in one pass;
+    as no total is negative, the first step above the budget alone is refused."""
     times = []
     total = 0.0
     for t, w in enumerate(weights):
@@ -257,7 +256,7 @@ def segment_report(
     if isinstance(etas_or_eta, (int, float)):
         eta = float(etas_or_eta)
         check_eta(eta, "eta", "(]")
-        infos = _uniform_infos(schedule, eta)
+        infos = _uniform_infos(schedule, info_distance(eta))
     elif len(etas_or_eta) != schedule.horizon:
         raise InvalidArgument(f"etas length {len(etas_or_eta)} must equal horizon {schedule.horizon}")
     else:
@@ -265,9 +264,8 @@ def segment_report(
     return _summaries(schedule, infos, delta2, epsilon)
 
 
-def _uniform_infos(schedule: Schedule, eta: float) -> list[float]:
-    """Each segment's length * -ln(eta): equal lengths tie exactly, for ``worst_segment``."""
-    w = info_distance(eta)
+def _uniform_infos(schedule: Schedule, w: float) -> list[float]:
+    """Each segment's length * w, w = -ln(eta): equal lengths tie exactly, for ``worst_segment``."""
     return [(b - a) * w for a, b in schedule.segments()]
 
 
@@ -311,9 +309,7 @@ def budget_lb(
     return _budget_lb(budget, m, min_gap_value(horizon, m), eta, delta2, epsilon)
 
 
-def _budget_lb(
-    budget: BudgetParams, m: int, gap: int, eta: float, delta2: float, epsilon: float
-) -> float:
+def _budget_lb(budget, m: int, gap: int, eta: float, delta2: float, epsilon: float) -> float:
     """``budget_lb`` on checked inputs, at the minimax gap of m."""
     info = gap * info_distance(eta)
     return budget.per_trajectory(m) * bound_from_log(_log_sample_lb(info, delta2, epsilon))
@@ -349,11 +345,11 @@ def budget_optimize(
     evaluated: at most 2*sqrt(H) of them.
     """
     best_m, best_value = 0, budget_lb(budget, 0, horizon, eta, delta2, epsilon)  # checks inputs
-    horizon = check_index(horizon, "horizon")
-    m = 0
-    while (gap := _min_gap(horizon, m)) > 1:
+    gap = horizon = check_index(horizon, "horizon")  # the gap at m = 0
+    while gap > 1:
         m = _min_sufficient(horizon, gap - 1)  # the smallest m with a shorter gap
-        value = _budget_lb(budget, m, _min_gap(horizon, m), eta, delta2, epsilon)
+        gap = _min_gap(horizon, m)
+        value = _budget_lb(budget, m, gap, eta, delta2, epsilon)
         if value < best_value:
             best_m, best_value = m, value
     m_rule = budget_rule = None
@@ -468,7 +464,7 @@ class PlanConfig:
             m_necessary = min_inspections(self.H, h_crit)
             m_sufficient = min_inspections_sufficient(self.H, h_crit)
             schedule = uniform_schedule(self.H, m_sufficient)
-            infos = _uniform_infos(schedule, self.eta)
+            infos = _uniform_infos(schedule, info_distance(self.eta))
         else:
             # greedy_schedule and segment_report on one checked list of distances
             schedule = _greedy_placement(weights, budget)
