@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from .errors import (
@@ -205,8 +205,7 @@ def greedy_schedule(
 
 
 def _greedy_placement(weights: list[float], budget: float) -> Schedule:
-    """``greedy_schedule`` on checked distances and a resolved budget, in one pass;
-    as no total is negative, the first step above the budget alone is refused."""
+    """One greedy pass; as no total is negative, the first step above the budget alone is refused."""
     times = []
     total = 0.0
     for t, w in enumerate(weights):
@@ -273,8 +272,7 @@ def _segment_infos(schedule: Schedule, weights: list[float]) -> list[float]:
     """Each segment's summed distance, as the difference of the left-to-right
     running total of ``weights`` read at the segment's bounds."""
     total = list(itertools.accumulate(weights, initial=0.0))
-    at_bounds = [total[t] for t in schedule.augmented()]
-    return [hi - lo for lo, hi in zip(at_bounds, at_bounds[1:])]
+    return [total[b] - total[a] for a, b in schedule.segments()]
 
 
 def _summaries(
@@ -328,6 +326,9 @@ class BudgetScan:
     budget_scan: float
     m_rule: int | None
     budget_rule: float | None
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
 
 
 def budget_optimize(
@@ -466,7 +467,6 @@ class PlanConfig:
             schedule = uniform_schedule(self.H, m_sufficient)
             infos = _uniform_infos(schedule, info_distance(self.eta))
         else:
-            # greedy_schedule and segment_report on one checked list of distances
             schedule = _greedy_placement(weights, budget)
             infos = _segment_infos(schedule, weights)
         segments = _summaries(schedule, infos, self.delta2, self.epsilon)
