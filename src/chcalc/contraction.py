@@ -16,7 +16,6 @@ import numpy as np
 from .divergence import chi2_rows
 from .errors import InvalidArgument, check_eta, check_max, check_min, check_range
 from .markov import Kernel, step
-from .streams import _generator, _seed_words
 
 # Point-mass reference distributions violate absolute continuity; the
 # empirical estimator mixes in this much uniform mass before dividing.
@@ -26,12 +25,8 @@ SMOOTHING = 1e-6
 # stay _BLOCK x n whatever the trial count.
 _BLOCK = 256
 
-# Trial blocks have their seed words hashed this many at a time, so memory
-# does not grow with the trial count.
-_SEED_CHUNK = 4096
-
-# The documented refusal limit. The block counter stays far inside one 32-bit
-# seed word; no limit yet bounds the work that a trial count implies.
+# The documented refusal limit; no limit yet bounds the work that a trial
+# count implies.
 MAX_TRIALS = 2**32
 
 
@@ -89,12 +84,12 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     against a Dirichlet(1,...,1) interior point. Deterministic given the
     seed: block b of ``_BLOCK`` trials draws ``integers(n, size=_BLOCK)``,
     then ``standard_exponential((_BLOCK, n))`` from one stream,
-    ``Generator(PCG64(SeedSequence([seed, b])))``, and trial t takes row
+    ``default_rng([seed, b])`` (the bits of
+    ``Generator(PCG64(SeedSequence([seed, b])))``), and trial t takes row
     t % _BLOCK. The last block is drawn in full too, so adding trials keeps
-    every earlier pair. The seed words are hashed ``_SEED_CHUNK`` blocks to
-    a call (``streams._seed_words``). Dirichlet(1,...,1) is drawn as numpy draws
-    it: each row of exponentials scaled by 1 / its left-to-right sum. The
-    sum is a cumsum, which is sequential; ``.sum()`` adds pairwise from 8
+    every earlier pair. Dirichlet(1,...,1) is drawn as numpy draws it: each
+    row of exponentials scaled by 1 / its left-to-right sum. The sum is a
+    cumsum, which is sequential; ``.sum()`` adds pairwise from 8
     entries up and would change the bits. The point masses, the smoothed
     references and each block's trials go through the kernel as one
     ``step`` on a stack; that, nudging, normalization and both divergences
@@ -114,13 +109,8 @@ def empirical_eta_lower(kernel: Kernel, trials: int, seed: int) -> float:
     for s in range(0, len(i), _BLOCK):
         pi, pj = i[s : s + _BLOCK], j[s : s + _BLOCK]
         best = max(best, _block_max(masses[pi], pushed[pi], refs[pj], pushed_refs[pj]))
-    n_blocks = -(-trials // _BLOCK)
-    chunks = (
-        np.arange(b, min(b + _SEED_CHUNK, n_blocks), dtype=np.uint32)
-        for b in range(0, n_blocks, _SEED_CHUNK)
-    )
-    streams = (_generator(words) for chunk in chunks for words in _seed_words([seed, chunk]))
-    for s, rng in zip(range(0, trials, _BLOCK), streams):
+    for b, s in enumerate(range(0, trials, _BLOCK)):
+        rng = np.random.default_rng([seed, b])
         picks = rng.integers(n, size=_BLOCK)[: trials - s]
         draws = rng.standard_exponential((_BLOCK, n))[: trials - s]
         draws *= (1.0 / np.cumsum(draws, axis=-1)[:, -1])[:, None]

@@ -113,7 +113,6 @@ def check_etas(etas, brackets: str = "()"):
         return values
     for i, eta in enumerate(etas):
         check_eta(eta, f"etas[{i}]", brackets)
-    return values
 
 
 def check_epsilon(epsilon) -> None:

@@ -1,10 +1,11 @@
 """Seeded Monte Carlo harness for the synthetic validation experiments.
 
-Every experiment is deterministic given (config, master_seed): the random
-stream for replicate r, unit u is derived counter-style from
-SeedSequence([master_seed, kind_id, r, u]), so adding replicates never
-perturbs earlier ones. Runners hash their units' seed words a block at a time
-(``streams``) and run the units in order, in the calling thread.
+Every experiment is deterministic given (config, master_seed): replicate r
+of a sampled kind draws from one stream,
+numpy.random.default_rng([master_seed, kind_id, r]), and its units (a width,
+a step, an (eta, d) level, an oracle case) draw from it one after another in
+row order, in the calling thread. Adding replicates never perturbs earlier
+ones; the oracle kind's greedy cases draw from replicate 0's stream.
 
 Theory columns always come from the calculator modules; nothing is
 re-derived inline.
@@ -25,7 +26,6 @@ import numpy as np
 from . import divergence, inspection, markov, objectives, width
 from .errors import Infeasible, InvalidArgument, check_index, check_range
 from .horizon import critical_horizon, critical_horizon_simplified, HorizonParams
-from .streams import _generator, _seed_words
 from .schema import (  # re-exported: the config and its params are declared in schema
     KIND_IDS,
     ORACLE_MAX_HORIZON,
@@ -84,10 +84,9 @@ def _format_cell(cell) -> str:
     return text
 
 
-def _unit_words(master_seed: int, kind: str, replicate, unit) -> np.ndarray:
-    """Seed words of unit streams, one row of 4 each; replicate and unit may
-    be uint32 arrays, which broadcast together."""
-    return _seed_words([master_seed, KIND_IDS[kind], replicate, unit])
+def _replicate_rng(cfg: ExperimentConfig, replicate: int) -> np.random.Generator:
+    """The one stream of a replicate of cfg's kind; its units draw from it in row order."""
+    return np.random.default_rng([cfg.master_seed, KIND_IDS[cfg.kind], replicate])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +219,8 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
     """
     rho, value, groups = cfg.params.rho, cfg.params.value, cfg.params.groups
 
-    def one_unit(replicate, w, words):
-        sums, mult = _width_histogram(value, w, rho, groups, _generator(words))
+    def one_unit(replicate, w, rng):
+        sums, mult = _width_histogram(value, w, rho, groups, rng)
         means = sums / w
         pooled = float(np.add.reduce(mult * means)) / groups
         n = groups * w
@@ -239,12 +238,10 @@ def run_width(cfg: ExperimentConfig) -> ResultTable:
             var_theory=width.correlated_variance(value, w, rho),
         )
 
-    column = np.arange(len(cfg.params.widths), dtype=np.uint32)
-    rows = [
-        one_unit(replicate, w, words)
-        for replicate in range(cfg.replicates)
-        for w, words in zip(cfg.params.widths, _unit_words(cfg.master_seed, "width", replicate, column))
-    ]
+    rows = []
+    for replicate in range(cfg.replicates):
+        rng = _replicate_rng(cfg, replicate)
+        rows.extend(one_unit(replicate, w, rng) for w in cfg.params.widths)
     return ResultTable(WidthRow, rows)
 
 
@@ -395,9 +392,8 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
         for q in dict.fromkeys([q1] + [q_by_distance[ds[0]] for ds in levels])
     }
 
-    def one_step(t, words):
+    def one_step(t, rng):
         """Summed error at step t for each downstream distance the schedules use."""
-        rng = _generator(words)
         counts1, mult1 = _draw_counts(rng, start, *start_rows[q1])
         q = q_by_distance[levels[t][0]]
         counts0, mult0 = _draw_counts(rng, start, *start_rows[q])
@@ -415,8 +411,8 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
 
     rows = []
     for replicate in range(cfg.replicates):
-        words = _unit_words(cfg.master_seed, "inspection", replicate, np.arange(h, dtype=np.uint32))
-        step_errors = [one_step(t, step_words) for t, step_words in enumerate(words)]
+        rng = _replicate_rng(cfg, replicate)
+        step_errors = [one_step(t, rng) for t in range(h)]
         for sched in schedules:
             ds = d_by_schedule[sched.times]
             worst_step, worst_bound = inspection.worst_case_sample_lb(
@@ -486,28 +482,23 @@ def run_horizon(cfg: ExperimentConfig) -> ResultTable:
         for eta in etas
     }
 
-    def one_level(eta, d, words):
-        """Every replicate's row at one (eta, d); replicate r draws from row r of words."""
+    # each (eta, d) level's miss probabilities, shared by every replicate
+    levels = []
+    for eta, d in itertools.product(etas, range(h + 1)):
         q0 = probs[eta][d]
-        miss0, miss1 = _miss_probs(q0, q1, obs)
-        exact = _accuracy(miss0, miss1)
-        return [
+        levels.append((eta, d, q0, *_miss_probs(q0, q1, obs)))
+    rows = []
+    for replicate in range(cfg.replicates):
+        rng = _replicate_rng(cfg, replicate)
+        rows.extend(
             HorizonRow(
                 replicate=replicate, eta=eta, distance=d, q0=q0, q1=q1,
-                accuracy_measured=sum(_draw_correct(
-                    _generator(replicate_words), trials, miss0, miss1
-                )) / trials,
-                accuracy_exact=exact, h_crit_marker=markers[repr(eta)]["h_crit_simplified"],
+                accuracy_measured=sum(_draw_correct(rng, trials, miss0, miss1)) / trials,
+                accuracy_exact=_accuracy(miss0, miss1),
+                h_crit_marker=markers[repr(eta)]["h_crit_simplified"],
             )
-            for replicate, replicate_words in enumerate(words)
-        ]
-
-    levels = list(itertools.product(etas, range(h + 1)))
-    # words[level, replicate]: the level index is the unit
-    units = np.arange(len(levels), dtype=np.uint32)[:, None]
-    words = _unit_words(cfg.master_seed, "horizon", np.arange(cfg.replicates, dtype=np.uint32), units)
-    by_level = [one_level(eta, d, level_words) for (eta, d), level_words in zip(levels, words)]
-    rows = [level_rows[r] for r in range(cfg.replicates) for level_rows in by_level]
+            for eta, d, q0, miss0, miss1 in levels
+        )
     return ResultTable(HorizonRow, rows, metadata={"markers": markers, "delta2": delta2})
 
 
@@ -537,8 +528,11 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
     zero, everyone = np.zeros(1, dtype=np.int64), np.array([chains])  # every chain at count 0
     rows = _binomial_rows(zero, h, p, _log_factorials) if p > 0 else None
 
-    def one_replicate(replicate, words):
-        counts, mult = _draw_counts(_generator(words), everyone, *rows) if rows else (zero, everyone)
+    def one_replicate(replicate):
+        if rows:
+            counts, mult = _draw_counts(_replicate_rng(cfg, replicate), everyone, *rows)
+        else:
+            counts, mult = zero, everyone
         hits = int(mult[(counts >= bar) & (counts < h)].sum())
         return MismatchRow(
             replicate=replicate, chains=chains, H=h, p=p, threshold=threshold,
@@ -546,9 +540,7 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
             standard_error=math.sqrt(max(exact * (1 - exact), 1e-300) / chains),
         )
 
-    column = np.arange(cfg.replicates, dtype=np.uint32)
-    words = _unit_words(cfg.master_seed, "mismatch", column, 0)
-    return ResultTable(MismatchRow, [one_replicate(r, w) for r, w in enumerate(words)])
+    return ResultTable(MismatchRow, [one_replicate(r) for r in range(cfg.replicates)])
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +623,7 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
     """Cross-check the closed-form gap minimum and the greedy scheduler
     against the exact dynamic-programming oracles on small horizons: every
     (H, m) up to max_H and max_m, and greedy_cases seeded heterogeneous
-    cases, one random stream each."""
+    cases, drawn one after another from replicate 0's stream."""
     max_h, max_m, greedy_cases = cfg.params.max_H, cfg.params.max_m, cfg.params.greedy_cases
 
     rows = []
@@ -646,20 +638,19 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
                 )
             )
 
-    def one_case(words):
-        rng = _generator(words)
+    rng = _replicate_rng(cfg, 0)
+    for _ in range(greedy_cases):
         h = int(rng.integers(3, max_h + 1))
         etas = rng.uniform(0.35, 0.99, size=h)
         gamma = max(inspection.step_info_distances(etas)) * float(rng.uniform(1.05, 3.0))
         greedy_m = inspection.greedy_schedule(etas, gamma).m
         oracle_m = oracle_min_inspections(etas, gamma)
-        return OracleRow(
-            check="greedy", H=h, m=greedy_m, param=gamma, oracle_value=oracle_m,
-            computed_value=greedy_m, match=int(oracle_m == greedy_m),
+        rows.append(
+            OracleRow(
+                check="greedy", H=h, m=greedy_m, param=gamma, oracle_value=oracle_m,
+                computed_value=greedy_m, match=int(oracle_m == greedy_m),
+            )
         )
-
-    column = np.arange(greedy_cases, dtype=np.uint32)
-    rows.extend(one_case(words) for words in _unit_words(cfg.master_seed, "oracle", 0, column))
     return ResultTable(OracleRow, rows)
 
 

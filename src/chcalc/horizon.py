@@ -42,6 +42,7 @@ class HorizonParams:
 
     def __post_init__(self):
         check_min(self.n, "n", 1)
+        check_positive(self.n, "n")
         check_positive(self.delta2, "delta2")
         check_epsilon(self.epsilon)
         check_eta(self.eta)

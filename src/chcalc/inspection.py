@@ -176,7 +176,8 @@ def min_inspections_sufficient(horizon: int, h_crit: float) -> int:
 
 
 def _min_sufficient(horizon: int, h_crit: float) -> int:
-    return max(0, -(-horizon // math.floor(h_crit)) - 1)
+    # h_crit clamped to H answers 0 from H up, h_crit = inf included
+    return max(0, -(-horizon // math.floor(min(h_crit, horizon))) - 1)
 
 
 def step_info_distances(etas: Sequence[float]) -> list[float]:
@@ -356,6 +357,7 @@ def budget_optimize(
     m_rule = budget_rule = None
     if n is not None:
         check_min(n, "n", 1)
+        check_positive(n, "n")
         h_crit = _horizon_at(_gamma(n, delta2, epsilon), eta)
         if h_crit >= 1:
             m_rule = _min_sufficient(horizon, h_crit)
@@ -450,8 +452,7 @@ class PlanConfig:
             weights = step_info_distances(self.etas)
         if self.inspection_fidelity is not None:
             check_eta(self.inspection_fidelity, "inspection_fidelity", "(]")
-        if not self.n < math.inf:  # n >= 1 is checked above; Gamma needs it finite too
-            raise InvalidArgument(f"n must be finite, got {self.n!r}")
+        check_positive(self.n, "n")  # n >= 1 is checked above; Gamma needs it finite too
         gamma = _gamma(self.n, self.delta2, self.epsilon)
         if gamma <= 0:
             raise Infeasible(

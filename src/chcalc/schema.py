@@ -153,7 +153,7 @@ class OracleExperiment:
         check_min(self.greedy_cases, "greedy_cases", 0)
 
 
-# kind -> params dataclass; a kind's position is its id in the RNG streams
+# kind -> params dataclass; a kind's position is its id in every RNG seed
 _PARAMS = {
     "decay": DecayExperiment,
     "width": WidthExperiment,

@@ -170,7 +170,7 @@ def test_criterion_07_scheduler_optimality_oracles():
     rng_cases = 200
     matched = 0
     for case in range(rng_cases):
-        # the stream of the oracle kind's unit `case` in replicate 1
+        # each case draws from a stream of its own, seeded by the oracle kind's id and the case
         rng = np.random.default_rng([424242, KIND_IDS["oracle"], 1, case])
         horizon = int(rng.integers(3, 13))
         etas = rng.uniform(0.35, 0.99, size=horizon)

@@ -22,7 +22,6 @@ from chcalc.contraction import (
 from chcalc.divergence import chi2
 from chcalc.errors import AbsoluteContinuityViolated, InvalidArgument
 from chcalc.markov import Kernel, ProbVec, mixture_kernel, point_mass, two_state_kernel
-from chcalc.streams import _seed_words
 
 MANUFACTURING = Kernel([[0.85, 0.14, 0.01], [0.55, 0.35, 0.10], [0.20, 0.30, 0.50]])
 REASONING = Kernel([[0.7, 0.2, 0.1], [0.3, 0.4, 0.3], [0.1, 0.2, 0.7]])
@@ -45,6 +44,9 @@ class TestDobrushin:
     def test_equal_rows_alpha_one(self):
         assert dobrushin_alpha(_uniform_mixing(5)) == pytest.approx(1.0)
         assert dobrushin_bound(_uniform_mixing(5)) == pytest.approx(0.0)
+
+    def test_one_state_alpha_one(self):
+        assert dobrushin_alpha(Kernel([[1.0]])) == 1.0
 
     def test_two_state_bound(self):
         for p in (0.05, 0.2, 0.45):
@@ -122,16 +124,7 @@ class TestEmpiricalLower:
 
 
 class TestTrialStreams:
-    """The block forms of each trial's seeding and Dirichlet draw give numpy's bits."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
-    @pytest.mark.parametrize("first", [0, contraction._BLOCK - 3, 2**32 - 6])
-    def test_seed_words_match_seed_sequence(self, seed, first):
-        # the middle block crosses a block boundary, the last ends at t = 2**32 - 1
-        expected = [np.random.SeedSequence([seed, t]).generate_state(4, np.uint64) for t in range(first, first + 6)]
-        words = _seed_words([seed, np.arange(first, first + 6, dtype=np.uint32)])
-        assert words.dtype == np.uint64
-        assert np.array_equal(words, expected)
+    """The block form of each trial's Dirichlet draw gives numpy's bits."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 30, 120])
     def test_normalized_exponentials_are_dirichlet_ones(self, n):
@@ -244,16 +237,6 @@ class TestEmpiricalLowerReference:
         for kernel in (mixture_kernel(0.8, 5), Kernel(np.random.default_rng(8).dirichlet(np.ones(9), size=9))):
             assert empirical_eta_lower(kernel, 150, 2) == _reference_eta_lower(kernel, 150, 2)[0]
 
-    @pytest.mark.parametrize("chunk", [1, 3, 22])
-    def test_seed_chunks_spanning_blocks(self, monkeypatch, chunk):
-        # 150 trials in blocks of 7 are 22 blocks, hashed in chunks of 1, 3 (the last
-        # one short) or all at once; every block keeps its seed words
-        monkeypatch.setattr(contraction, "_BLOCK", 7)
-        kernel = Kernel(np.random.default_rng(8).dirichlet(np.ones(9), size=9))
-        whole = empirical_eta_lower(kernel, 150, 2)
-        monkeypatch.setattr(contraction, "_SEED_CHUNK", chunk)
-        assert empirical_eta_lower(kernel, 150, 2) == whole == _reference_eta_lower(kernel, 150, 2)[0]
-
 
 _REPORT_PROBE = """
 import contextlib, io, json, sys
@@ -327,6 +310,9 @@ class TestReport:
         cycle = np.roll(np.eye(4), 1, axis=1)
         report = contraction_report(Kernel(cycle), trials=50, seed=2)
         assert report.exact == 1.0
+
+    def test_exact_zero_for_equal_rows(self):
+        assert contraction_report(_uniform_mixing(4), trials=50, seed=2).exact == 0.0
 
     def test_mixture_not_claimed_exact(self):
         # over unrestricted input pairs the mixture kernel contracts less

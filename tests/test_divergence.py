@@ -205,6 +205,10 @@ class TestDecayCurve:
         with pytest.raises(InvalidArgument):
             decay_curve(_spec(0.8, horizon=4), point_mass(0, 10), uniform_dist(10), 5)
 
+    def test_refuses_dimension_mismatch(self):
+        with pytest.raises(InvalidArgument, match="^distribution dimensions must match the chain$"):
+            decay_curve(_spec(0.8, horizon=4), point_mass(0, 10), uniform_dist(9), 0)
+
 
 def _reference_decay_values(spec, p, q, t):
     """The curve built with a checked ProbVec after every step (the former

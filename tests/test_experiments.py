@@ -24,12 +24,12 @@ from chcalc.experiments import (
     _binomial_rows,
     _count_level,
     _draw_correct,
+    _draw_counts,
     _log_factorial_table,
     _log_factorials,
     _midpoint_threshold,
     _min_inspections_dp,
     _miss_probs,
-    _unit_words,
     _width_histogram,
     oracle_min_gap,
     oracle_min_inspections,
@@ -44,13 +44,13 @@ from chcalc.inspection import (
 )
 from chcalc.markov import mixture_return_probs
 from chcalc.schema import KIND_IDS, MAX_HISTOGRAM_COUNT, ORACLE_MAX_HORIZON
-from chcalc.streams import _generator
 
 
-def unit_rng(master_seed: int, kind: str, replicate: int, unit: int) -> np.random.Generator:
-    """The stream of one unit, through the runners' block hasher:
-    Generator(PCG64(SeedSequence([master_seed, kind_id, replicate, unit])))."""
-    return _generator(_unit_words(master_seed, kind, replicate, unit)[0])
+def replicate_rng(master_seed: int, kind: str, replicate: int) -> np.random.Generator:
+    """The stream of one replicate of a sampled kind, written out:
+    Generator(PCG64(SeedSequence([master_seed, kind_id, replicate])))."""
+    seq = np.random.SeedSequence([master_seed, KIND_IDS[kind], replicate])
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def small(config: dict, **param_overrides) -> ExperimentConfig:
@@ -117,6 +117,9 @@ class TestConfig:
         assert json.dumps(config) == literal
 
 
+SAMPLED = ("width", "inspection", "horizon", "mismatch", "oracle")
+
+
 class TestSeedDerivation:
     def test_kind_ids_are_pinned(self):
         # Each kind's id enters every seed of its runs, so reordering the kinds
@@ -126,63 +129,89 @@ class TestSeedDerivation:
         }
         assert list(experiments._RUNNERS) == list(KIND_IDS)
 
-    def test_distinct_units_distinct_streams(self):
-        a = unit_rng(7, "width", 0, 0).random(4)
-        b = unit_rng(7, "width", 0, 1).random(4)
-        assert not np.allclose(a, b)
-
-    def test_same_unit_same_stream(self):
-        a = unit_rng(7, "width", 2, 3).random(4)
-        b = unit_rng(7, "width", 2, 3).random(4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_kind_and_replicate_enter_derivation(self):
-        base = unit_rng(7, "width", 0, 0).random(4)
-        assert not np.allclose(base, unit_rng(7, "horizon", 0, 0).random(4))
-        assert not np.allclose(base, unit_rng(7, "width", 1, 0).random(4))
-
-    # (replicate, unit) as each runner hashes them: one is a uint32 column
-    @pytest.mark.parametrize("kind, column_is_unit", [
-        ("width", True), ("inspection", True), ("horizon", True), ("mismatch", False), ("oracle", True),
-    ])
-    # 2**32 and up take 5 entropy words, past SeedSequence's pool of 4
+    @pytest.mark.parametrize("kind", SAMPLED)
+    # 2**32 and up take two entropy words
     @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
-    # the second column crosses 256, the contraction estimator's block size
-    @pytest.mark.parametrize("first", [0, 250])
-    def test_block_words_give_seed_sequence_streams(self, kind, column_is_unit, master_seed, first):
-        column = np.arange(first, first + 12, dtype=np.uint32)
-        fixed = 0 if kind in ("mismatch", "oracle") else 3
-        words = _unit_words(master_seed, kind, *((fixed, column) if column_is_unit else (column, fixed)))
-        assert words.shape == (12, 4)
-        for row, c in zip(words, column.tolist()):
-            replicate, unit = (fixed, c) if column_is_unit else (c, fixed)
-            seq = np.random.SeedSequence([master_seed, KIND_IDS[kind], replicate, unit])
-            expected = np.random.Generator(np.random.PCG64(seq)).random(8)
-            np.testing.assert_array_equal(_generator(row).random(8), expected)
-            np.testing.assert_array_equal(unit_rng(master_seed, kind, replicate, unit).random(8), expected)
+    def test_replicate_stream_is_the_reference(self, kind, master_seed):
+        cfg = ExperimentConfig(kind, master_seed=master_seed)
+        for replicate in (0, 1, 300):
+            expected = replicate_rng(master_seed, kind, replicate).random(8)
+            np.testing.assert_array_equal(experiments._replicate_rng(cfg, replicate).random(8), expected)
 
-    @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
-    def test_level_by_replicate_table_gives_seed_sequence_streams(self, master_seed):
-        # run_horizon hashes every (level, replicate) at once
-        units = np.arange(250, 262, dtype=np.uint32)[:, None]
-        words = _unit_words(master_seed, "horizon", np.arange(3, dtype=np.uint32), units)
-        assert words.shape == (12, 3, 4)
-        for (level, replicate), row in np.ndenumerate(words[..., 0]):
-            seq = np.random.SeedSequence([master_seed, KIND_IDS["horizon"], replicate, 250 + level])
-            assert np.array_equal(words[level, replicate], seq.generate_state(4, np.uint64))
+    def test_generators_differ_across_kinds_and_replicates(self):
+        first = {
+            (kind, replicate): experiments._replicate_rng(ExperimentConfig(kind, master_seed=7), replicate).random()
+            for kind in SAMPLED for replicate in range(3)
+        }
+        assert len(set(first.values())) == len(first)
 
-    def test_negative_entropy_refused(self):
-        with pytest.raises(InvalidArgument, match="^seed entropy must be at least 0, got -1$"):
-            unit_rng(-1, "width", 0, 0)
+    def test_inspection_draws_each_replicate_from_its_stream(self):
+        # one schedule: each step draws the q1 histogram, then its one q0 level
+        cfg = small({**GOLDEN_INSPECTION, "replicates": 2}, H=6, schedules=[[3]], n_per_test=3, trials=500)
+        p = cfg.params
+        q_by_distance = mixture_return_probs(p.eta**2, p.states, p.H)
+        q1, log_fact = 1.0 / p.states, _log_factorial_table(p.n_per_test)
+        start = np.zeros(1, dtype=np.int64), np.array([p.trials])
+        expected = []
+        for replicate in range(2):
+            rng = replicate_rng(cfg.master_seed, "inspection", replicate)
+            errors = []
+            for t in range(p.H):
+                q0 = q_by_distance[3 - t if t < 3 else p.H - t]
+                counts1, mult1 = _count_level(rng, *start, p.n_per_test, 0.0, q1, log_fact)
+                counts0, mult0 = _count_level(rng, *start, p.n_per_test, 0.0, q0, log_fact)
+                k_star = _midpoint_threshold(q0, q1, p.n_per_test)
+                errors.append(int(mult0[counts0 < k_star].sum()) / p.trials
+                              + int(mult1[counts1 >= k_star].sum()) / p.trials)
+            expected.append(max(errors))
+        assert run_experiment(cfg).column("err_worst_measured") == expected
 
-    def test_adding_replicates_preserves_earlier_rows(self):
-        cfg1 = small(GOLDEN_MISMATCH, chains=2000)
-        cfg3 = ExperimentConfig.from_json_dict(
-            {**GOLDEN_MISMATCH, "replicates": 3, "params": {**GOLDEN_MISMATCH["params"], "chains": 2000}}
-        )
-        rows1 = run_experiment(cfg1).rows
-        rows3 = run_experiment(cfg3).rows
-        assert rows3[: len(rows1)] == rows1
+    def test_horizon_draws_each_replicate_from_its_stream(self):
+        cfg = small({**GOLDEN_HORIZON, "replicates": 2}, H=4, trials=700)
+        table = run_experiment(cfg)
+        expected = []
+        for replicate in range(2):
+            rng = replicate_rng(cfg.master_seed, "horizon", replicate)
+            for row in table.rows[: len(table.rows) // 2]:  # replicate 0's levels, in row order
+                miss0, miss1 = _miss_probs(row.q0, row.q1, cfg.params.obs_per_trial)
+                expected.append(sum(_draw_correct(rng, 700, miss0, miss1)) / 700)
+        assert table.column("accuracy_measured") == expected
+
+    def test_mismatch_draws_each_replicate_from_its_stream(self):
+        cfg = small({**GOLDEN_MISMATCH, "replicates": 3}, chains=5000)
+        p = cfg.params
+        rows = _binomial_rows(np.zeros(1, dtype=np.int64), p.H, p.p, _log_factorials)
+        expected = []
+        for replicate in range(3):
+            counts, mult = _draw_counts(replicate_rng(cfg.master_seed, "mismatch", replicate), np.array([5000]), *rows)
+            expected.append(int(mult[(counts >= math.ceil(p.threshold * p.H)) & (counts < p.H)].sum()) / 5000)
+        assert run_experiment(cfg).column("fraction_sampled") == expected
+
+    def test_oracle_cases_draw_from_replicate_zero_stream(self):
+        cfg = ExperimentConfig("oracle", master_seed=11, params={"max_H": 6, "max_m": 2, "greedy_cases": 5})
+        greedy = [row for row in run_experiment(cfg).rows if row.check == "greedy"]
+        rng = replicate_rng(11, "oracle", 0)
+        expected = []
+        for _ in range(5):
+            h = int(rng.integers(3, 7))
+            etas = rng.uniform(0.35, 0.99, size=h)
+            expected.append((h, max(step_info_distances(etas)) * float(rng.uniform(1.05, 3.0))))
+        assert [(row.H, row.param) for row in greedy] == expected
+
+    @pytest.mark.parametrize("kind", ["width", "inspection", "horizon", "mismatch"])
+    def test_adding_replicates_preserves_earlier_rows(self, kind):
+        one = run_experiment(ExperimentConfig(kind, master_seed=5, params=SMALL_PARAMS[kind]))
+        three = run_experiment(ExperimentConfig(kind, master_seed=5, replicates=3, params=SMALL_PARAMS[kind]))
+        assert three.rows[: len(one.rows)] == one.rows
+        assert three.column("replicate") == [r for r in range(3) for _ in one.rows]
+        assert three.rows[len(one.rows):] != [dataclasses.replace(row, replicate=1) for row in one.rows]
+
+    def test_adding_greedy_cases_preserves_earlier_rows(self):
+        params = {"max_H": 6, "max_m": 2}
+        few = run_experiment(ExperimentConfig("oracle", master_seed=5, params={**params, "greedy_cases": 3}))
+        more = run_experiment(ExperimentConfig("oracle", master_seed=5, params={**params, "greedy_cases": 8}))
+        assert more.rows[: len(few.rows)] == few.rows
+        assert len(more.rows) == len(few.rows) + 5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -309,17 +338,19 @@ class TestRunWidth:
         assert table.column("w_eff_empirical")[0] == pytest.approx(64, rel=0.05)
 
     def test_variances_are_the_moments_of_the_drawn_histogram(self):
-        cfg = small(GOLDEN_WIDTH, rho=0.3, value=0.2, widths=[1, 3, 100, 100000], groups=5000)
-        table = run_experiment(cfg)
-        for unit, w in enumerate(cfg.params.widths):
-            rng = unit_rng(cfg.master_seed, "width", 0, unit)
-            sums = np.repeat(*_width_histogram(0.2, w, 0.3, 5000, rng))
-            n = 5000 * w
-            pooled = sums.sum() / n
-            var_single = n * pooled * (1 - pooled) / (n - 1)
-            var_mean = var_single if w == 1 else np.var(sums / w, ddof=1)
-            assert table.column("var_single_empirical")[unit] == pytest.approx(var_single, rel=1e-12)
-            assert table.column("var_group_mean_empirical")[unit] == pytest.approx(var_mean, rel=1e-12)
+        # each replicate's widths draw from its stream in row order
+        cfg = small({**GOLDEN_WIDTH, "replicates": 2}, rho=0.3, value=0.2, widths=[1, 3, 100, 100000], groups=5000)
+        rows = iter(run_experiment(cfg).rows)
+        for replicate in range(2):
+            rng = replicate_rng(cfg.master_seed, "width", replicate)
+            for w, row in zip(cfg.params.widths, rows):
+                sums = np.repeat(*_width_histogram(0.2, w, 0.3, 5000, rng))
+                n = 5000 * w
+                pooled = sums.sum() / n
+                var_single = n * pooled * (1 - pooled) / (n - 1)
+                var_mean = var_single if w == 1 else np.var(sums / w, ddof=1)
+                assert row.var_single_empirical == pytest.approx(var_single, rel=1e-12)
+                assert row.var_group_mean_empirical == pytest.approx(var_mean, rel=1e-12)
 
     def test_group_limit_gives_finite_positive_variances(self):
         table = run_experiment(small(GOLDEN_WIDTH, widths=[1, 4, 16], groups=MAX_HISTOGRAM_COUNT))
@@ -964,6 +995,10 @@ class TestOracles:
             assert greedy_m == oracle_m
             infeasible.append(greedy_m is None)
         assert any(infeasible) and not all(infeasible)  # both outcomes are exercised
+
+    def test_oracle_refuses_horizon_above_enumeration_limit(self):
+        with pytest.raises(InvalidArgument, match=f"^horizon must be at most {ORACLE_MAX_HORIZON} for enumeration$"):
+            oracle_min_inspections([0.9] * (ORACLE_MAX_HORIZON + 1), 1.0)
 
     @pytest.mark.parametrize("fidelity", [0.0, 1.5, math.nan])
     def test_oracle_refuses_fidelity_outside_unit_interval(self, fidelity):

@@ -42,6 +42,12 @@ class TestParams:
             HorizonParams(**{**base, **kwargs})
 
 
+    def test_rejects_infinite_n(self):
+        # critical_horizon read n = inf as an infinite horizon
+        with pytest.raises(InvalidArgument, match="^n must be finite, got inf$"):
+            params(n=math.inf)
+
+
 class TestSampleLb:
     def test_semiconductor_gap_50(self):
         result = sample_lb(params(n=10_000, delta2=0.2, epsilon=0.1, eta=0.85), 50)

@@ -166,6 +166,10 @@ class TestMinInspections:
             with pytest.raises(Infeasible):
                 count(20, 0.79)
 
+    def test_sufficient_count_at_infinite_horizon_is_zero(self):
+        # floor(inf) raised OverflowError
+        assert min_inspections_sufficient(50, math.inf) == 0 == min_inspections(50, math.inf)
+
     def test_sufficient_can_exceed_necessary(self):
         # H=11, h_crit=5.5: the necessary count is ceil(11/5.5)-1 = 1, but a
         # single inspection leaves a gap of ceil(11/2) = 6 > 5.5, so two are
@@ -309,6 +313,10 @@ class TestSegmentReport:
         assert report[1].info_distance == pytest.approx(34 * math.log(1 / 0.95), rel=1e-12)
         assert sum(s.length for s in report) == 50
 
+    def test_refuses_etas_of_other_length(self):
+        with pytest.raises(InvalidArgument, match="^etas length 4 must equal horizon 5$"):
+            segment_report(Schedule(horizon=5, times=(2,)), [0.9] * 4, 0.3, 0.1)
+
     def test_attenuation_consistency(self):
         sched = uniform_schedule(20, 3)
         for seg in segment_report(sched, 0.9, 9.0, 0.1):
@@ -339,6 +347,11 @@ class TestBudget:
         assert result.m_scan == scanned.index(min(scanned))
         assert result.m_rule == 1
         assert result.budget_rule == pytest.approx(scanned[1])
+
+    def test_optimize_refuses_infinite_n(self):
+        # floor(inf) raised OverflowError
+        with pytest.raises(InvalidArgument, match="^n must be finite, got inf$"):
+            budget_optimize(BudgetParams(1.0), 50, 0.9, 0.2, 0.1, n=math.inf)
 
     def test_optimize_equals_brute_force_scan(self):
         rng = random.Random(3)
@@ -376,6 +389,16 @@ class TestPolyDensity:
 
 
 class TestDesignProcedure:
+    def test_refuses_infinite_n(self):
+        with pytest.raises(InvalidArgument, match="^n must be finite, got inf$"):
+            design_procedure(horizon=50, n=math.inf, delta2=0.2, epsilon=0.1, eta=0.85)
+
+    def test_null_budget_is_no_budget(self):
+        data = {"H": 50, "n": 10_000, "delta2": 0.2, "epsilon": 0.1, "eta": 0.85}
+        config = PlanConfig.from_json_dict({**data, "budget": None})
+        assert config.budget is None
+        assert config == PlanConfig.from_json_dict(data)
+
     def test_semiconductor_plan(self):
         plan = design_procedure(
             horizon=50,

@@ -52,6 +52,11 @@ class TestConstructors:
         with pytest.raises(InvalidArgument):
             ProbVec([0.5, 0.4])
 
+    @pytest.mark.parametrize("entries", [[], [[0.5, 0.5]]], ids=["empty", "matrix"])
+    def test_probvec_refuses_shape(self, entries):
+        with pytest.raises(InvalidArgument, match="^distribution entries must form a nonempty 1-d vector$"):
+            ProbVec(entries)
+
     def test_probvec_renormalizes_within_tolerance(self):
         vec = ProbVec([0.5, 0.5 + 1e-13])
         assert vec.entries.sum() == 1.0
@@ -279,6 +284,20 @@ class TestChainSpec:
                 initial=point_mass(0, 3),
             )
 
+    @pytest.mark.parametrize(
+        ("kernels", "initial", "success", "message"),
+        [
+            ((mixture_kernel(0.8, 3), mixture_kernel(0.8, 4)), point_mass(0, 3), {0},
+             "all kernels must share one state count"),
+            (mixture_kernel(0.8, 3), point_mass(0, 4), {0}, "initial distribution dimension must match the kernels"),
+            (mixture_kernel(0.8, 3), point_mass(0, 3), {3}, "success_set indices must be valid state indices"),
+        ],
+        ids=["kernel-sizes", "initial-size", "success-index"],
+    )
+    def test_refusals(self, kernels, initial, success, message):
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            ChainSpec(horizon=2, kernels=kernels, success_set=success, initial=initial)
+
     def test_success_set_refuses_non_integral_indices(self):
         for success in ({1.9}, {0, 1.0}):
             with pytest.raises(InvalidArgument, match="success_set entries must be integers"):
@@ -318,6 +337,20 @@ def _switch_kernels(size):
 
 
 class TestSoftmaxPolicyKernel:
+    @pytest.mark.parametrize(
+        ("logits", "count", "message"),
+        [
+            (np.zeros(3), 2, r"logits must be a \(states x actions\) matrix"),
+            (np.zeros((3, 2)), 3, "need one action kernel per logits column"),
+            (np.zeros((2, 2)), 2, "action kernels must match the logits' state axis"),
+        ],
+        ids=["logits-shape", "kernel-count", "kernel-size"],
+    )
+    def test_refusals(self, logits, count, message):
+        k0, k1 = _switch_kernels(3)
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            SoftmaxPolicyInput(logits=logits, action_kernels=(k0, k1, k0)[:count], temperature=1.0)
+
     def test_equal_logits_give_uniform_mixture(self):
         k0, k1 = _switch_kernels(3)
         for tau in (0.01, 1.0, 100.0):
