@@ -157,7 +157,7 @@ class TestSeedDerivation:
             rng = replicate_rng(cfg.master_seed, "inspection", replicate)
             errors = []
             for t in range(p.H):
-                q0 = q_by_distance[3 - t if t < 3 else p.H - t]
+                q0 = q_by_distance[3 - t if t < 3 else p.H - t]  # to the checkpoint at 3, else to H
                 counts1, mult1 = _count_level(rng, *start, p.n_per_test, 0.0, q1, log_fact)
                 counts0, mult0 = _count_level(rng, *start, p.n_per_test, 0.0, q0, log_fact)
                 k_star = _midpoint_threshold(q0, q1, p.n_per_test)
@@ -200,11 +200,14 @@ class TestSeedDerivation:
 
     @pytest.mark.parametrize("kind", ["width", "inspection", "horizon", "mismatch"])
     def test_adding_replicates_preserves_earlier_rows(self, kind):
-        one = run_experiment(ExperimentConfig(kind, master_seed=5, params=SMALL_PARAMS[kind]))
-        three = run_experiment(ExperimentConfig(kind, master_seed=5, replicates=3, params=SMALL_PARAMS[kind]))
+        # one bit per inspection test, so the measured error is not 0 in every replicate
+        params = {**SMALL_PARAMS[kind], "n_per_test": 1} if kind == "inspection" else SMALL_PARAMS[kind]
+        one = run_experiment(ExperimentConfig(kind, master_seed=5, params=params))
+        three = run_experiment(ExperimentConfig(kind, master_seed=5, replicates=3, params=params))
         assert three.rows[: len(one.rows)] == one.rows
         assert three.column("replicate") == [r for r in range(3) for _ in one.rows]
-        assert three.rows[len(one.rows):] != [dataclasses.replace(row, replicate=1) for row in one.rows]
+        second = three.rows[len(one.rows) : 2 * len(one.rows)]
+        assert second != [dataclasses.replace(row, replicate=1) for row in one.rows]
 
     def test_adding_greedy_cases_preserves_earlier_rows(self):
         params = {"max_H": 6, "max_m": 2}
