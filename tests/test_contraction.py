@@ -231,6 +231,18 @@ class TestEmpiricalLowerReference:
         for kernel in (mixture_kernel(0.8, 5), Kernel(np.random.default_rng(6).dirichlet(np.ones(9), size=9))):
             assert empirical_eta_lower(kernel, 200, seed) == _reference_eta_lower(kernel, 200, seed)[0]
 
+    # one word, the last one-word seed, the first two-word seed, three words, four words
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
+    def test_seeds_at_entropy_word_edges(self, seed):
+        kernel = Kernel(np.random.default_rng(6).dirichlet(np.ones(9), size=9))
+        assert empirical_eta_lower(kernel, 300, seed) == _reference_eta_lower(kernel, 300, seed)[0]
+
+    @pytest.mark.parametrize("trials", [1, 255, 256, 257, 512, 513])
+    def test_trial_counts_at_block_edges(self, trials):
+        # the last block is drawn in full and cut, so its rows keep their bits
+        kernel = mixture_kernel(0.8, 5)
+        assert empirical_eta_lower(kernel, trials, 4) == _reference_eta_lower(kernel, trials, 4)[0]
+
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_trials_spanning_blocks(self, monkeypatch, block):
         monkeypatch.setattr(contraction, "_BLOCK", block)

@@ -71,6 +71,10 @@ class TestConfig:
         with pytest.raises(InvalidArgument):
             ExperimentConfig(kind="decay", master_seed=-1, replicates=1, params={})
 
+    def test_rejects_seed_past_64_bits(self):
+        with pytest.raises(InvalidArgument, match="^master_seed must be a 64-bit nonnegative integer$"):
+            ExperimentConfig(kind="decay", master_seed=2**64, replicates=1, params={})
+
     def test_rejects_zero_replicates(self):
         with pytest.raises(InvalidArgument):
             ExperimentConfig(kind="decay", master_seed=1, replicates=0, params={})
@@ -132,11 +136,12 @@ class TestSeedDerivation:
     @pytest.mark.parametrize("kind", SAMPLED)
     # 2**32 and up take two entropy words
     @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_replicate_stream_is_the_reference(self, kind, master_seed):
+    # 300 is past 256, the contraction estimator's block size
+    @pytest.mark.parametrize("replicate", [0, 1, 300])
+    def test_replicate_stream_is_the_reference(self, kind, master_seed, replicate):
         cfg = ExperimentConfig(kind, master_seed=master_seed)
-        for replicate in (0, 1, 300):
-            expected = replicate_rng(master_seed, kind, replicate).random(8)
-            np.testing.assert_array_equal(experiments._replicate_rng(cfg, replicate).random(8), expected)
+        expected = replicate_rng(master_seed, kind, replicate).random(8)
+        np.testing.assert_array_equal(experiments._replicate_rng(cfg, replicate).random(8), expected)
 
     def test_generators_differ_across_kinds_and_replicates(self):
         first = {
