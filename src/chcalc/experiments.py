@@ -5,10 +5,12 @@ of a sampled kind draws from one stream,
 numpy.random.default_rng([master_seed, kind_id, r]), and its units (a width,
 a step, an (eta, d) level, an oracle case) draw from it one after another in
 row order, in the calling thread. Adding replicates never perturbs earlier
-ones; the oracle kind's greedy cases draw from replicate 0's stream.
+ones. The decay and oracle kinds take one replicate, and the oracle's
+greedy cases draw from that replicate's stream.
 
 Theory columns always come from the calculator modules; nothing is
-re-derived inline.
+re-derived inline. A runner takes its params as ``schema`` checked them
+and calls the unchecked cores behind the public schedulers and oracles.
 """
 
 from __future__ import annotations
@@ -371,19 +373,23 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     q_by_distance = markov.mixture_return_probs(eta_chi2, states, h)
     q1 = 1.0 / states
     delta2 = divergence.chi2(markov.point_mass(0, states), markov.uniform_dist(states))
-    # d_by_schedule[times][t]: steps from t to the next checkpoint
-    d_by_schedule = {
-        s.times: [inspection.downstream_distance(s, t) for t in range(h)] for s in schedules
-    }
     # Le Cam total error of one checkpoint bit, by downstream distance
     bit = markov.ProbVec([1 - q1, q1])
     lecam = [divergence.lecam_total_error(markov.ProbVec([1 - q, q]), bit) for q in q_by_distance]
+    # per schedule: ds[t], the steps from t to its next checkpoint (b - t on its
+    # segment [a, b)), and the columns that every replicate shares
+    columns = []
+    for sched in schedules:
+        ds = [b - t for a, b in sched.segments() for t in range(a, b)]
+        worst_step, worst_bound = inspection.worst_case_sample_lb(sched, eta_chi2, delta2, epsilon)
+        columns.append((ds, {
+            "schedule": ";".join(str(t) for t in sched.times), "worst_step": worst_step,
+            "max_gap": inspection.maximal_gap(sched), "err_worst_lecam": max(lecam[d] for d in ds),
+            "sample_lb_worst": worst_bound,
+        }))
     log_fact = _log_factorial_table(n_per_test)
     # each step's downstream distances in ascending q0, the order of its levels
-    levels = [
-        sorted({ds[t] for ds in d_by_schedule.values()}, key=q_by_distance.__getitem__)
-        for t in range(h)
-    ]
+    levels = [sorted({ds[t] for ds, _ in columns}, key=q_by_distance.__getitem__) for t in range(h)]
     # every trial starts at count 0, the level q = 0; the rows drawn from there
     # (the q1 level and each step's first level) are the same at every step
     start = np.array([trials], dtype=np.int64)  # the trials at count 0
@@ -413,19 +419,14 @@ def run_inspection(cfg: ExperimentConfig) -> ResultTable:
     for replicate in range(cfg.replicates):
         rng = _replicate_rng(cfg, replicate)
         step_errors = [one_step(t, rng) for t in range(h)]
-        for sched in schedules:
-            ds = d_by_schedule[sched.times]
-            worst_step, worst_bound = inspection.worst_case_sample_lb(
-                sched, eta_chi2, delta2, epsilon
+        rows.extend(
+            InspectionRow(
+                replicate=replicate,
+                err_worst_measured=max(errors[d] for errors, d in zip(step_errors, ds)),
+                **shared,
             )
-            rows.append(
-                InspectionRow(
-                    replicate=replicate, schedule=";".join(str(t) for t in sched.times),
-                    worst_step=worst_step, max_gap=inspection.maximal_gap(sched),
-                    err_worst_measured=max(errors[d] for errors, d in zip(step_errors, ds)),
-                    err_worst_lecam=max(lecam[d] for d in ds), sample_lb_worst=worst_bound,
-                )
-            )
+            for ds, shared in columns
+        )
     return ResultTable(InspectionRow, rows, metadata={"eta_chi2": eta_chi2, "delta2": delta2})
 
 
@@ -549,20 +550,27 @@ def run_mismatch(cfg: ExperimentConfig) -> ResultTable:
 
 def oracle_min_gap(horizon: int, m: int) -> int:
     """Exact minimum of the maximal gap over all m-inspection schedules, by
-    dynamic programming: after round k, gap[j] is the least maximal gap of
-    k + 1 segments covering [0, j), the least over i of max(gap[i] after
-    round k - 1, j - i)."""
+    the dynamic program ``_min_gaps``."""
     horizon, m = check_index(horizon, "horizon"), check_index(m, "m")
     if horizon > ORACLE_MAX_HORIZON:
         raise InvalidArgument(f"horizon must be at most {ORACLE_MAX_HORIZON} for enumeration")
     check_range(m, "m", 0, horizon - 1, "[]")
+    return _min_gaps(horizon, m)[m]
+
+
+def _min_gaps(horizon: int, m: int) -> list[int]:
+    """The least maximal gap of k-inspection schedules for k = 0..m, from one
+    pass: after round k, gap[j] is the least maximal gap of k + 1 segments
+    covering [0, j), the least over i of max(gap[i] after round k - 1, j - i)."""
     gap = list(range(horizon + 1))  # round 0: the one segment [0, j)
+    gaps = [horizon]
     for k in range(1, m + 1):
         # k segments cover [0, i) only for i >= k; entries below k + 1 are never read again
         gap[k + 1:] = [
             min(max(gap[i], j - i) for i in range(k, j)) for j in range(k + 1, horizon + 1)
         ]
-    return gap[horizon]
+        gaps.append(gap[horizon])
+    return gaps
 
 
 def _min_inspections_dp(weights: list[float], budget: float) -> int:
@@ -628,9 +636,8 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
 
     rows = []
     for h in range(2, max_h + 1):
-        for m in range(0, min(max_m, h - 1) + 1):
-            oracle_value = oracle_min_gap(h, m)
-            formula_value = inspection.min_gap_value(h, m)
+        for m, oracle_value in enumerate(_min_gaps(h, min(max_m, h - 1))):
+            formula_value = inspection._min_gap(h, m)
             rows.append(
                 OracleRow(
                     check="min_gap", H=h, m=m, param=float(m), oracle_value=oracle_value,
@@ -641,10 +648,11 @@ def run_oracle(cfg: ExperimentConfig) -> ResultTable:
     rng = _replicate_rng(cfg, 0)
     for _ in range(greedy_cases):
         h = int(rng.integers(3, max_h + 1))
-        etas = rng.uniform(0.35, 0.99, size=h)
-        gamma = max(inspection.step_info_distances(etas)) * float(rng.uniform(1.05, 3.0))
-        greedy_m = inspection.greedy_schedule(etas, gamma).m
-        oracle_m = oracle_min_inspections(etas, gamma)
+        weights = inspection.step_info_distances(rng.uniform(0.35, 0.99, size=h))
+        # gamma exceeds every weight: it is both schedulers' budget, and no step is refused
+        gamma = max(weights) * float(rng.uniform(1.05, 3.0))
+        greedy_m = inspection._greedy_placement(weights, gamma).m
+        oracle_m = _min_inspections_dp(weights, gamma)
         rows.append(
             OracleRow(
                 check="greedy", H=h, m=greedy_m, param=gamma, oracle_value=oracle_m,

@@ -187,6 +187,8 @@ class ExperimentConfig:
         if not (0 <= self.master_seed < 2**64):
             raise InvalidArgument("master_seed must be a 64-bit nonnegative integer")
         check_min(self.replicates, "replicates", 1)
+        if self.kind in ("decay", "oracle") and self.replicates != 1:  # neither draws replicates
+            raise InvalidArgument(f"replicates must be 1 for kind {self.kind}, got {self.replicates!r}")
         params_cls = _PARAMS[self.kind]
         if not isinstance(self.params, params_cls):
             object.__setattr__(self, "params", from_json(params_cls, self.params, f"{self.kind} params"))

@@ -674,6 +674,15 @@ UNUSABLE_INPUTS = {
     "horizon-obs-out-of-range": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
                                  {"kind": "horizon", "params": {"H": 1, "etas": [0.7],
                                                                 "obs_per_trial": 2000, "trials": 1}}),
+    # decay and oracle draw no replicates
+    "decay-replicates-2": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
+                           {"kind": "decay", "replicates": 2}),
+    "oracle-replicates-4": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
+                            {"kind": "oracle", "replicates": 4}),
+    "oracle-replicates-float": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
+                                {"kind": "oracle", "replicates": 1.7}),
+    "decay-replicates-0": (["experiment", "run", "--config", Path("input"), "--out", Path("x.csv")],
+                           {"kind": "decay", "replicates": 0}),
 }
 
 # Configs that run to the end: (config, rows written). The oracle config has
@@ -768,6 +777,23 @@ def test_integer_beyond_float_range_names_its_field(capsys, tmp_path, case):
     code, _, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
     assert code == 1
     assert err.startswith(OUT_OF_RANGE_MESSAGES[case])
+
+
+# A decay or oracle config other than replicates 1 is refused naming the kind;
+# a replicates value that is no integer, or below 1, keeps its earlier message.
+REPLICATES_MESSAGES = {
+    "decay-replicates-2": "error: replicates must be 1 for kind decay, got 2\n",
+    "oracle-replicates-4": "error: replicates must be 1 for kind oracle, got 4\n",
+    "oracle-replicates-float": "error: replicates must be an integer, got 1.7\n",
+    "decay-replicates-0": "error: replicates must be at least 1, got 0\n",
+}
+
+
+@pytest.mark.parametrize("case", list(REPLICATES_MESSAGES))
+def test_unsampled_kinds_refuse_replicates(capsys, tmp_path, case):
+    code, out, err = _run_with_input(capsys, tmp_path, *UNUSABLE_INPUTS[case])
+    assert (code, out, err) == (1, "", REPLICATES_MESSAGES[case])
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("case", list(WORK_LIMIT_MESSAGES))

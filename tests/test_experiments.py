@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from chcalc import errors, experiments
+from chcalc import divergence, errors, experiments, horizon, inspection, markov
 from chcalc.errors import Infeasible, InvalidArgument
 from chcalc.experiments import (
     GOLDEN_DECAY,
@@ -28,6 +28,7 @@ from chcalc.experiments import (
     _log_factorial_table,
     _log_factorials,
     _midpoint_threshold,
+    _min_gaps,
     _min_inspections_dp,
     _miss_probs,
     _width_histogram,
@@ -78,6 +79,19 @@ class TestConfig:
     def test_rejects_zero_replicates(self):
         with pytest.raises(InvalidArgument):
             ExperimentConfig(kind="decay", master_seed=1, replicates=0, params={})
+
+    @pytest.mark.parametrize("kind", ["decay", "oracle"])
+    @pytest.mark.parametrize("replicates", [2, 4, 1.7])
+    def test_unsampled_kinds_refuse_replicates(self, kind, replicates):
+        message = f"^replicates must be 1 for kind {kind}, got {replicates}$"
+        with pytest.raises(InvalidArgument, match=message):
+            ExperimentConfig(kind=kind, replicates=replicates)
+        # the type and minimum checks run first, with their own messages
+        with pytest.raises(InvalidArgument, match="^replicates must be at least 1, got 0$"):
+            ExperimentConfig(kind=kind, replicates=0)
+        with pytest.raises(InvalidArgument, match="^replicates must be an integer, got 1.7$"):
+            ExperimentConfig.from_json_dict({"kind": kind, "replicates": 1.7})
+        assert ExperimentConfig(kind=kind, replicates=1).replicates == 1
 
     def test_refusal_message_is_the_same_with_type_hints_cached(self):
         bad = {"kind": "horizon", "params": {"obs_per_trial": 2.5}}
@@ -974,6 +988,8 @@ class TestOracles:
         for h in range(2, ORACLE_MAX_HORIZON + 1):
             for m in range(h):
                 assert oracle_min_gap(h, m) == self.enumerated_min_gap(h, m) == min_gap_value(h, m)
+            # one pass gives every m's gap
+            assert _min_gaps(h, h - 1) == [self.enumerated_min_gap(h, m) for m in range(h)]
 
     def test_greedy_matches_oracle_homogeneous(self):
         etas = [0.8] * 10
@@ -1022,6 +1038,49 @@ class TestOracles:
         )
         table = run_experiment(cfg)
         assert all(table.column("match"))
+
+
+class TestRunnersCheckNothing:
+    """The runners work on the params ``schema`` has checked: their check
+    calls do not grow with the work."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for module in (experiments, inspection, markov, divergence, horizon, errors):
+            for name in [name for name in vars(module) if name.startswith("check_")]:
+                original = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda *a, _check=original, **k: calls.append(1) or _check(*a, **k)
+                )
+        return calls
+
+    @staticmethod
+    def count(calls, config: dict) -> int:
+        cfg = ExperimentConfig.from_json_dict(config)
+        calls.clear()
+        run_experiment(cfg)
+        return len(calls)
+
+    def test_oracle_min_gap_rows_make_no_check(self, calls):
+        config = {"kind": "oracle", "params": {"max_H": 14, "max_m": 13, "greedy_cases": 0}}
+        assert self.count(calls, config) == 0
+
+    def test_inspection_checks_as_often_at_any_horizon_and_replicate_count(self, calls):
+        counts = []
+        for scale, replicates in ((1, 1), (10, 3)):
+            schedules = [[t * scale for t in times] for times in GOLDEN_INSPECTION["params"]["schedules"]]
+            config = {**GOLDEN_INSPECTION, "replicates": replicates}
+            config["params"] = {**config["params"], "H": 20 * scale, "schedules": schedules, "trials": 50}
+            counts.append(self.count(calls, config))
+        assert counts[0] == counts[1]
+
+    def test_oracle_reads_each_greedy_case_once(self, monkeypatch):
+        cases = []
+        original = inspection.step_info_distances
+        monkeypatch.setattr(inspection, "step_info_distances", lambda etas: cases.append(1) or original(etas))
+        run_experiment(ExperimentConfig("oracle", params={"max_H": 8, "greedy_cases": 7}))
+        assert len(cases) == 7
 
 
 class TestMetadata:

@@ -66,6 +66,20 @@ class TestConstructors:
         with pytest.raises(ValueError):
             vec.entries[0] = 0.5
 
+    def test_attributes_cannot_be_assigned(self):
+        vec, kernel = uniform_dist(3), mixture_kernel(0.5, 3)
+        with pytest.raises(AttributeError, match="^ProbVec is immutable$"):
+            vec.entries = np.zeros(3)
+        with pytest.raises(AttributeError, match="^Kernel is immutable$"):
+            kernel.rows = np.eye(3)
+        assert vec.entries.tolist() == uniform_dist(3).entries.tolist()
+        assert (kernel.rows == mixture_kernel(0.5, 3).rows).all()
+
+    def test_length_and_repr(self):
+        assert len(ProbVec([0.25, 0.75])) == 2
+        assert repr(ProbVec([0.25, 0.75])) == "ProbVec([0.25, 0.75])"
+        assert repr(Kernel([[1.0, 0.0], [0.5, 0.5]])) == "Kernel(size=2)"
+
     def test_kernel_rejects_row_sum(self):
         with pytest.raises(InvalidArgument):
             Kernel([[0.5, 0.4], [0.5, 0.5]])
